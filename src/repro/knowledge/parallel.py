@@ -37,6 +37,24 @@ _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
 
 
+def _reset_after_fork() -> None:
+    """Forget the parent's pool in a forked child.
+
+    ``fork`` copies the executor object but none of its worker threads, so a
+    child that reused it (e.g. a ``multiprocessing`` fork worker fitting a
+    prior at ``jobs > 1``) would wait on its futures forever.  The lock is
+    replaced too: a fork taken while another thread held it would leave the
+    child's copy locked for good.
+    """
+    global _lock, _pool, _pool_size
+    _lock = threading.Lock()
+    _pool = None
+    _pool_size = 0
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
+
+
 def parse_jobs(value: object) -> int:
     """Validate a jobs count: a positive integer (no floats, no zero).
 

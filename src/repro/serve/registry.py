@@ -169,10 +169,6 @@ class StreamHost:
         self.tracer = publisher.tracer if publisher is not None else Tracer()
         self._slow_publish_seconds = float(slow_publish_seconds)
         self._traces: dict[int, dict[str, Any]] = {}
-        # The real release store, captured once: during a coalesced publish
-        # the publisher temporarily swaps ``publisher.store`` for its
-        # intermediate-version buffer, and readers must never see that -
-        # they keep serving the (append-only) published history.
         self._store = store if store is not None else publisher.store
         self._pool = pool
         self.metrics = StreamMetrics()
@@ -196,7 +192,7 @@ class StreamHost:
     # -- read-side accessors (lock-free: published versions are immutable) -------------
     @property
     def store(self):
-        """The stream's release store (always the real one, never a buffer)."""
+        """The stream's release store."""
         return self._store
 
     @property

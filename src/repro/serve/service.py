@@ -101,10 +101,13 @@ class ReproService:
         positions = payload.get("positions")
         if not isinstance(positions, list) or not positions:
             raise BadRequest("the request body must carry a non-empty 'positions' list")
-        try:
-            return [int(position) for position in positions]
-        except (TypeError, ValueError):
-            raise BadRequest("'positions' must be integers") from None
+        # JSON integers only: int() would truncate 1.5 and read true as 1.
+        if not all(
+            isinstance(position, int) and not isinstance(position, bool)
+            for position in positions
+        ):
+            raise BadRequest("'positions' must be integers")
+        return positions
 
     @staticmethod
     def _version(host: StreamHost, raw: str):

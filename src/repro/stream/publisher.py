@@ -12,10 +12,14 @@ belief only at quasi-identifier combinations within kernel range of a
 changed row, so a previously satisfied release is only *threatened where
 counts actually changed*.
 
-:class:`IncrementalPublisher` holds a versioned release and, per
-:meth:`append` / :meth:`delete` / :meth:`update` batch:
+:class:`IncrementalPublisher` holds a versioned release.  Every mutation -
+an :meth:`~IncrementalPublisher.append`, :meth:`~IncrementalPublisher.delete`
+or :meth:`~IncrementalPublisher.update` batch, and each operation of a
+:meth:`~IncrementalPublisher.publish_coalesced` tick - runs through one
+step that takes the previous version and the mutation (removed positions,
+corrected positions with their replacement rows, or appended rows) and:
 
-1. folds the batch into the factored kernel-prior state as **exact**
+1. folds the mutation into the factored kernel-prior state as **exact**
    count-tensor deltas (additive for appends, negative for retractions,
    paired for corrections - no ``O(n^2 d)`` re-sweep; see
    :mod:`repro.knowledge.backend`);
@@ -23,17 +27,24 @@ counts actually changed*.
    counterpart plus rows whose prior distribution or sensitive code changed
    for some configured adversary (a bitwise comparison, so no false "clean"
    verdicts);
-3. routes appended/corrected rows down the recorded Mondrian split tree to
-   their leaf groups (a corrected QI value may cross a split boundary),
-   shrinks leaves that lost retracted rows, re-checks only dirty leaves
-   (one batched ``is_satisfied_batch`` call, reusing the (B,t) model's
-   surviving - and, after deletions, index-remapped - risk memos), locally
-   re-splits leaves that grew and merges-up/rebuilds regions around leaves
-   that now violate the requirement (or emptied entirely) - every untouched
-   subtree is reused verbatim;
+3. pulls removed and corrected rows out of their leaves, routes appended and
+   corrected rows down the recorded Mondrian split tree to their leaf groups
+   (a corrected QI value may cross a split boundary), re-checks only dirty
+   leaves (one batched ``is_satisfied_batch`` call, reusing the (B,t)
+   model's surviving - and, after removals, index-remapped - risk memos),
+   locally re-splits leaves that grew and merges-up/rebuilds regions around
+   leaves that now violate the requirement (or emptied entirely) - every
+   untouched subtree is reused verbatim;
 4. re-audits the release in the skyline engine's dirty-group mode, copying
    the risks of clean surviving groups from the previous version's report
    through the row remap.
+
+The step returns an *unrecorded* version.  The single-mutation methods record
+it at once; a coalesced tick threads each step's version in as the next
+step's ``previous`` and records only the last one.  A tick's release, audit
+risks and resume state are therefore bitwise identical to publishing its
+operations one version at a time - coalescing only drops the intermediate
+versions.
 
 Deferred maintenance - rows joining grown groups below the
 ``refine_factor`` trigger, retracted rows shrinking groups, corrected rows
@@ -62,6 +73,7 @@ version serving).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -85,44 +97,41 @@ from repro.stream.tree import PartitionTree
 #: The mutation kinds :meth:`IncrementalPublisher.publish_coalesced` accepts.
 OPERATION_KINDS = ("append", "delete", "update")
 
+#: The :class:`~repro.stream.store.StreamDelta` row count of each kind.
+_COUNT_FIELDS = {"append": "appended_rows", "delete": "deleted_rows", "update": "updated_rows"}
 
-class _CoalescingStore:
-    """A write buffer standing in for the real store during one coalesced tick.
 
-    :meth:`IncrementalPublisher.publish_coalesced` applies a tick's operations
-    through the normal :meth:`~IncrementalPublisher.append` /
-    :meth:`~IncrementalPublisher.delete` / :meth:`~IncrementalPublisher.update`
-    paths, each of which records a version.  Buffering those intermediates
-    keeps version numbering and ``latest()`` consistent for the mutation code
-    while nothing hits the real lineage (``path`` is ``None``, so no
-    intermediate state payload is even built); only the final state of the
-    tick is then published to the real store.
+@dataclasses.dataclass(frozen=True)
+class _Mutation:
+    """One validated mutation of the current table.
+
+    ``positions`` are the sorted, distinct rows that leave their leaves -
+    retracted (``delete``) or corrected in place (``update``); ``columns``
+    holds the replacement (``update``) or appended (``append``) rows by
+    attribute.
     """
 
-    # The publisher persists resume state only for disk-backed stores;
-    # intermediates must never reach disk.
-    path = None
+    kind: str
+    size: int
+    positions: np.ndarray | None = None
+    columns: Mapping[str, Sequence] | None = None
 
-    def __init__(self, real: ReleaseStore):
-        self._real = real
-        self.versions: list[StreamVersion] = []
-        self.state: dict[str, Any] | None = real.state
+    @property
+    def counts(self) -> dict[str, int]:
+        """The appended/deleted/updated row counts of the recorded delta."""
+        return {name: self.size if kind == self.kind else 0 for kind, name in _COUNT_FIELDS.items()}
 
-    def __len__(self) -> int:
-        return len(self._real) + len(self.versions)
-
-    def add(self, version: StreamVersion, *, state: dict[str, Any] | None = None) -> StreamVersion:
-        if version.version != len(self):
-            raise StreamError(
-                f"version {version.version} breaks the lineage; expected {len(self)}"
+    def previous_of(self, n_previous: int) -> np.ndarray:
+        """Each mutated-table row's position in the previous table (``-1``: none)."""
+        if self.kind == "append":
+            return np.concatenate(
+                [np.arange(n_previous, dtype=np.int64), np.full(self.size, -1, dtype=np.int64)]
             )
-        self.versions.append(version)
-        return version
-
-    def latest(self) -> StreamVersion:
-        if self.versions:
-            return self.versions[-1]
-        return self._real.latest()
+        if self.kind == "delete":
+            keep = np.ones(n_previous, dtype=bool)
+            keep[self.positions] = False
+            return np.flatnonzero(keep)
+        return np.arange(n_previous, dtype=np.int64)
 
 
 class IncrementalPublisher:
@@ -445,21 +454,7 @@ class IncrementalPublisher:
         # Rebuild the estimation state the incremental paths maintain: a
         # fresh fit on the current table (the maintained state it replaces
         # matches a from-scratch fit to round-off).
-        if publisher._measure is None and publisher._points:
-            publisher._measure = sensitive_distance_measure(table)
-        publisher._estimator.fit(table)
-        prior_map = publisher._priors_by_bandwidth()
-        codes = table.sensitive_codes()
-        domain_size = table.sensitive_domain().size
-        for component in publisher._bt_components:
-            component.set_priors(
-                prior_map[publisher._bandwidth(component.b).items()], codes, domain_size
-            )
-        publisher._requirement.prepare(table)
-        if publisher._points:
-            publisher._audit_matrices = [
-                prior_map[bandwidth.items()].matrix for bandwidth, _ in publisher._points
-            ]
+        publisher._fit_priors(table)
         return publisher
 
     @classmethod
@@ -537,103 +532,134 @@ class IncrementalPublisher:
                 "(or IncrementalPublisher.resume to continue a stored stream)"
             )
         self._begin_mutation()
-        return self._publish_full(self._table, appended=0, rebuild=False)
+        with self._publish_span("full", rebuild=False) as publish_span:
+            version = self._publish_full(
+                None, self._table, rebuild=False, counts={"appended_rows": 0},
+                timings={}, start=publish_span.start_s,
+            )
+            publish_span.annotate(version=version.version, rows=self._table.n_rows)
+        return self._add_version(version)
 
     def _publish_full(
         self,
+        previous: StreamVersion | None,
         table: MicrodataTable,
         *,
-        appended: int,
         rebuild: bool,
-        deleted: int = 0,
-        updated: int = 0,
-        table_seconds: float | None = None,
+        counts: dict[str, int],
+        timings: dict[str, float],
+        start: float,
     ) -> StreamVersion:
-        with self._publish_span("full", rebuild=rebuild) as publish_span:
-            self._table = table
-            self._drift_rows = 0  # a fresh partition leaves no deferred maintenance
-            if rebuild:
-                # Domains changed: every code-indexed artefact is stale.
-                self._estimator = BatchedKernelPriorEstimator(
-                    config=self.config,
-                    incremental=True,
-                )
-                self._measure = None
-                for component in self._bt_components:
-                    component.measure = None
-            if self._measure is None and self._points:
-                self._measure = sensitive_distance_measure(table)
-            with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
-                self._estimator.fit(table)
-                prior_map = self._priors_by_bandwidth()
-                codes = table.sensitive_codes()
-                domain_size = table.sensitive_domain().size
-                for component in self._bt_components:
-                    component.set_priors(
-                        prior_map[self._bandwidth(component.b).items()],
-                        codes,
-                        domain_size,
-                    )
-                self._requirement.prepare(table)
+        """Fit, partition and audit ``table`` from scratch (an unrecorded version).
 
-            with self.tracer.timed("partition") as partition_span:
-                tree_root = self._mondrian.partition_tree(table, prepare=False)
-                self._tree = PartitionTree(tree_root)
-                groups = [leaf.indices for leaf in self._tree.leaves()]
-                release = AnonymizedRelease(
-                    table, groups, method=f"stream[{self._requirement.describe()}]"
-                )
-            partition_span.annotate(groups=len(groups))
-
-            with self.tracer.timed("audit", adversaries=len(self._points)) as audit_span:
-                report = None
-                if self._points:
-                    engine = self._engine(table, prior_map)
-                    report = engine.audit(groups)
-                    self._audit_matrices = [
-                        prior_map[bandwidth.items()].matrix
-                        for bandwidth, _ in self._points
-                    ]
-            timings = {
-                "prior_seconds": prior_span.duration_s,
-                "partition_seconds": partition_span.duration_s,
-                "audit_seconds": audit_span.duration_s,
-            }
-            if table_seconds is not None:
-                # Recorded before persisting, so the disk lineage and the
-                # in-memory version agree byte for byte.
-                timings["table_seconds"] = table_seconds
-            timings["total_seconds"] = time.perf_counter() - publish_span.start_s
-            delta = StreamDelta(
-                appended_rows=appended,
-                deleted_rows=deleted,
-                updated_rows=updated,
-                reused_groups=0,
-                rechecked_leaves=len(groups),
-                refined_leaves=0,
-                rebuilt_regions=1,
-                rebuild=rebuild,
-                audit_recomputed_groups=[len(groups)] * len(self._points),
-                timings=timings,
+        ``rebuild`` marks a table whose domains changed: every code-indexed
+        artefact (estimator, distance measure) is discarded first.
+        """
+        self._table = table
+        if rebuild:
+            self._estimator = BatchedKernelPriorEstimator(
+                config=self.config,
+                incremental=True,
             )
-            version = self._add_version(release, report, delta)
-            publish_span.annotate(version=version.version, rows=table.n_rows)
-            return version
+            self._measure = None
+            for component in self._bt_components:
+                component.measure = None
+        with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
+            prior_map = self._fit_priors(table)
+        timings["prior_seconds"] = prior_span.duration_s
+        release, timings["partition_seconds"] = self._fresh_partition(table)
 
-    def _add_version(
-        self, release: AnonymizedRelease, report: SkylineAuditReport | None, delta: StreamDelta
+        with self.tracer.timed("audit", adversaries=len(self._points)) as audit_span:
+            report = None
+            if self._points:
+                report = self._engine(table, prior_map).audit(release.groups)
+        timings["audit_seconds"] = audit_span.duration_s
+        return self._version(
+            previous, release, report, timings, start,
+            **counts,
+            **self._fresh_shape(release),
+            rebuild=rebuild,
+            audit_recomputed_groups=[release.n_groups] * len(self._points),
+        )
+
+    def _fit_priors(self, table: MicrodataTable) -> dict[tuple, PriorBeliefs]:
+        """Fit the priors on ``table`` from scratch and hand them to every consumer."""
+        if self._measure is None and self._points:
+            self._measure = sensitive_distance_measure(table)
+        self._estimator.fit(table)
+        prior_map = self._priors_by_bandwidth()
+        codes = table.sensitive_codes()
+        domain_size = table.sensitive_domain().size
+        for component in self._bt_components:
+            component.set_priors(
+                prior_map[self._bandwidth(component.b).items()], codes, domain_size
+            )
+        self._requirement.prepare(table)
+        self._audit_matrices = [
+            prior_map[bandwidth.items()].matrix for bandwidth, _ in self._points
+        ]
+        return prior_map
+
+    def _fresh_partition(
+        self, table: MicrodataTable, **attributes: Any
+    ) -> tuple[AnonymizedRelease, float]:
+        """Partition the whole table from scratch, leaving no deferred maintenance.
+
+        Raises :class:`~repro.exceptions.AnonymizationError` when even the
+        whole table fails the requirement, as a from-scratch run would.
+        """
+        with self.tracer.timed("partition", **attributes) as partition_span:
+            self._tree = PartitionTree(self._mondrian.partition_tree(table, prepare=False))
+            self._drift_rows = 0
+            release = self._release(table)
+        partition_span.annotate(groups=release.n_groups)
+        return release, partition_span.duration_s
+
+    @staticmethod
+    def _fresh_shape(release: AnonymizedRelease) -> dict[str, int]:
+        """The reuse counters of a version whose partition was cut from scratch."""
+        return {
+            "reused_groups": 0,
+            "rechecked_leaves": release.n_groups,
+            "refined_leaves": 0,
+            "rebuilt_regions": 1,
+        }
+
+    def _release(self, table: MicrodataTable) -> AnonymizedRelease:
+        """The release the current partition tree's leaves define on ``table``."""
+        groups = [leaf.indices for leaf in self._tree.leaves()]
+        return AnonymizedRelease(
+            table, groups, method=f"stream[{self._requirement.describe()}]"
+        )
+
+    @staticmethod
+    def _version(
+        previous: StreamVersion | None,
+        release: AnonymizedRelease,
+        report: SkylineAuditReport | None,
+        timings: dict[str, float],
+        start: float,
+        **delta: Any,
     ) -> StreamVersion:
-        """Record the next version in the store (persisting publisher state)."""
-        version = self.store.add(
-            StreamVersion(
-                version=len(self.store), release=release, report=report, delta=delta
-            ),
+        """The unrecorded version following ``previous``, stamped with its total time."""
+        timings["total_seconds"] = time.perf_counter() - start
+        return StreamVersion(
+            version=0 if previous is None else previous.version + 1,
+            release=release,
+            report=report,
+            delta=StreamDelta(timings=timings, **delta),
+        )
+
+    def _add_version(self, version: StreamVersion) -> StreamVersion:
+        """Record an unrecorded version as the store's next (persisting publisher state)."""
+        recorded = self.store.add(
+            dataclasses.replace(version, version=len(self.store)),
             # The state payload exists for disk-backed resume; serialising
             # the whole tree per version is wasted work on in-memory stores.
             state=self._state_payload() if self.store.path is not None else None,
         )
         self._inconsistent = False
-        return version
+        return recorded
 
     def _begin_mutation(self) -> None:
         """Refuse to mutate a publisher whose last batch failed mid-flight.
@@ -684,76 +710,147 @@ class IncrementalPublisher:
             priors=[prior_map[bandwidth.items()] for bandwidth, _ in self._points],
         )
 
-    # -- appending --------------------------------------------------------------------
-    def _concatenate(
+    # -- validating mutations -----------------------------------------------------------
+    def _require_published(self, action: str) -> None:
+        if not len(self.store):
+            raise StreamError(f"publish() the seed release before {action}")
+
+    def _batch_columns(
         self, batch: MicrodataTable | Sequence[Mapping[str, Any]]
-    ) -> tuple[MicrodataTable, int, bool]:
-        """The grown table, the number of appended rows, and a rebuild flag."""
+    ) -> dict[str, Sequence]:
+        """An append/update batch's values, by attribute of the stream's schema."""
         schema = self._table.schema
         if isinstance(batch, MicrodataTable):
             if tuple(batch.schema.names) != tuple(schema.names):
                 raise StreamError("batch schema does not match the stream's schema")
-            fresh = {name: batch.column(name) for name in schema.names}
-        else:
-            rows = list(batch)
-            if not rows:
-                raise StreamError("an append batch requires at least one row")
-            fresh = {name: [row[name] for row in rows] for name in schema.names}
-        appended = len(next(iter(fresh.values())))
-        if appended == 0:
+            return {name: batch.column(name) for name in schema.names}
+        rows = list(batch)
+        return {name: [row[name] for row in rows] for name in schema.names}
+
+    def _positions(self, rows: Sequence[int] | np.ndarray, kind: str) -> np.ndarray:
+        """Validated row positions of a delete/update batch.
+
+        Positions must be integers - an integer array or integral Python
+        values, never booleans - so a float is refused rather than truncated
+        and a boolean mask is refused rather than read as positions 0 and 1.
+        """
+        if isinstance(rows, (list, tuple)) and any(
+            isinstance(row, (bool, np.bool_)) for row in rows
+        ):
+            raise StreamError(f"{kind} positions must be integers, not booleans")
+        positions = np.asarray(rows).reshape(-1)
+        if positions.size == 0:
+            raise StreamError(f"{kind} requires at least one row position")
+        if positions.dtype.kind not in "iu":
+            raise StreamError(f"{kind} positions must be integers, not {positions.dtype} values")
+        positions = positions.astype(np.int64, copy=False)
+        if positions.min() < 0 or positions.max() >= self._table.n_rows:
+            raise StreamError(f"{kind} positions fall outside the current table")
+        return positions
+
+    def _append_mutation(
+        self, batch: MicrodataTable | Sequence[Mapping[str, Any]]
+    ) -> _Mutation:
+        self._require_published("appending batches")
+        columns = self._batch_columns(batch)
+        size = len(next(iter(columns.values())))
+        if size == 0:
             raise StreamError("an append batch requires at least one row")
+        return _Mutation("append", size, columns=columns)
+
+    def _delete_mutation(self, rows: Sequence[int] | np.ndarray) -> _Mutation:
+        self._require_published("deleting rows")
+        removed = np.unique(self._positions(rows, "delete"))
+        if removed.size >= self._table.n_rows:
+            raise StreamError("cannot delete every remaining row of the stream")
+        return _Mutation("delete", int(removed.size), positions=removed)
+
+    def _update_mutation(
+        self,
+        rows: Sequence[int] | np.ndarray,
+        batch: MicrodataTable | Sequence[Mapping[str, Any]],
+    ) -> _Mutation:
+        self._require_published("updating rows")
+        positions = self._positions(rows, "update")
+        if np.unique(positions).size != positions.size:
+            raise StreamError("update positions must be distinct")
+        columns = self._batch_columns(batch)
+        if any(len(column) != positions.size for column in columns.values()):
+            raise StreamError("update values must align one-to-one with the updated rows")
+        order = np.argsort(positions)
+        return _Mutation(
+            "update",
+            int(positions.size),
+            positions=positions[order],
+            columns={name: [column[int(i)] for i in order] for name, column in columns.items()},
+        )
+
+    def _mutation(self, kind: str, payload: Any) -> _Mutation:
+        """Validate one ``(kind, payload)`` operation of a coalesced tick."""
+        if kind == "append":
+            return self._append_mutation(payload)
+        if kind == "delete":
+            return self._delete_mutation(payload)
+        if kind == "update":
+            rows, batch = payload
+            return self._update_mutation(rows, batch)
+        raise StreamError(
+            f"unknown stream operation {kind!r}; expected one of {OPERATION_KINDS}"
+        )
+
+    # -- the mutation step ------------------------------------------------------------
+    def _mutated_table(
+        self, mutation: _Mutation, previous_of: np.ndarray
+    ) -> tuple[MicrodataTable, bool]:
+        """The table after ``mutation``, and whether its domains changed."""
+        if mutation.kind == "delete":
+            return self._table.select(previous_of), False
         try:
-            return self._table.extend(fresh), appended, False
+            if mutation.kind == "append":
+                return self._table.extend(mutation.columns), False
+            return self._table.replace_rows(mutation.positions, mutation.columns), False
         except DataError:
             # A value outside the current domains: codes shift, full rebuild.
-            columns = {
-                name: np.concatenate(
-                    [
-                        self._table.column(name),
-                        np.asarray(
-                            fresh[name],
-                            dtype=np.float64 if schema[name].is_numeric else object,
-                        ),
-                    ]
-                )
-                for name in schema.names
-            }
-            return MicrodataTable(schema, columns), appended, True
+            return self._rebuilt_table(mutation), True
+
+    def _rebuilt_table(self, mutation: _Mutation) -> MicrodataTable:
+        """The mutated table rebuilt from raw columns, with fresh domains."""
+        schema = self._table.schema
+        columns = {}
+        for name in schema.names:
+            fresh = np.asarray(
+                mutation.columns[name],
+                dtype=np.float64 if schema[name].is_numeric else object,
+            )
+            column = self._table.column(name)
+            if mutation.kind == "append":
+                column = np.concatenate([column, fresh])
+            else:
+                column = np.array(column, copy=True)
+                column[mutation.positions] = fresh
+            columns[name] = column
+        return MicrodataTable(schema, columns)
 
     def _component_dirty(
         self,
         component: PrivacyModel,
         table: MicrodataTable,
-        n_previous: int,
+        previous_of: np.ndarray,
         prior_map: dict[tuple, PriorBeliefs],
+        *,
+        grown_from: int | None,
     ) -> np.ndarray:
         """Dirty-row mask of one requirement component (True = risk may change).
 
-        (B,t) components are refreshed with the publisher's re-estimated
-        priors; every other model declares its own invalidation semantics
-        through :meth:`~repro.privacy.models.PrivacyModel.stream_update`
-        (conservative all-dirty by default).
-        """
-        if isinstance(component, BTPrivacy):
-            priors = prior_map[self._bandwidth(component.b).items()]
-            return component.update_priors(
-                priors, table.sensitive_codes(), table.sensitive_domain().size
-            )
-        return component.stream_update(table, n_previous)
-
-    def _component_replace_dirty(
-        self,
-        component: PrivacyModel,
-        table: MicrodataTable,
-        previous_of: np.ndarray,
-        prior_map: dict[tuple, PriorBeliefs],
-    ) -> np.ndarray:
-        """Dirty-row mask of one component after a delete/update batch.
-
         ``previous_of`` maps every current row to its previous position
-        (``-1`` for rows with no counterpart); (B,t) components remap their
-        risk memos through it, every other model answers through
-        :meth:`~repro.privacy.models.PrivacyModel.stream_replace`.
+        (``-1`` for rows with no counterpart); ``grown_from`` is the previous
+        row count when the table only grew (a pure append), else ``None``.
+        (B,t) components are refreshed with the publisher's re-estimated
+        priors, remapping their risk memos unless the table only grew; every
+        other model declares its own invalidation semantics through
+        :meth:`~repro.privacy.models.PrivacyModel.stream_update` (pure
+        appends) or :meth:`~repro.privacy.models.PrivacyModel.stream_replace`
+        (conservative all-dirty by default).
         """
         if isinstance(component, BTPrivacy):
             priors = prior_map[self._bandwidth(component.b).items()]
@@ -761,13 +858,88 @@ class IncrementalPublisher:
                 priors,
                 table.sensitive_codes(),
                 table.sensitive_domain().size,
-                previous_of=previous_of,
+                previous_of=previous_of if grown_from is None else None,
             )
+        if grown_from is not None:
+            return component.stream_update(table, grown_from)
         return component.stream_replace(table, previous_of)
 
     def _compaction_due(self) -> bool:
         """Whether accumulated drift warrants a full-refine compaction."""
         return self._drift_rows >= self.compact_drift * self._table.n_rows
+
+    def _step(self, previous: StreamVersion, mutation: _Mutation) -> StreamVersion:
+        """Publish ``mutation`` on top of ``previous`` as an unrecorded version.
+
+        The one pipeline behind every append, delete, update and coalesced
+        tick: build the mutated table (a domain change takes the full-rebuild
+        path), fold the mutation into the prior state, find the dirty rows,
+        then either compact or maintain the partition locally, and re-audit
+        the dirty groups.  The kinds differ only in data: the backend delta,
+        the component hook, the drift accounting, and which rows leave their
+        leaves and which are routed.
+        """
+        appended_only = mutation.kind == "append"
+        with self._publish_span(mutation.kind) as publish_span:
+            publish_span.annotate(**{_COUNT_FIELDS[mutation.kind]: mutation.size})
+            start = publish_span.start_s
+            with self.tracer.timed("table") as table_span:
+                n_previous = self._table.n_rows
+                previous_of = mutation.previous_of(n_previous)
+                table, rebuild = self._mutated_table(mutation, previous_of)
+            timings = {"table_seconds": table_span.duration_s}
+            if rebuild:
+                version = self._publish_full(
+                    previous, table, rebuild=True, counts=mutation.counts,
+                    timings=timings, start=start,
+                )
+                publish_span.annotate(version=version.version)
+                return version
+
+            # 1. Fold the mutation into the factored prior state; find dirty rows.
+            with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
+                if appended_only:
+                    self._estimator.append_rows(table)
+                elif mutation.kind == "delete":
+                    self._estimator.remove_rows(table, mutation.positions)
+                else:
+                    self._estimator.update_rows(table, mutation.positions)
+                prior_map = self._priors_by_bandwidth()
+                dirty_model = previous_of < 0
+                for component in self._requirement.components():
+                    dirty_model |= self._component_dirty(
+                        component, table, previous_of, prior_map,
+                        grown_from=n_previous if appended_only else None,
+                    )
+                self._table = table
+                # Retracted rows shrink groups and corrected rows re-route in
+                # place: the whole batch is drift.  Appended rows only drift
+                # where they join a group without re-splitting it.
+                if not appended_only:
+                    self._drift_rows += mutation.size
+            timings["prior_seconds"] = prior_span.duration_s
+
+            # 2-3. A full-refine compaction once drift is due, else local surgery.
+            if self._compaction_due():
+                release, timings["partition_seconds"] = self._fresh_partition(
+                    table, compacted=True
+                )
+                shape = dict(self._fresh_shape(release), compacted=True)
+            else:
+                release, shape = self._maintain_partition(
+                    table, mutation, n_previous, previous_of, dirty_model, timings
+                )
+
+            # 4. Dirty-group re-audit: clean surviving groups keep their risks.
+            report, audit_recomputed, timings["audit_seconds"] = self._audit_step(
+                table, prior_map, release.groups, previous, previous_of
+            )
+            version = self._version(
+                previous, release, report, timings, start,
+                **mutation.counts, **shape, audit_recomputed_groups=audit_recomputed,
+            )
+            publish_span.annotate(version=version.version)
+            return version
 
     def _audit_step(
         self,
@@ -822,21 +994,58 @@ class IncrementalPublisher:
     def _maintain_partition(
         self,
         table: MicrodataTable,
-        dirty_leaves: list,
-        members: Mapping[int, np.ndarray],
-        routed: dict[int, np.ndarray],
-    ) -> tuple[list, list, list, set, float, float]:
-        """The shared local-surgery step of every incremental mutation.
+        mutation: _Mutation,
+        n_previous: int,
+        previous_of: np.ndarray,
+        dirty_model: np.ndarray,
+        timings: dict[str, float],
+    ) -> tuple[AnonymizedRelease, dict[str, int]]:
+        """Local surgery on the maintained partition for one mutation.
 
-        Re-checks the dirty leaves (one batched model call; empty members are
-        unconditionally failing), merges-up/rebuilds regions around violated
-        leaves, and locally re-splits or rejoins leaves that received routed
-        rows (the ``refine_factor`` amortisation).  Returns ``(rebuild_nodes,
-        refine, rejoined, under_rebuild, recheck_seconds,
-        repartition_seconds)``; drift accounting stays with the callers
-        (appends count rejoined routed rows, deletions/corrections count
-        their batch size up front).
+        Removed and corrected rows leave their leaves (leaf indices are
+        remapped only then, so appends do no per-leaf work); appended and
+        corrected rows are routed down the split tree.  Leaves that changed
+        membership or hold a prior-dirty row are re-checked (one batched
+        model call; empty members are unconditionally failing), regions
+        around violated leaves merge up and rebuild, and leaves that received
+        routed rows re-split or rejoin (the ``refine_factor`` amortisation).
+        Records the route/recheck/repartition stage timings and returns the
+        release with the delta's reuse counters.
         """
+        with self.tracer.timed("route") as route_span:
+            leaves = self._tree.leaves()
+            lost: set[int] = set()
+            if mutation.kind != "append":
+                current_of = np.full(n_previous, -1, dtype=np.int64)
+                surviving = previous_of >= 0
+                current_of[previous_of[surviving]] = np.flatnonzero(surviving)
+                current_of[mutation.positions] = -1
+                for leaf in leaves:
+                    mapped = current_of[leaf.indices]
+                    survivors = mapped >= 0
+                    if not survivors.all():
+                        lost.add(id(leaf))
+                        mapped = mapped[survivors]
+                    leaf.indices = mapped  # the old -> new map is monotone: still sorted
+            arrivals = (
+                mutation.positions
+                if mutation.kind == "update"
+                else np.flatnonzero(previous_of < 0)
+            )
+            routed = self._tree.route(table, arrivals)
+            members: dict[int, np.ndarray] = {}
+            dirty_leaves = []
+            for leaf in leaves:
+                addition = routed.get(id(leaf))
+                if addition is not None:
+                    members[id(leaf)] = np.sort(np.concatenate([leaf.indices, addition]))
+                    dirty_leaves.append(leaf)
+                else:
+                    members[id(leaf)] = leaf.indices
+                    if id(leaf) in lost or dirty_model[leaf.indices].any():
+                        dirty_leaves.append(leaf)
+        timings["route_seconds"] = route_span.duration_s
+
         with self.tracer.timed("recheck", leaves=len(dirty_leaves)) as recheck_span:
             checkable = [leaf for leaf in dirty_leaves if members[id(leaf)].size]
             verdicts = dict(
@@ -847,6 +1056,7 @@ class IncrementalPublisher:
                     ),
                 )
             )
+        timings["recheck_seconds"] = recheck_span.duration_s
 
         with self.tracer.timed("repartition") as repartition_span:
             failing = [
@@ -887,570 +1097,24 @@ class IncrementalPublisher:
             repartition_span.annotate(
                 rebuilt_regions=len(rebuild_nodes), refined_leaves=len(refine)
             )
-        return (
-            rebuild_nodes,
-            refine,
-            rejoined,
-            under_rebuild,
-            recheck_span.duration_s,
-            repartition_span.duration_s,
-        )
+        timings["repartition_seconds"] = repartition_span.duration_s
 
-    def _publish_compacted(
-        self,
-        table: MicrodataTable,
-        prior_map: dict[tuple, PriorBeliefs],
-        previous: StreamVersion,
-        previous_of: np.ndarray,
-        *,
-        start: float,
-        timings: dict[str, float],
-        appended: int = 0,
-        deleted: int = 0,
-        updated: int = 0,
-    ) -> StreamVersion:
-        """Publish this batch through a full-refine compaction.
-
-        The maintained partition is discarded and the current table is
-        re-partitioned from scratch (priors and the skyline audit stay
-        incremental), resetting the accumulated drift.  Raises
-        :class:`~repro.exceptions.AnonymizationError` when even the whole
-        table fails the requirement, as a from-scratch run would.
-        """
-        with self.tracer.timed("partition", compacted=True) as partition_span:
-            tree_root = self._mondrian.partition_tree(table, prepare=False)
-            self._tree = PartitionTree(tree_root)
-            self._drift_rows = 0
-            groups = [leaf.indices for leaf in self._tree.leaves()]
-            release = AnonymizedRelease(
-                table, groups, method=f"stream[{self._requirement.describe()}]"
-            )
-        partition_span.annotate(groups=len(groups))
-        report, audit_recomputed, audit_seconds = self._audit_step(
-            table, prior_map, groups, previous, previous_of
-        )
-        delta = StreamDelta(
-            appended_rows=appended,
-            deleted_rows=deleted,
-            updated_rows=updated,
-            reused_groups=0,
-            rechecked_leaves=len(groups),
-            refined_leaves=0,
-            rebuilt_regions=1,
-            compacted=True,
-            audit_recomputed_groups=audit_recomputed,
-            timings={
-                **timings,
-                "partition_seconds": partition_span.duration_s,
-                "audit_seconds": audit_seconds,
-                "total_seconds": time.perf_counter() - start,
-            },
-        )
-        return self._add_version(release, report, delta)
-
-    def append(
-        self, batch: MicrodataTable | Sequence[Mapping[str, Any]]
-    ) -> StreamVersion:
-        """Fold one batch of appended rows into the stream and publish a version.
-
-        ``batch`` is either a :class:`~repro.data.table.MicrodataTable` with
-        the stream's schema or a sequence of ``{attribute: value}`` rows.
-        """
-        if not len(self.store):
-            raise StreamError("publish() the seed release before appending batches")
-        with self._publish_span("append") as publish_span:
-            with self.tracer.timed("table") as table_span:
-                previous = self.store.latest()
-                n_previous = self._table.n_rows
-                table, appended, rebuild = self._concatenate(batch)
-                self._begin_mutation()
-            table_seconds = table_span.duration_s
-            publish_span.annotate(appended_rows=appended)
-            if rebuild:
-                return self._publish_full(
-                    table, appended=appended, rebuild=True, table_seconds=table_seconds
-                )
-
-            # 1. Fold the batch into the factored prior state; find dirty rows.
-            with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
-                self._estimator.append_rows(table)
-                prior_map = self._priors_by_bandwidth()
-                appended_indices = np.arange(n_previous, table.n_rows, dtype=np.int64)
-                dirty_model = np.ones(table.n_rows, dtype=bool)
-                dirty_model[:n_previous] = False
-                for component in self._requirement.components():
-                    dirty_model |= self._component_dirty(
-                        component, table, n_previous, prior_map
-                    )
-                self._table = table
-            prior_seconds = prior_span.duration_s
-
-            if self._compaction_due():
-                previous_of = np.full(table.n_rows, -1, dtype=np.int64)
-                previous_of[:n_previous] = np.arange(n_previous, dtype=np.int64)
-                return self._publish_compacted(
-                    table, prior_map, previous, previous_of,
-                    appended=appended, start=publish_span.start_s,
-                    timings={"table_seconds": table_seconds, "prior_seconds": prior_seconds},
-                )
-
-            # 2. Route appended rows to their leaves; re-check only dirty leaves.
-            with self.tracer.timed("route") as route_span:
-                leaves = self._tree.leaves()
-                routed = self._tree.route(table, appended_indices)
-                members: dict[int, np.ndarray] = {}
-                dirty_leaves = []
-                for leaf in leaves:
-                    addition = routed.get(id(leaf))
-                    if addition is not None:
-                        members[id(leaf)] = np.sort(
-                            np.concatenate([leaf.indices, addition])
-                        )
-                        dirty_leaves.append(leaf)
-                    else:
-                        members[id(leaf)] = leaf.indices
-                        if dirty_model[leaf.indices].any():
-                            dirty_leaves.append(leaf)
-
-            # 3. Merge-up around violated leaves, re-split grown leaves, locally;
-            #    rows joining grown groups in place count as compaction drift.
-            (
-                rebuild_nodes,
-                refine,
-                rejoined,
-                under_rebuild,
-                recheck_seconds,
-                repartition_seconds,
-            ) = self._maintain_partition(table, dirty_leaves, members, routed)
+        if mutation.kind == "append":
+            # Appended rows joining grown groups in place are drift (removals
+            # and corrections counted their whole batch up front).
             self._drift_rows += sum(int(routed[id(leaf)].size) for leaf in rejoined)
-
-            touched = (
-                under_rebuild
-                | {id(leaf) for leaf in refine}
-                | {id(leaf) for leaf in rejoined}
-            )
-            reused = sum(1 for leaf in leaves if id(leaf) not in touched)
-            groups = [leaf.indices for leaf in self._tree.leaves()]
-            release = AnonymizedRelease(
-                table, groups, method=f"stream[{self._requirement.describe()}]"
-            )
-
-            # 4. Dirty-group re-audit: clean byte-identical groups keep their risks.
-            previous_of = np.full(table.n_rows, -1, dtype=np.int64)
-            previous_of[:n_previous] = np.arange(n_previous, dtype=np.int64)
-            report, audit_recomputed, audit_seconds = self._audit_step(
-                table, prior_map, groups, previous, previous_of
-            )
-
-            delta = StreamDelta(
-                appended_rows=appended,
-                reused_groups=reused,
-                rechecked_leaves=len(dirty_leaves),
-                refined_leaves=len(refine),
-                rebuilt_regions=len(rebuild_nodes),
-                rebuild=False,
-                audit_recomputed_groups=audit_recomputed,
-                timings={
-                    "table_seconds": table_seconds,
-                    "prior_seconds": prior_seconds,
-                    "route_seconds": route_span.duration_s,
-                    "recheck_seconds": recheck_seconds,
-                    "repartition_seconds": repartition_seconds,
-                    "audit_seconds": audit_seconds,
-                    "total_seconds": time.perf_counter() - publish_span.start_s,
-                },
-            )
-            version = self._add_version(release, report, delta)
-            publish_span.annotate(version=version.version)
-            return version
-
-    # -- deleting ---------------------------------------------------------------------
-    def delete(self, rows: Sequence[int] | np.ndarray) -> StreamVersion:
-        """Retract rows (positions in the current table) and publish a version.
-
-        The GDPR-style erasure path: the rows vanish from the maintained
-        table, their counts leave the factored prior state as exact negative
-        count-tensor deltas, the leaves that held them shrink in place, and
-        regions whose shrunken groups no longer satisfy the requirement
-        (e.g. fall below ``k``) merge up exactly like violated leaves after
-        an append.  Deleting every remaining row raises
-        :class:`~repro.exceptions.StreamError` (an empty table cannot be
-        released); a deletion under which even the whole table fails the
-        requirement raises :class:`~repro.exceptions.AnonymizationError`, as
-        a from-scratch run would.
-        """
-        if not len(self.store):
-            raise StreamError("publish() the seed release before deleting rows")
-        with self._publish_span("delete") as publish_span:
-            with self.tracer.timed("table") as table_span:
-                previous = self.store.latest()
-                n_previous = self._table.n_rows
-                removed = np.unique(np.asarray(rows, dtype=np.int64))
-                if removed.size == 0:
-                    raise StreamError("a delete batch requires at least one row")
-                if removed[0] < 0 or removed[-1] >= n_previous:
-                    raise StreamError("delete positions fall outside the current table")
-                if removed.size >= n_previous:
-                    raise StreamError("cannot delete every remaining row of the stream")
-                self._begin_mutation()
-                keep = np.ones(n_previous, dtype=bool)
-                keep[removed] = False
-                kept = np.flatnonzero(keep)
-                table = self._table.select(kept)
-            table_seconds = table_span.duration_s
-            publish_span.annotate(deleted_rows=int(removed.size))
-
-            # 1. Fold the removals out of the factored prior state; find dirty rows.
-            with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
-                self._estimator.remove_rows(table, removed)
-                prior_map = self._priors_by_bandwidth()
-                dirty_model = np.zeros(table.n_rows, dtype=bool)
-                for component in self._requirement.components():
-                    dirty_model |= self._component_replace_dirty(
-                        component, table, kept, prior_map
-                    )
-                self._table = table
-                self._drift_rows += int(removed.size)
-            prior_seconds = prior_span.duration_s
-
-            if self._compaction_due():
-                return self._publish_compacted(
-                    table, prior_map, previous, kept,
-                    deleted=int(removed.size), start=publish_span.start_s,
-                    timings={"table_seconds": table_seconds, "prior_seconds": prior_seconds},
-                )
-
-            # 2. Shrink the leaves in place; only shrunken or prior-dirty leaves
-            #    are re-checked.
-            with self.tracer.timed("route") as route_span:
-                current_of = np.full(n_previous, -1, dtype=np.int64)
-                current_of[kept] = np.arange(kept.size, dtype=np.int64)
-                leaves = self._tree.leaves()
-                shrunk: set[int] = set()
-                for leaf in leaves:
-                    mapped = current_of[leaf.indices]
-                    survivors = mapped >= 0
-                    if not survivors.all():
-                        shrunk.add(id(leaf))
-                        mapped = mapped[survivors]
-                    leaf.indices = mapped  # the old -> new map is monotone: still sorted
-                dirty_leaves = [
-                    leaf
-                    for leaf in leaves
-                    if id(leaf) in shrunk
-                    or (leaf.indices.size and dirty_model[leaf.indices].any())
-                ]
-
-            # 3. Merge-up around violated (or emptied) leaves; nothing was
-            #    routed, so no leaf can refine or rejoin.
-            members = {id(leaf): leaf.indices for leaf in leaves}
-            (
-                rebuild_nodes,
-                _,
-                _,
-                under_rebuild,
-                recheck_seconds,
-                repartition_seconds,
-            ) = self._maintain_partition(table, dirty_leaves, members, {})
-
-            touched = under_rebuild | shrunk
-            reused = sum(1 for leaf in leaves if id(leaf) not in touched)
-            groups = [leaf.indices for leaf in self._tree.leaves()]
-            release = AnonymizedRelease(
-                table, groups, method=f"stream[{self._requirement.describe()}]"
-            )
-
-            report, audit_recomputed, audit_seconds = self._audit_step(
-                table, prior_map, groups, previous, kept
-            )
-            delta = StreamDelta(
-                appended_rows=0,
-                deleted_rows=int(removed.size),
-                reused_groups=reused,
-                rechecked_leaves=len(dirty_leaves),
-                refined_leaves=0,
-                rebuilt_regions=len(rebuild_nodes),
-                audit_recomputed_groups=audit_recomputed,
-                timings={
-                    "table_seconds": table_seconds,
-                    "prior_seconds": prior_seconds,
-                    "route_seconds": route_span.duration_s,
-                    "recheck_seconds": recheck_seconds,
-                    "repartition_seconds": repartition_seconds,
-                    "audit_seconds": audit_seconds,
-                    "total_seconds": time.perf_counter() - publish_span.start_s,
-                },
-            )
-            version = self._add_version(release, report, delta)
-            publish_span.annotate(version=version.version)
-            return version
-
-    # -- updating ---------------------------------------------------------------------
-    def update(
-        self,
-        rows: Sequence[int] | np.ndarray,
-        batch: MicrodataTable | Sequence[Mapping[str, Any]],
-    ) -> StreamVersion:
-        """Correct rows in place (late-arriving fixes) and publish a version.
-
-        ``rows`` are positions in the current table; ``batch`` supplies the
-        replacement rows (a :class:`~repro.data.table.MicrodataTable` with
-        the stream's schema or a sequence of ``{attribute: value}`` rows)
-        aligned one-to-one with ``rows``.  Corrections within the current
-        domains are folded into the prior state as paired negative/positive
-        count deltas, and the corrected rows are re-routed down the recorded
-        split tree (a corrected QI value may cross a split boundary).  A
-        correction introducing values outside the current domains forces a
-        full rebuild, exactly like an out-of-domain append.
-        """
-        if not len(self.store):
-            raise StreamError("publish() the seed release before updating rows")
-        with self._publish_span("update") as publish_span:
-            with self.tracer.timed("table") as table_span:
-                previous = self.store.latest()
-                n_rows = self._table.n_rows
-                positions = np.asarray(rows, dtype=np.int64)
-                if positions.size == 0:
-                    raise StreamError("an update batch requires at least one row")
-                if np.unique(positions).size != positions.size:
-                    raise StreamError("update positions must be distinct")
-                if positions.min() < 0 or positions.max() >= n_rows:
-                    raise StreamError("update positions fall outside the current table")
-                schema = self._table.schema
-                if isinstance(batch, MicrodataTable):
-                    if tuple(batch.schema.names) != tuple(schema.names):
-                        raise StreamError("batch schema does not match the stream's schema")
-                    fresh = {name: batch.column(name) for name in schema.names}
-                else:
-                    replacement_rows = list(batch)
-                    fresh = {
-                        name: [row[name] for row in replacement_rows] for name in schema.names
-                    }
-                if any(len(column) != positions.size for column in fresh.values()):
-                    raise StreamError("update values must align one-to-one with the updated rows")
-                self._begin_mutation()
-                order = np.argsort(positions)
-                positions = positions[order]
-                fresh = {
-                    name: [fresh[name][int(i)] for i in order] for name in schema.names
-                }
-                rebuild_table = None
-                try:
-                    table = self._table.replace_rows(positions, fresh)
-                except DataError:
-                    # A corrected value outside the current domains: codes shift,
-                    # full rebuild - exactly like an out-of-domain append.
-                    columns = {}
-                    for name in schema.names:
-                        column = np.array(self._table.column(name), copy=True)
-                        column[positions] = np.asarray(
-                            fresh[name],
-                            dtype=np.float64 if schema[name].is_numeric else object,
-                        )
-                        columns[name] = column
-                    rebuild_table = MicrodataTable(schema, columns)
-            publish_span.annotate(updated_rows=int(positions.size))
-            if rebuild_table is not None:
-                return self._publish_full(
-                    rebuild_table,
-                    appended=0, rebuild=True, updated=int(positions.size),
-                    table_seconds=time.perf_counter() - publish_span.start_s,
-                )
-            table_seconds = table_span.duration_s
-
-            # 1. Fold the paired correction deltas into the prior state.
-            with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
-                self._estimator.update_rows(table, positions)
-                prior_map = self._priors_by_bandwidth()
-                identity = np.arange(n_rows, dtype=np.int64)
-                dirty_model = np.zeros(n_rows, dtype=bool)
-                for component in self._requirement.components():
-                    dirty_model |= self._component_replace_dirty(
-                        component, table, identity, prior_map
-                    )
-                self._table = table
-                self._drift_rows += int(positions.size)
-            prior_seconds = prior_span.duration_s
-
-            if self._compaction_due():
-                return self._publish_compacted(
-                    table, prior_map, previous, identity,
-                    updated=int(positions.size), start=publish_span.start_s,
-                    timings={"table_seconds": table_seconds, "prior_seconds": prior_seconds},
-                )
-
-            # 2. Pull the corrected rows out of their leaves and re-route them
-            #    (a corrected QI value may belong to a different region now).
-            with self.tracer.timed("route") as route_span:
-                leaves = self._tree.leaves()
-                updated_mask = np.zeros(n_rows, dtype=bool)
-                updated_mask[positions] = True
-                lost: set[int] = set()
-                for leaf in leaves:
-                    member_updated = updated_mask[leaf.indices]
-                    if member_updated.any():
-                        leaf.indices = leaf.indices[~member_updated]
-                        lost.add(id(leaf))
-                routed = self._tree.route(table, positions)
-                members: dict[int, np.ndarray] = {}
-                dirty_leaves = []
-                for leaf in leaves:
-                    addition = routed.get(id(leaf))
-                    if addition is not None:
-                        members[id(leaf)] = np.sort(np.concatenate([leaf.indices, addition]))
-                        dirty_leaves.append(leaf)
-                    else:
-                        members[id(leaf)] = leaf.indices
-                        if id(leaf) in lost or (
-                            leaf.indices.size and dirty_model[leaf.indices].any()
-                        ):
-                            dirty_leaves.append(leaf)
-
-            # 3. Merge-up around violated (or emptied) leaves; locally re-split
-            #    leaves the re-routing grew past the refine trigger.  Drift was
-            #    counted once for the whole batch above, so rejoined leaves add
-            #    nothing here.
-            (
-                rebuild_nodes,
-                refine,
-                rejoined,
-                under_rebuild,
-                recheck_seconds,
-                repartition_seconds,
-            ) = self._maintain_partition(table, dirty_leaves, members, routed)
-
-            touched = (
-                under_rebuild
-                | lost
-                | {id(leaf) for leaf in refine}
-                | {id(leaf) for leaf in rejoined}
-            )
-            reused = sum(1 for leaf in leaves if id(leaf) not in touched)
-            groups = [leaf.indices for leaf in self._tree.leaves()]
-            release = AnonymizedRelease(
-                table, groups, method=f"stream[{self._requirement.describe()}]"
-            )
-
-            report, audit_recomputed, audit_seconds = self._audit_step(
-                table, prior_map, groups, previous, identity
-            )
-            delta = StreamDelta(
-                appended_rows=0,
-                updated_rows=int(positions.size),
-                reused_groups=reused,
-                rechecked_leaves=len(dirty_leaves),
-                refined_leaves=len(refine),
-                rebuilt_regions=len(rebuild_nodes),
-                audit_recomputed_groups=audit_recomputed,
-                timings={
-                    "table_seconds": table_seconds,
-                    "prior_seconds": prior_seconds,
-                    "route_seconds": route_span.duration_s,
-                    "recheck_seconds": recheck_seconds,
-                    "repartition_seconds": repartition_seconds,
-                    "audit_seconds": audit_seconds,
-                    "total_seconds": time.perf_counter() - publish_span.start_s,
-                },
-            )
-            version = self._add_version(release, report, delta)
-            publish_span.annotate(version=version.version)
-            return version
-
-    # -- coalescing ---------------------------------------------------------------------
-    def _apply(self, operation: tuple[str, Any]) -> StreamVersion:
-        """Dispatch one ``(kind, payload)`` mutation tuple."""
-        kind, payload = operation
-        if kind == "append":
-            return self.append(payload)
-        if kind == "delete":
-            return self.delete(payload)
-        if kind == "update":
-            rows, batch = payload
-            return self.update(rows, batch)
-        raise StreamError(
-            f"unknown stream operation {kind!r}; expected one of {OPERATION_KINDS}"
+        touched = (
+            under_rebuild
+            | lost
+            | {id(leaf) for leaf in refine}
+            | {id(leaf) for leaf in rejoined}
         )
-
-    def publish_coalesced(
-        self, operations: Sequence[tuple[str, Any]]
-    ) -> StreamVersion:
-        """Apply one tick's worth of mutations and publish a *single* version.
-
-        ``operations`` is a non-empty sequence of ``("append", batch)``,
-        ``("delete", rows)`` and ``("update", (rows, batch))`` tuples - the
-        unit the serving daemon's per-stream worker drains from its queue per
-        tick.  The operations run through the ordinary sequential mutation
-        paths against a write buffer, so the published release, audit risks
-        and resume state are *identical* to publishing them one version at a
-        time (the serving tests pin the audit identity to ``<= 1e-12``; it is
-        bitwise by construction); only the intermediate versions are
-        dropped.  The recorded :class:`~repro.stream.store.StreamDelta`
-        aggregates the whole tick and counts the folded batches in
-        ``coalesced_operations``.
-
-        Failure semantics match the sequential paths: once any operation of
-        the tick has advanced the maintained state (a buffered version
-        exists, or the failing operation itself got past validation), the
-        publisher is poisoned - the real store never saw the intermediate
-        versions, so the state is ahead of the published lineage.  A tick
-        whose *first* operation fails pure validation leaves the publisher
-        consistent.
-        """
-        operations = list(operations)
-        if not operations:
-            raise StreamError("a coalesced tick requires at least one operation")
-        if len(operations) == 1:
-            return self._apply(operations[0])
-        if not len(self.store):
-            raise StreamError("publish() the seed release before coalescing mutations")
-        self._begin_mutation()
-        self._inconsistent = False  # re-armed per operation below
-        with self._publish_span("coalesced", operations=len(operations)) as publish_span:
-            real = self.store
-            buffer = _CoalescingStore(real)
-            self.store = buffer
-            try:
-                for operation in operations:
-                    self._apply(operation)
-            except BaseException:
-                if buffer.versions:
-                    self._inconsistent = True
-                raise
-            finally:
-                self.store = real
-            delta = self._merge_deltas(
-                [version.delta for version in buffer.versions],
-                time.perf_counter() - publish_span.start_s,
-            )
-            final = buffer.versions[-1]
-            self._inconsistent = True  # cleared when the merged version lands
-            version = self._add_version(final.release, final.report, delta)
-            publish_span.annotate(version=version.version)
-            return version
-
-    @staticmethod
-    def _merge_deltas(deltas: list[StreamDelta], total_seconds: float) -> StreamDelta:
-        """One tick-wide delta: volumes sum, the final publication's shape wins."""
-        timings: dict[str, float] = {}
-        for delta in deltas:
-            for key, value in delta.timings.items():
-                timings[key] = timings.get(key, 0.0) + value
-        timings["total_seconds"] = total_seconds
-        last = deltas[-1]
-        return StreamDelta(
-            appended_rows=sum(delta.appended_rows for delta in deltas),
-            deleted_rows=sum(delta.deleted_rows for delta in deltas),
-            updated_rows=sum(delta.updated_rows for delta in deltas),
-            reused_groups=last.reused_groups,
-            rechecked_leaves=sum(delta.rechecked_leaves for delta in deltas),
-            refined_leaves=sum(delta.refined_leaves for delta in deltas),
-            rebuilt_regions=sum(delta.rebuilt_regions for delta in deltas),
-            rebuild=any(delta.rebuild for delta in deltas),
-            compacted=any(delta.compacted for delta in deltas),
-            coalesced_operations=len(deltas),
-            audit_recomputed_groups=list(last.audit_recomputed_groups),
-            timings=timings,
-        )
+        return self._release(table), {
+            "reused_groups": sum(1 for leaf in leaves if id(leaf) not in touched),
+            "rechecked_leaves": len(dirty_leaves),
+            "refined_leaves": len(refine),
+            "rebuilt_regions": len(rebuild_nodes),
+        }
 
     def _merge_up(self, failing: list, routed: dict[int, np.ndarray]) -> list:
         """Climb from each violated leaf to the nearest satisfiable region.
@@ -1494,3 +1158,123 @@ class IncrementalPublisher:
             if not nested:
                 maximal.append(node)
         return maximal
+
+    # -- the public mutations ---------------------------------------------------------
+    def _publish_one(self, mutation: _Mutation) -> StreamVersion:
+        self._begin_mutation()
+        return self._add_version(self._step(self.store.latest(), mutation))
+
+    def append(
+        self, batch: MicrodataTable | Sequence[Mapping[str, Any]]
+    ) -> StreamVersion:
+        """Fold one batch of appended rows into the stream and publish a version.
+
+        ``batch`` is either a :class:`~repro.data.table.MicrodataTable` with
+        the stream's schema or a sequence of ``{attribute: value}`` rows.
+        """
+        return self._publish_one(self._append_mutation(batch))
+
+    def delete(self, rows: Sequence[int] | np.ndarray) -> StreamVersion:
+        """Retract rows (positions in the current table) and publish a version.
+
+        The GDPR-style erasure path: the rows vanish from the maintained
+        table, their counts leave the factored prior state as exact negative
+        count-tensor deltas, the leaves that held them shrink in place, and
+        regions whose shrunken groups no longer satisfy the requirement
+        (e.g. fall below ``k``) merge up exactly like violated leaves after
+        an append.  Positions must be integers: floats and boolean masks
+        raise :class:`~repro.exceptions.StreamError`, as does deleting every
+        remaining row (an empty table cannot be released); a deletion under
+        which even the whole table fails the requirement raises
+        :class:`~repro.exceptions.AnonymizationError`, as a from-scratch run
+        would.
+        """
+        return self._publish_one(self._delete_mutation(rows))
+
+    def update(
+        self,
+        rows: Sequence[int] | np.ndarray,
+        batch: MicrodataTable | Sequence[Mapping[str, Any]],
+    ) -> StreamVersion:
+        """Correct rows in place (late-arriving fixes) and publish a version.
+
+        ``rows`` are integer positions in the current table; ``batch``
+        supplies the replacement rows (a
+        :class:`~repro.data.table.MicrodataTable` with the stream's schema or
+        a sequence of ``{attribute: value}`` rows) aligned one-to-one with
+        ``rows``.  Corrections within the current domains are folded into the
+        prior state as paired negative/positive count deltas, and the
+        corrected rows are re-routed down the recorded split tree (a
+        corrected QI value may cross a split boundary).  A correction
+        introducing values outside the current domains forces a full
+        rebuild, exactly like an out-of-domain append.
+        """
+        return self._publish_one(self._update_mutation(rows, batch))
+
+    def publish_coalesced(
+        self, operations: Sequence[tuple[str, Any]]
+    ) -> StreamVersion:
+        """Apply one tick's worth of mutations and publish a *single* version.
+
+        ``operations`` is a non-empty sequence of ``("append", batch)``,
+        ``("delete", rows)`` and ``("update", (rows, batch))`` tuples - the
+        unit the serving daemon's per-stream worker drains from its queue per
+        tick.  Each operation runs through the same step as its single
+        mutation, with the previous step's unrecorded version as its
+        ``previous``, and only the last version is recorded: the published
+        release, audit risks and resume state are *bitwise identical* to
+        publishing the operations one version at a time; only the
+        intermediate versions are dropped.  The recorded
+        :class:`~repro.stream.store.StreamDelta` aggregates the whole tick and
+        counts the folded batches in ``coalesced_operations``.
+
+        Failure semantics match the sequential paths: once any operation of
+        the tick has advanced the maintained state (an earlier step ran, or
+        the failing operation itself got past validation), the publisher is
+        poisoned - the store never saw any part of the tick, so the state is
+        ahead of the published lineage.  A tick whose *first* operation fails
+        pure validation leaves the publisher consistent.
+        """
+        operations = list(operations)
+        if not operations:
+            raise StreamError("a coalesced tick requires at least one operation")
+        if len(operations) == 1:
+            return self._publish_one(self._mutation(*operations[0]))
+        self._require_published("coalescing mutations")
+        with self._publish_span("coalesced", operations=len(operations)) as publish_span:
+            version = self.store.latest()
+            deltas = []
+            for index, (kind, payload) in enumerate(operations):
+                mutation = self._mutation(kind, payload)
+                if index == 0:
+                    self._begin_mutation()
+                version = self._step(version, mutation)
+                deltas.append(version.delta)
+            delta = self._merge_deltas(deltas, time.perf_counter() - publish_span.start_s)
+            recorded = self._add_version(dataclasses.replace(version, delta=delta))
+            publish_span.annotate(version=recorded.version)
+            return recorded
+
+    @staticmethod
+    def _merge_deltas(deltas: list[StreamDelta], total_seconds: float) -> StreamDelta:
+        """One tick-wide delta: volumes sum, the final publication's shape wins."""
+        timings: dict[str, float] = {}
+        for delta in deltas:
+            for key, value in delta.timings.items():
+                timings[key] = timings.get(key, 0.0) + value
+        timings["total_seconds"] = total_seconds
+        last = deltas[-1]
+        return StreamDelta(
+            appended_rows=sum(delta.appended_rows for delta in deltas),
+            deleted_rows=sum(delta.deleted_rows for delta in deltas),
+            updated_rows=sum(delta.updated_rows for delta in deltas),
+            reused_groups=last.reused_groups,
+            rechecked_leaves=sum(delta.rechecked_leaves for delta in deltas),
+            refined_leaves=sum(delta.refined_leaves for delta in deltas),
+            rebuilt_regions=sum(delta.rebuilt_regions for delta in deltas),
+            rebuild=any(delta.rebuild for delta in deltas),
+            compacted=any(delta.compacted for delta in deltas),
+            coalesced_operations=len(deltas),
+            audit_recomputed_groups=list(last.audit_recomputed_groups),
+            timings=timings,
+        )

@@ -289,3 +289,36 @@ def test_run_tasks_preserves_order_and_propagates_errors():
 
     with pytest.raises(ValueError, match="boom"):
         run_tasks([lambda: 1, boom, lambda: 3], JOBS)
+
+
+def _fit_in_forked_child(jobs):
+    """Worker body: the shared pool plus a prior fit, both at ``jobs`` threads."""
+    squares = run_tasks([lambda value=value: value * value for value in range(8)], jobs)
+    return squares, _priors(_dense_table(), [Bandwidth.uniform(["A", "B", "C"], 0.3)], jobs=jobs)
+
+
+def test_forked_worker_gets_a_fresh_shared_pool():
+    """A fork child must not inherit the parent's thread pool without its threads.
+
+    The parent creates the shared pool first; a fork-start worker then runs
+    pool work and a ``jobs=2`` prior fit.  Without the at-fork reset the
+    child waits forever on futures no thread will run, so the bounded
+    ``get`` turns that regression into a failure instead of a hang.
+    """
+    import multiprocessing
+    import threading
+
+    # Two tasks that wait for each other force the parent's pool to its full
+    # two threads, so an inherited copy would never start another one.
+    barrier = threading.Barrier(2, timeout=30)
+
+    def rendezvous(value):
+        barrier.wait()
+        return value
+
+    assert run_tasks([lambda: rendezvous(1), lambda: rendezvous(2)], 2) == [1, 2]
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        squares, priors = pool.apply_async(_fit_in_forked_child, (2,)).get(timeout=60)
+    assert squares == [value * value for value in range(8)]
+    reference = _priors(_dense_table(), [Bandwidth.uniform(["A", "B", "C"], 0.3)], jobs=1)
+    _assert_bitwise(priors, reference)

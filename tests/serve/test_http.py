@@ -97,6 +97,27 @@ def test_error_statuses(live_server, adult_rows):
     assert _create(server, "census", adult_rows[:SEED_ROWS])[0] == 409
 
 
+def test_non_integer_positions_are_400(live_server, adult_rows):
+    """Floats and booleans are not row positions: 1.5 must not delete row 1."""
+    server = live_server()
+    _create(server, "census", adult_rows[:SEED_ROWS])
+    for positions in ([1.5], [True], [0, False], [2.0], ["3"]):
+        status, payload, _ = server.request(
+            "POST", "/streams/census/delete", {"positions": positions}
+        )
+        assert status == 400 and "integers" in payload["message"]
+        status, _, _ = server.request(
+            "POST",
+            "/streams/census/update",
+            {"positions": positions, "rows": adult_rows[:len(positions)]},
+        )
+        assert status == 400
+    status, payload, _ = server.request(
+        "POST", "/streams/census/delete", {"positions": [1]}
+    )
+    assert status == 200 and payload["version"]["version"] == 1
+
+
 def test_oversized_body_is_413(live_server, adult_rows):
     server = live_server()
     connection = http.client.HTTPConnection("127.0.0.1", server.app.port, timeout=30)
