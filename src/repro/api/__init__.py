@@ -12,7 +12,7 @@ This package is the library's orchestration layer:
 * :mod:`repro.api.pipeline` - the fluent :class:`Pipeline` builder returning
   a :class:`ReleaseBundle` (release + attack outcome + utility + timings);
 * :mod:`repro.api.sweep` - :func:`expand_grid` / :meth:`Session.sweep` for
-  model/parameter grids with shared caches and optional multiprocessing.
+  model/parameter grids run serially through one session's shared caches.
 """
 
 from repro.api import builtins as _builtins  # noqa: F401  (registers built-in entries)

@@ -174,7 +174,6 @@ class Pipeline:
         skyline: list[tuple[Any, float]] | None = None,
         *,
         method: str = "omega",
-        processes: int | None = None,
         chunk_rows: int | None = None,
     ) -> "Pipeline":
         """Audit the release against a whole skyline ``{(B_i, t_i)}`` of adversaries.
@@ -187,7 +186,6 @@ class Pipeline:
         self._skyline_audit = {
             "skyline": list(skyline) if skyline is not None else None,
             "method": method,
-            "processes": processes,
             "chunk_rows": chunk_rows,
         }
         return self
@@ -329,7 +327,6 @@ class Pipeline:
                         result.release.groups,
                         points,
                         method=self._skyline_audit["method"],
-                        processes=self._skyline_audit["processes"],
                         chunk_rows=self._skyline_audit["chunk_rows"],
                     )
                 timings["skyline_audit_seconds"] = skyline_span.duration_s

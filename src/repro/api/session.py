@@ -365,7 +365,6 @@ class Session:
         *,
         method: str = "omega",
         kernel: str | None = None,
-        processes: int | None = None,
         chunk_rows: int | None = None,
     ) -> SkylineAuditReport:
         """Audit a release against a whole skyline ``{(B_i, t_i)}`` in one pass.
@@ -413,7 +412,7 @@ class Session:
                     self._priors[keys[index]] = estimated[index]
                 unique_keys.add(keys[index])
             self.stats.prior_estimations += len(unique_keys)
-        return engine.audit(groups, processes=processes)
+        return engine.audit(groups)
 
     def stream(
         self,
@@ -484,10 +483,9 @@ class Session:
         self,
         specs: Iterable["SweepSpec | Mapping[str, Any]"],
         *,
-        processes: int | None = None,
         on_error: str = "raise",
     ) -> "SweepOutcome":
         """Run a grid of pipeline configurations (see :mod:`repro.api.sweep`)."""
         from repro.api.sweep import run_sweep
 
-        return run_sweep(self, specs, processes=processes, on_error=on_error)
+        return run_sweep(self, specs, on_error=on_error)

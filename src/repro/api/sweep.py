@@ -14,17 +14,15 @@ is shared across the whole grid::
 
 Models named by string pick the parameters they understand from the grid row
 (``distinct-l`` ignores ``b``; ``bt`` ignores ``l``), which is what lets one
-grid span heterogeneous models.  With ``processes=N`` the grid is distributed
-over worker processes, each holding its own session cache for the specs it
-runs; the default (``processes=None``) runs serially in the calling session,
-which maximises cache sharing.
+grid span heterogeneous models.  The grid runs serially in the calling
+session, so every cell shares its caches; the work inside each cell (prior
+contraction, skyline audits) runs on the session's ``jobs`` threads.
 """
 
 from __future__ import annotations
 
 import inspect
 import itertools
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Sequence
@@ -223,39 +221,10 @@ def _execute_spec(session: Session, spec: SweepSpec, on_error: str) -> SweepRow:
         return SweepRow(label=label, spec=spec, error=str(error))
 
 
-# -- multiprocessing workers ---------------------------------------------------------
-#
-# Workers rebuild a session from the pickled table once (pool initializer) and
-# keep it in a module global, so the specs assigned to one worker still share
-# caches with each other.
-
-_WORKER_SESSION: Session | None = None
-_WORKER_ON_ERROR: str = "raise"
-
-
-def _init_worker(
-    table, kernel: str, max_cells: int, jobs: int | None, on_error: str
-) -> None:
-    global _WORKER_SESSION, _WORKER_ON_ERROR
-    _WORKER_SESSION = Session(table, kernel=kernel, max_cells=max_cells, jobs=jobs)
-    _WORKER_ON_ERROR = on_error
-
-
-def _run_in_worker(spec: SweepSpec) -> tuple[SweepRow, dict[str, int]]:
-    assert _WORKER_SESSION is not None, "worker session not initialised"
-    before = _WORKER_SESSION.stats.as_dict()
-    row = _execute_spec(_WORKER_SESSION, spec, _WORKER_ON_ERROR)
-    after = _WORKER_SESSION.stats.as_dict()
-    # Ship the per-spec cache-stat delta back so the parent can report the
-    # sweep's true totals (its own session never did the work).
-    return row, {name: after[name] - before[name] for name in after}
-
-
 def run_sweep(
     session: Session,
     specs: Iterable[SweepSpec | Mapping[str, Any]],
     *,
-    processes: int | None = None,
     on_error: str = "raise",
 ) -> SweepOutcome:
     """Execute a grid of pipeline configurations against one session.
@@ -263,13 +232,9 @@ def run_sweep(
     Parameters
     ----------
     session:
-        The session whose table (and, serially, whose caches) the grid uses.
+        The session whose table and caches the grid uses.
     specs:
         :class:`SweepSpec` rows or equivalent mappings (see :func:`expand_grid`).
-    processes:
-        ``None`` (default) runs serially with full cache sharing; an integer
-        distributes the rows over that many worker processes, each with its
-        own session cache.
     on_error:
         ``"raise"`` propagates the first failing cell; ``"continue"`` records
         the error on its row and keeps sweeping.
@@ -279,8 +244,6 @@ def run_sweep(
     resolved = [_coerce_spec(spec) for spec in specs]
     if not resolved:
         raise PipelineError("a sweep requires at least one spec")
-    if processes is not None and processes < 1:
-        raise PipelineError("processes must be a positive integer")
 
     # Disambiguate duplicate labels (e.g. models that ignore a swept axis) so
     # bundles() keeps every row and the rendered table stays readable.
@@ -292,27 +255,5 @@ def run_sweep(
             occurrence[label] += 1
             resolved[index] = replace(spec, label=f"{label} #{occurrence[label]}")
 
-    if processes is None or processes == 1 or len(resolved) == 1:
-        rows = [_execute_spec(session, spec, on_error) for spec in resolved]
-        stats = session.stats.as_dict()
-    else:
-        with multiprocessing.Pool(
-            processes=min(processes, len(resolved)),
-            initializer=_init_worker,
-            initargs=(
-                session.table,
-                session.default_kernel,
-                session.max_cells,
-                session.jobs,
-                on_error,
-            ),
-        ) as pool:
-            outcomes = pool.map(_run_in_worker, resolved)
-        rows = [row for row, _ in outcomes]
-        # The parent session did no work; report the workers' combined
-        # activity (on top of whatever the parent had cached before).
-        stats = session.stats.as_dict()
-        for _, delta in outcomes:
-            for name, value in delta.items():
-                stats[name] += value
-    return SweepOutcome(rows=rows, stats=stats)
+    rows = [_execute_spec(session, spec, on_error) for spec in resolved]
+    return SweepOutcome(rows=rows, stats=session.stats.as_dict())

@@ -13,16 +13,17 @@ Figure 4(b) shows dominating the pipeline.  The engine removes the redundancy:
   :func:`~repro.privacy.disclosure.attack_result` path as the single-adversary
   attack, so the reported risks are numerically identical to looping
   :class:`~repro.privacy.disclosure.BackgroundKnowledgeAttack`;
-* very large tables can bound the posterior working set with ``chunk_rows``
-  and distribute adversaries over worker ``processes``.
+* the per-adversary posterior passes are independent, so they run on the
+  shared thread pool of :mod:`repro.knowledge.parallel` (sized by
+  ``config.jobs``; risks are bitwise identical at any thread count), and
+  very large tables can bound each pass's working set with ``chunk_rows``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,8 +32,9 @@ from repro.exceptions import AuditError
 from repro.inference.omega import grouped_posterior
 from repro.knowledge.backend import EstimatorConfig, resolve_config
 from repro.knowledge.bandwidth import Bandwidth
+from repro.knowledge.parallel import resolve_jobs, run_tasks
 from repro.knowledge.prior import BatchedKernelPriorEstimator, PriorBeliefs
-from repro.obs.tracing import current_tracer
+from repro.obs.tracing import Span, current_tracer
 from repro.privacy.disclosure import (
     AttackResult,
     attack_result,
@@ -195,7 +197,8 @@ class SkylineAuditEngine:
         are estimated).  This is how :class:`~repro.api.session.Session`
         injects its cache.
     chunk_rows:
-        Optional row cap per posterior pass (bounds memory on huge tables).
+        Optional row cap per posterior pass (bounds memory on huge tables;
+        up to ``jobs`` passes run at once).
         Distinct from ``config.chunk_rows``, which chunks the estimator's
         *fit* over a table source.
     max_cells:
@@ -203,9 +206,10 @@ class SkylineAuditEngine:
         (see :class:`~repro.knowledge.backend.FactoredPriorBackend`; ``0``
         selects the flat reference sweep).
     jobs:
-        Worker threads for the estimation backend's parallel contraction
-        (``None`` resolves to ``REPRO_JOBS`` / ``os.cpu_count()``; priors are
-        bitwise identical at any thread count).
+        Worker threads for the estimation backend's parallel contraction and
+        the per-adversary posterior passes (``None`` resolves to
+        ``REPRO_JOBS`` / ``os.cpu_count()``; priors and risks are bitwise
+        identical at any thread count).
 
     One engine may audit many releases (each :meth:`audit` call takes its own
     ``groups``); the priors are estimated once, on first use.
@@ -279,47 +283,50 @@ class SkylineAuditEngine:
         return list(self._priors)
 
     # -- auditing --------------------------------------------------------------------
-    def audit(
-        self, groups: Sequence[np.ndarray], *, processes: int | None = None
-    ) -> SkylineAuditReport:
-        """Audit one release (a list of group index arrays) against the skyline.
+    def _per_adversary(self, attack: Callable[[int, Span], Any]) -> list[Any]:
+        """Run ``attack(index, span)`` for every skyline adversary, in order.
 
-        ``processes`` distributes adversaries over that many worker processes
-        (sensible when the per-adversary posterior work dominates, i.e. very
-        large tables); the default runs serially.
+        The passes are independent, so they share the pool of
+        :func:`~repro.knowledge.parallel.run_tasks` at ``config.jobs``
+        threads (``jobs=1`` is the inline loop).  Callers :meth:`prepare`
+        first, so no adversary task ever submits pool work of its own.  Each
+        ``engine.adversary`` span attaches to the caller's open span, so
+        concurrent audits keep their trees apart.
         """
-        if processes is not None and processes < 1:
-            raise AuditError("processes must be a positive integer")
+        tracer = current_tracer()
+        parent = tracer.current()
+
+        def task(index: int) -> Any:
+            adversary = self.adversaries[index]
+            with tracer.attach(parent), tracer.span(
+                "engine.adversary", b=adversary.scalar_b, t=adversary.t
+            ) as span:
+                return attack(index, span)
+
+        return run_tasks(
+            [lambda index=index: task(index) for index in range(len(self.adversaries))],
+            resolve_jobs(self.config.jobs),
+        )
+
+    def audit(self, groups: Sequence[np.ndarray]) -> SkylineAuditReport:
+        """Audit one release (a list of group index arrays) against the skyline."""
         self.prepare()
         start = time.perf_counter()
         sensitive_codes = self.table.sensitive_codes()
         group_list = [np.asarray(group, dtype=np.int64) for group in groups]
-        jobs = [
-            (prior.matrix, adversary.scalar_b, adversary.t)
-            for prior, adversary in zip(self._priors, self.adversaries)
-        ]
-        if processes is None or processes == 1 or len(jobs) == 1:
-            tracer = current_tracer()
-            attacks = []
-            for matrix, b, t in jobs:
-                with tracer.span("engine.adversary", b=b, t=t):
-                    attacks.append(
-                        attack_result(
-                            matrix, sensitive_codes, group_list, self.measure,
-                            adversary_b=b, threshold=t,
-                            method=self.method, chunk_rows=self.chunk_rows,
-                        )
-                    )
-        else:
-            with multiprocessing.Pool(
-                processes=min(processes, len(jobs)),
-                initializer=_init_worker,
-                initargs=(sensitive_codes, group_list, self.measure, self.method, self.chunk_rows),
-            ) as pool:
-                attacks = pool.map(_attack_in_worker, jobs)
+
+        def attack(index: int, span: Span) -> AttackResult:
+            adversary = self.adversaries[index]
+            return attack_result(
+                self._priors[index].matrix, sensitive_codes, group_list, self.measure,
+                adversary_b=adversary.scalar_b, threshold=adversary.t,
+                method=self.method, chunk_rows=self.chunk_rows,
+            )
+
+        attacks = self._per_adversary(attack)
         entries = [
-            SkylineAuditEntry(adversary=adversary, attack=attack)
-            for adversary, attack in zip(self.adversaries, attacks)
+            SkylineAuditEntry(adversary=adversary, attack=result)
+            for adversary, result in zip(self.adversaries, attacks)
         ]
         timings = {
             "prepare_seconds": self.prepare_seconds,
@@ -405,45 +412,46 @@ class SkylineAuditEngine:
         surviving = previous_of >= 0
         previous_keys = {np.asarray(g, dtype=np.int64).tobytes() for g in previous_groups}
 
-        tracer = current_tracer()
-        entries: list[SkylineAuditEntry] = []
-        recomputed: list[int] = []
-        for prior, adversary, mask, previous_entry in zip(
-            self._priors, self.adversaries, masks, previous_report.entries
-        ):
-            with tracer.span(
-                "engine.adversary", b=adversary.scalar_b, t=adversary.t
-            ) as adversary_span:
-                previous_risks = previous_entry.attack.risks
-                risks = np.zeros(n_rows, dtype=np.float64)
-                risks[surviving] = previous_risks[previous_of[surviving]]
-                stale = [
-                    group
-                    for group in group_list
-                    if mask[group].any()
-                    or not surviving[group].all()
-                    or previous_of[group].tobytes() not in previous_keys
-                ]
-                if stale:
-                    members = np.concatenate(stale)
-                    offsets = np.cumsum(
-                        [0] + [group.size for group in stale[:-1]], dtype=np.int64
-                    )
-                    prior_rows = prior.matrix[members]
-                    posterior_rows = grouped_posterior(
-                        prior_rows, sensitive_codes[members], offsets, method=self.method
-                    )
-                    risks[members] = self.measure.rowwise(prior_rows, posterior_rows)
-                attack = AttackResult(
-                    adversary_b=adversary.scalar_b,
-                    threshold=adversary.t,
-                    risks=risks,
-                    vulnerable_tuples=count_vulnerable_tuples(risks, adversary.t),
-                    worst_case_risk=max_risk(risks),
+        def attack(index: int, span: Span) -> tuple[AttackResult, int]:
+            adversary = self.adversaries[index]
+            mask = masks[index]
+            prior = self._priors[index]
+            risks = np.zeros(n_rows, dtype=np.float64)
+            risks[surviving] = previous_report.entries[index].attack.risks[
+                previous_of[surviving]
+            ]
+            stale = [
+                group
+                for group in group_list
+                if mask[group].any()
+                or not surviving[group].all()
+                or previous_of[group].tobytes() not in previous_keys
+            ]
+            if stale:
+                members = np.concatenate(stale)
+                offsets = np.cumsum(
+                    [0] + [group.size for group in stale[:-1]], dtype=np.int64
                 )
-                adversary_span.annotate(recomputed_groups=len(stale))
-                entries.append(SkylineAuditEntry(adversary=adversary, attack=attack))
-                recomputed.append(len(stale))
+                prior_rows = prior.matrix[members]
+                posterior_rows = grouped_posterior(
+                    prior_rows, sensitive_codes[members], offsets, method=self.method
+                )
+                risks[members] = self.measure.rowwise(prior_rows, posterior_rows)
+            span.annotate(recomputed_groups=len(stale))
+            return AttackResult(
+                adversary_b=adversary.scalar_b,
+                threshold=adversary.t,
+                risks=risks,
+                vulnerable_tuples=count_vulnerable_tuples(risks, adversary.t),
+                worst_case_risk=max_risk(risks),
+            ), len(stale)
+
+        outcomes = self._per_adversary(attack)
+        entries = [
+            SkylineAuditEntry(adversary=adversary, attack=result)
+            for adversary, (result, _) in zip(self.adversaries, outcomes)
+        ]
+        recomputed = [stale for _, stale in outcomes]
         timings = {
             "prepare_seconds": self.prepare_seconds,
             "audit_seconds": time.perf_counter() - start,
@@ -460,29 +468,6 @@ class SkylineAuditEngine:
         )
 
 
-# -- multiprocessing workers ---------------------------------------------------------
-#
-# Workers receive the release-wide state once (pool initializer) and then one
-# prior matrix per adversary, mirroring repro.api.sweep's worker scheme.
-
-_WORKER_STATE: tuple | None = None
-
-
-def _init_worker(sensitive_codes, group_list, measure, method, chunk_rows) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (sensitive_codes, group_list, measure, method, chunk_rows)
-
-
-def _attack_in_worker(job: tuple[np.ndarray, float, float]) -> AttackResult:
-    assert _WORKER_STATE is not None, "worker state not initialised"
-    sensitive_codes, group_list, measure, method, chunk_rows = _WORKER_STATE
-    matrix, b, t = job
-    return attack_result(
-        matrix, sensitive_codes, group_list, measure,
-        adversary_b=b, threshold=t, method=method, chunk_rows=chunk_rows,
-    )
-
-
 def audit_skyline(
     table: MicrodataTable,
     groups: Sequence[np.ndarray],
@@ -490,6 +475,4 @@ def audit_skyline(
     **engine_options: Any,
 ) -> SkylineAuditReport:
     """One-call helper: build a :class:`SkylineAuditEngine` and audit ``groups``."""
-    processes = engine_options.pop("processes", None)
-    engine = SkylineAuditEngine(table, skyline, **engine_options)
-    return engine.audit(groups, processes=processes)
+    return SkylineAuditEngine(table, skyline, **engine_options).audit(groups)

@@ -114,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="posterior inference method (default omega)",
     )
     audit_parser.add_argument(
-        "--processes", type=int, default=None,
-        help="distribute adversaries over N worker processes (default: serial)",
-    )
-    audit_parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the machine-readable audit report to this JSON file",
     )
@@ -248,10 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--no-audit", action="store_true", help="skip the background-knowledge audit"
-    )
-    sweep_parser.add_argument(
-        "--processes", type=int, default=None,
-        help="distribute the grid over N worker processes (default: serial, shared cache)",
     )
 
     serve_parser = subparsers.add_parser(
@@ -803,7 +795,7 @@ def _run_audit(args: argparse.Namespace) -> int:
             .model(_build_model(args))
             .with_k(args.k)
             .algorithm(args.algorithm, anatomy_l=args.anatomy_l)
-            .audit_skyline(skyline, method=args.method, processes=args.processes)
+            .audit_skyline(skyline, method=args.method)
             .with_utility(False)
             .run()
         )
@@ -1043,7 +1035,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         if key not in seen:
             seen.add(key)
             unique_specs.append(spec)
-    outcome = session.sweep(unique_specs, processes=args.processes)
+    outcome = session.sweep(unique_specs)
     print(f"sweep: {len(outcome.rows)} configurations on {table.n_rows} rows")
     print(outcome.render())
     stats = outcome.stats

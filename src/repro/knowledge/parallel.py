@@ -4,8 +4,11 @@ NumPy releases the GIL inside its BLAS and gather/elementwise kernels, so a
 plain *thread* pool yields real multi-core speedups for the contraction's
 matmul-and-gather dominated tiles while keeping the count tensor shared and
 zero-copy (a process pool would have to ship it).  One module-level pool is
-shared by every backend in the process - concurrent audits, publishers and
+shared by every submitter in the process - concurrent audits, publishers and
 serve workers draw from the same threads instead of each spawning their own.
+There are two submitters: the factored backend (contraction tiles and block
+joints) and the skyline audit engine (one independent posterior pass per
+adversary, :class:`~repro.audit.engine.SkylineAuditEngine`).
 
 ``jobs`` resolution (the one definition every consumer goes through):
 
@@ -16,15 +19,18 @@ serve workers draw from the same threads instead of each spawning their own.
   (how CI and the nightly workflow pin thread counts), otherwise
   ``os.cpu_count()``.
 
-Tasks are only ever submitted from outside the pool (the backend never nests
-pool work inside pool work), so a bounded pool cannot deadlock on itself.
+Tasks are only ever submitted from outside the pool, so a bounded pool
+cannot deadlock on itself: the backend never nests pool work inside pool
+work, and the audit engine estimates every prior (``prepare()``, which is
+where the backend's pool work happens) *before* it dispatches its
+per-adversary tasks, so no adversary task ever submits to the pool.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 from repro.exceptions import KnowledgeError
@@ -41,8 +47,8 @@ def _reset_after_fork() -> None:
     """Forget the parent's pool in a forked child.
 
     ``fork`` copies the executor object but none of its worker threads, so a
-    child that reused it (e.g. a ``multiprocessing`` fork worker fitting a
-    prior at ``jobs > 1``) would wait on its futures forever.  The lock is
+    child that reused it (e.g. a caller's fork worker fitting a prior at
+    ``jobs > 1``) would wait on its futures forever.  The lock is
     replaced too: a fork taken while another thread held it would leave the
     child's copy locked for good.
     """
@@ -117,15 +123,16 @@ def run_tasks(tasks: Sequence[Callable[[], object]], jobs: int) -> list[object]:
 
     The serial branch calls each thunk inline - exactly the pre-pool loop -
     so ``jobs=1`` keeps the bit-identical reference path.  The parallel
-    branch submits everything to the shared pool and gathers results in
-    submission order; the first raised exception propagates after all tasks
-    settle (each task's work is independent by contract, so a failed sibling
-    cannot corrupt shared state).
+    branch submits everything to the shared pool, waits for every task to
+    settle and gathers results in submission order; the first raised
+    exception (in submission order) then propagates, so no sibling is still
+    running when the caller sees it.
     """
     if jobs <= 1 or len(tasks) <= 1:
         return [task() for task in tasks]
     pool = shared_pool(jobs)
     futures = [pool.submit(task) for task in tasks]
+    wait(futures)
     return [future.result() for future in futures]
 
 

@@ -75,25 +75,6 @@ def test_sweep_rejects_empty_and_bad_arguments(tiny_adult):
         session.sweep([])
     with pytest.raises(PipelineError, match="on_error"):
         session.sweep([SweepSpec(model="distinct-l")], on_error="explode")
-    with pytest.raises(PipelineError, match="processes"):
-        session.sweep([SweepSpec(model="distinct-l")], processes=0)
-
-
-def test_sweep_multiprocessing_matches_serial(tiny_adult):
-    session = Session(tiny_adult)
-    specs = expand_grid(model=["distinct-l", "t-closeness"], t=0.25, l=3, k=3)
-    serial = session.sweep(specs)
-    parallel = Session(tiny_adult).sweep(specs, processes=2)
-    serial_groups = [row.bundle.release.n_groups for row in serial.rows]
-    parallel_groups = [row.bundle.release.n_groups for row in parallel.rows]
-    assert serial_groups == parallel_groups
-
-
-def test_parallel_sweep_reports_worker_stats(tiny_adult):
-    specs = expand_grid(model=["bt"], b=0.3, t=[0.15, 0.25], k=3)
-    outcome = Session(tiny_adult).sweep(specs, processes=2)
-    # The estimations happened in workers, but the outcome still reports them.
-    assert outcome.stats["prior_estimations"] >= 1
 
 
 def test_duplicate_labels_are_disambiguated(tiny_adult):

@@ -8,7 +8,7 @@ from repro.audit import SkylineAuditEngine, audit_skyline
 from repro.exceptions import AuditError
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import kernel_prior
-from repro.privacy.disclosure import BackgroundKnowledgeAttack
+from repro.privacy.disclosure import BackgroundKnowledgeAttack, attack_result
 from repro.privacy.models import DistinctLDiversity
 
 SKYLINE = ((0.1, 0.3), (0.3, 0.25), (0.5, 0.2))
@@ -68,12 +68,50 @@ def test_chunked_audit_is_equivalent(audit_table, release):
         np.testing.assert_allclose(a.attack.risks, b.attack.risks, atol=1e-12)
 
 
-def test_multiprocessing_path_is_equivalent(audit_table, release):
-    serial = SkylineAuditEngine(audit_table, SKYLINE).audit(release.groups)
-    parallel = SkylineAuditEngine(audit_table, SKYLINE).audit(release.groups, processes=2)
-    for a, b in zip(serial.entries, parallel.entries):
-        np.testing.assert_allclose(a.attack.risks, b.attack.risks, atol=1e-12)
-        assert a.attack.vulnerable_tuples == b.attack.vulnerable_tuples
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_thread_counts_are_bitwise_identical(audit_table, release, jobs):
+    """Per-adversary passes on the shared pool never change a single bit.
+
+    The reference is the serial per-adversary ``attack_result`` loop over
+    the same priors; ``audit`` and ``audit_incremental`` must both match it
+    exactly at every thread count.
+    """
+    engine = SkylineAuditEngine(audit_table, SKYLINE, jobs=jobs)
+    serial_priors = SkylineAuditEngine(audit_table, SKYLINE, jobs=1).priors
+    codes = audit_table.sensitive_codes()
+    loop = [
+        attack_result(
+            prior.matrix, codes, release.groups, engine.measure,
+            adversary_b=b, threshold=t,
+        )
+        for prior, (b, t) in zip(serial_priors, SKYLINE)
+    ]
+    full = engine.audit(release.groups)
+    # Re-audit against a stale report: every third row dirty, so some groups
+    # are copied from the previous report and the rest recomputed.
+    stale = SkylineAuditEngine(audit_table, SKYLINE[::-1], jobs=1).audit(release.groups)
+    dirty = np.zeros(audit_table.n_rows, dtype=bool)
+    dirty[::3] = True
+    incremental = engine.audit_incremental(
+        release.groups,
+        previous_groups=release.groups,
+        previous_report=stale,
+        dirty_rows=[dirty] * len(SKYLINE),
+    )
+    serial = SkylineAuditEngine(audit_table, SKYLINE, jobs=1).audit_incremental(
+        release.groups,
+        previous_groups=release.groups,
+        previous_report=stale,
+        dirty_rows=[dirty] * len(SKYLINE),
+    )
+    assert incremental.delta == serial.delta
+    assert 0 < incremental.delta["recomputed_groups"][0] < release.n_groups
+    for entry, reference in zip(full.entries, loop):
+        assert np.array_equal(entry.attack.risks, reference.risks)
+        assert entry.attack.vulnerable_tuples == reference.vulnerable_tuples
+    for entry, reference in zip(incremental.entries, serial.entries):
+        assert np.array_equal(entry.attack.risks, reference.attack.risks)
+        assert entry.attack.vulnerable_tuples == reference.attack.vulnerable_tuples
 
 
 def test_per_attribute_bandwidth_points(audit_table, release):
@@ -132,9 +170,6 @@ def test_configuration_errors(audit_table):
         SkylineAuditEngine(audit_table, SKYLINE, priors=[None])
     with pytest.raises(AuditError, match="t must lie"):
         SkylineAuditEngine(audit_table, [(0.3, 1.5)])
-    engine = SkylineAuditEngine(audit_table, SKYLINE)
-    with pytest.raises(AuditError, match="processes"):
-        engine.audit([np.array([0, 1])], processes=0)
 
 
 def test_priors_accepted_as_generator(audit_table, release, loop_results):

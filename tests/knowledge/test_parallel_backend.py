@@ -291,6 +291,24 @@ def test_run_tasks_preserves_order_and_propagates_errors():
         run_tasks([lambda: 1, boom, lambda: 3], JOBS)
 
 
+def test_run_tasks_raises_only_after_every_sibling_settles():
+    """A failing task must not hand control back while a sibling still runs."""
+    import time
+
+    finished = []
+
+    def boom():
+        raise ValueError("boom")
+
+    def sleeper():
+        time.sleep(0.5)
+        finished.append(True)
+
+    with pytest.raises(ValueError, match="boom"):
+        run_tasks([boom, sleeper], JOBS)
+    assert finished == [True]
+
+
 def _fit_in_forked_child(jobs):
     """Worker body: the shared pool plus a prior fit, both at ``jobs`` threads."""
     squares = run_tasks([lambda value=value: value * value for value in range(8)], jobs)

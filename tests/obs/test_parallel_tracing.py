@@ -1,15 +1,18 @@
-"""Tracing correctness under the parallel contraction.
+"""Tracing correctness on the shared thread pool.
 
-Tile spans opened on pool threads must nest under the *owning* backend
-contraction span - never become their own roots, and never leak into a
-concurrently tracing sibling's tree - and the serial (``jobs=1``) trace
-shape must stay exactly what it was before threading existed.
+Spans opened on pool threads - the backend's contraction tiles and the
+skyline audit's per-adversary passes - must nest under the *owning* span
+(the backend contraction span, the caller's audit span): never become their
+own roots, and never leak into a concurrently tracing sibling's tree.  The
+serial (``jobs=1``) trace shape must stay exactly what it was before
+threading existed.
 """
 
 import threading
 
 import numpy as np
 
+from repro.audit.engine import SkylineAuditEngine
 from repro.data.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.data.table import MicrodataTable
 from repro.knowledge.prior import BatchedKernelPriorEstimator
@@ -123,3 +126,103 @@ def test_attach_is_removed_on_exit_and_null_safe():
     disabled = Tracer(enabled=False)
     with disabled.attach(parent):
         pass
+
+
+# -- skyline adversaries on the shared pool ---------------------------------------
+
+SKYLINE = [(0.1, 0.3), (0.2, 0.3), (0.3, 0.25), (0.5, 0.2)]
+
+
+def _groups(table, size=8):
+    return np.array_split(np.arange(table.n_rows), table.n_rows // size)
+
+
+def _prepared_engine(table, skyline, jobs):
+    return SkylineAuditEngine(table, skyline, jobs=jobs).prepare()
+
+
+def _traced_audits(engine, groups, tracer=None):
+    """Trace ``audit`` and ``audit_incremental`` each under their own root."""
+    tracer = tracer or Tracer()
+    roots = []
+    with tracer.activate():
+        with tracer.timed("audit"):
+            report = engine.audit(groups)
+        roots.append(tracer.take_root())
+        dirty = np.zeros(engine.table.n_rows, dtype=bool)
+        dirty[::5] = True
+        with tracer.timed("audit_incremental"):
+            engine.audit_incremental(
+                groups, previous_groups=groups, previous_report=report, dirty_rows=dirty
+            )
+        roots.append(tracer.take_root())
+    return roots
+
+
+def _adversary_points(root):
+    return sorted(
+        (span.attributes["b"], span.attributes["t"])
+        for span in root.walk()
+        if span.name == "engine.adversary"
+    )
+
+
+def test_threaded_adversary_spans_nest_under_the_audit_span():
+    table = _table()
+    engine = _prepared_engine(table, SKYLINE, JOBS)
+    for root in _traced_audits(engine, _groups(table)):
+        # Every adversary span is a direct child of the caller's span.
+        assert [span.name for span in root.children] == ["engine.adversary"] * len(SKYLINE)
+        assert _adversary_points(root) == sorted(SKYLINE)
+    assert all("recomputed_groups" in span.attributes for span in root.children)
+
+
+def test_concurrent_audits_do_not_mix_adversary_spans():
+    """Two threads audit concurrently through one shared tracer; each tree
+    holds exactly its own skyline's adversary spans."""
+    table = _table()
+    skylines = {"low": SKYLINE[:2], "high": SKYLINE[2:]}
+    engines = {
+        name: _prepared_engine(table, points, JOBS) for name, points in skylines.items()
+    }
+    tracer = Tracer()
+    roots: dict[str, list[Span]] = {}
+    errors: list[BaseException] = []
+
+    def run(name: str) -> None:
+        try:
+            for _ in range(5):
+                roots[name] = _traced_audits(engines[name], _groups(table), tracer)
+        except BaseException as error:  # pragma: no cover - surfaced below
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in skylines]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    for name, points in skylines.items():
+        assert len(roots[name]) == 2
+        for root in roots[name]:
+            assert _adversary_points(root) == sorted(points)
+
+
+def test_serial_audit_trace_shape_is_unchanged():
+    """``jobs=1`` keeps the inline loop: adversary spans in skyline order,
+    directly under the caller's span, with no children of their own."""
+    table = _table()
+    engine = _prepared_engine(table, SKYLINE, 1)
+    audit, incremental = _traced_audits(engine, _groups(table))
+    for root in (audit, incremental):
+        assert [span.name for span in root.walk()] == (
+            [root.name] + ["engine.adversary"] * len(SKYLINE)
+        )
+        points = [(span.attributes["b"], span.attributes["t"]) for span in root.children]
+        assert points == SKYLINE
+    assert [sorted(span.attributes) for span in audit.children] == (
+        [["b", "t"]] * len(SKYLINE)
+    )
+    assert [sorted(span.attributes) for span in incremental.children] == (
+        [["b", "recomputed_groups", "t"]] * len(SKYLINE)
+    )

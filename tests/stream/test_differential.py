@@ -5,8 +5,10 @@ coalesced ticks of 2-4 operations drives three publishers over the same
 operations:
 
 * ``main`` - disk-backed, every tick published with ``publish_coalesced``
-  (single operations through ``append``/``delete``/``update``);
-* ``twin`` - in memory, every operation published as its own version;
+  (single operations through ``append``/``delete``/``update``), serial
+  (``jobs=1``);
+* ``twin`` - in memory, every operation published as its own version, on
+  three pool threads;
 * ``resumed`` - disk-backed like ``main``, closed partway through and
   reconstructed with :meth:`IncrementalPublisher.resume`.
 
@@ -17,7 +19,8 @@ append forces a full rebuild.  The contracts:
   group >= k and satisfying the model) whose maintained risks are within
   ``1e-12`` of a fresh :class:`SkylineAuditEngine` audit;
 * every tick of ``main`` is bitwise equal (groups and risks) to ``twin``
-  after the same operations - coalescing only drops intermediate versions;
+  after the same operations - coalescing only drops intermediate versions,
+  and the thread count changes nothing;
 * ``resumed`` continues exactly like ``main`` (same groups, risks within
   ``1e-12``: resume refits the priors from scratch).
 """
@@ -37,6 +40,10 @@ SKYLINE = [(0.1, 0.3), (0.3, 0.25)]
 STEPS = 10
 OUT_OF_DOMAIN_STEP = 3
 RESUME_STEP = 5
+# main and twin run at different thread counts, so the bitwise twin
+# comparison also enforces identity across jobs.
+MAIN_JOBS = 1
+TWIN_JOBS = 3
 
 CASES = [
     (5, lambda: BTPrivacy(0.3, 0.25), "widest"),
@@ -122,9 +129,9 @@ def test_random_lifecycle_differential(tmp_path, seed, model_factory, split_stra
     )
     model = model_factory()
     main = IncrementalPublisher(
-        seed_table, model, store_path=tmp_path / "main", **options
+        seed_table, model, store_path=tmp_path / "main", jobs=MAIN_JOBS, **options
     )
-    twin = IncrementalPublisher(seed_table, model_factory(), **options)
+    twin = IncrementalPublisher(seed_table, model_factory(), jobs=TWIN_JOBS, **options)
     resumed = IncrementalPublisher(
         seed_table, model_factory(), store_path=tmp_path / "resumed", **options
     )
