@@ -25,50 +25,74 @@ and shared across every estimation.
 per-attribute kernel matrices.  The numerator of every deduplicated query
 ``(a_q, r_q)`` is the two-step contraction ``N = J[r_q, :] @ (W_solo @ M)``
 where ``J`` is the joint kernel weight between rest combinations - exactly
-the flat Nadaraya-Watson sum, reassociated.
+the flat Nadaraya-Watson sum, reassociated.  For the compact-support kernels
+(``epanechnikov``, ``uniform``, ``triangular``, ``biweight`` - every kernel
+the paper uses) ``J`` is almost entirely exact zeros, so the backend never
+builds it: each block joint is held as its *support*, per-combination
+neighbour lists with their kernel-product weights, enumerated from each
+attribute's closed ``d <= B`` neighbour set on its own ``|D_i|^2`` distance
+matrix, never from a ``c_b x c_b`` array.  A query's *terms* are the slots
+in the intersection of its blocks' supports; each term's weight multiplies
+the per-block values in block order, so it is bitwise the dense chain's
+entry, and each query sums its terms in ascending slot order.  Queries
+are contracted in tiles whose candidate terms fit ``max_cells`` cells, and
+a tile expands only its own slots' terms, so the working set never grows
+with the total number of terms.  Dense matrices remain only where the
+support is dense.  A block whose support
+fills more than a quarter of its ``c_b x c_b`` joint holds the dense joint,
+which the intersection reads as a lookup; and when no block holds a
+support - the ``gaussian`` kernel, or every block dense - the contraction
+runs the dense GEMM over full joint rows.
+
+*Exactness contract.*  Where a query's support holds a single term, its
+numerator is bitwise equal to the dense GEMM's (which only adds exact zeros
+to that one product); on Adult that is every query at ``b <= 0.3``.
+Otherwise the GEMM's FMA and K-blocking group the terms differently, so the
+two paths agree to round-off only (at ``b = 0.5`` on 50k Adult rows, seed
+7, 11,170 of 17,637 query numerators differ, by at most 6.2e-16 relative).
+Within the support path the results are bitwise identical across ``jobs``
+and between chunked and resident fits, incremental maintenance stays within
+``1e-12`` of a scratch fit, and queries a delta does not reach keep
+bitwise-identical numerators.
 
 **Hierarchical multi-block contraction.**  The joint matrix has
 ``n_combos^2`` cells, which wide or high-cardinality schemas blow past any
 budget.  Instead of abandoning the factorisation, the rest attributes are
-split - greedily, in schema order - into *blocks* whose observed
-per-block combination counts ``c_b`` satisfy ``c_b^2 <= max_cells``.  Each
-block gets its own small joint matrix ``J_b`` (the kernel product over just
-its attributes) and the full joint row of a query is recovered on the fly as
-the Hadamard chain ``prod_b J_b[beta_b(r_q), beta_b(r)]``, materialised only
-in row tiles bounded by ``max_cells`` cells.  The chained contraction is
-algebraically identical to the single-joint contraction (products are merely
-re-grouped per block), so blocked priors match the flat reference to
-floating-point round-off while wide schemas keep the factored speedup: per
-bandwidth the work is ``O(n_q n_combos (k + m))`` for ``k`` blocks instead
-of the flat ``O(n_q n (d + m))``.  A single attribute whose own observed
-combinations exceed the budget forms a singleton block (its kernel matrix
-exists anyway at ``|D_i|^2``).  The flat sweep survives only as the
-``max_cells == 0`` equivalence reference - plus an absolute memory guard
-(``max_count_cells``) for pathological schemas whose count tensor itself
-would not fit, where slow-but-bounded beats an out-of-memory abort.
+split into *blocks* whose observed per-block combination counts ``c_b``
+satisfy ``c_b^2 <= max_cells``.  Each block gets its own joint ``J_b`` (the
+kernel product over just its attributes) and a query's joint row is the
+Hadamard chain ``prod_b J_b[beta_b(r_q), beta_b(r)]``: the support path
+intersects the per-block neighbour lists, the dense path materialises the
+chain only in row tiles bounded by ``max_cells`` cells.  The chained
+contraction is algebraically identical to the single-joint contraction
+(products are merely re-grouped per block), so blocked priors match the
+flat reference to floating-point round-off while wide schemas keep the
+factored speedup.  A single attribute whose own observed combinations
+exceed the budget forms a singleton block (its kernel matrix exists anyway
+at ``|D_i|^2``).  The flat sweep survives only as the ``max_cells == 0``
+equivalence reference - plus an absolute memory guard (``max_count_cells``)
+for pathological schemas whose count tensor itself would not fit, where
+slow-but-bounded beats an out-of-memory abort.
 
-**Parallel contraction.**  The per-block joint builds and the per-query
-tile chain are embarrassingly parallel, and NumPy releases the GIL inside
-its BLAS/gather kernels, so both hot loops dispatch over the shared thread
+**Parallel contraction.**  The per-block joint builds and the per-solo query
+tiles are embarrassingly parallel, and NumPy releases the GIL inside its
+BLAS, gather and reduction kernels, so both dispatch over the shared thread
 pool of :mod:`repro.knowledge.parallel`, sized by ``EstimatorConfig.jobs``
 (default ``os.cpu_count()``, overridable via ``REPRO_JOBS``).  Every tile
-task writes a disjoint numerator slice and performs exactly the serial
-tile's arithmetic, so threaded results are *bitwise identical* to
-``jobs=1`` regardless of scheduling - the serial path survives untouched as
-the equivalence reference.  Compact-support kernels additionally share each
-block's gathered per-attribute distance sub-matrices across bandwidths
-(``share_bandwidths``): the joint at bandwidth ``B`` is the kernel applied
-elementwise to the cached distances, restricted to the closed support mask
-``d <= B`` when sparse - elementwise ufuncs are value-deterministic and the
-masked-out entries are exact zeros, so this too is bitwise identical to the
-dense rebuild.
+task writes a disjoint numerator slice, and a query's arithmetic depends
+only on its own terms (support path) or its own joint row (dense path), so
+threaded results are *bitwise identical* to ``jobs=1`` regardless of tiling
+or scheduling.
 
 **Incremental deltas.**  Appending rows is additive in ``M``; with
-``incremental=True`` the per-bandwidth artefacts (block joints, the
-solo-contracted tensor and the per-query numerators) are cached and
-:meth:`FactoredPriorBackend.append_rows` folds a batch in by recontracting
-only the queries whose compact-support kernel neighbourhood contains an
-appended row - every other query keeps a bitwise-identical numerator.
+``incremental=True`` the per-bandwidth artefacts (block supports or dense
+joints, the solo-contracted tensor and the per-query numerators) are cached
+and :meth:`FactoredPriorBackend.append_rows` folds a batch in by fully
+recontracting only the queries whose kernel neighbourhood contains a
+touched cell - every other query keeps a bitwise-identical numerator.  The
+joint is symmetric, so on the support path the touched slots' own support
+lists name the affected queries (new block combinations grow the cached
+supports in place); the dense path finds them with witness matmuls.
 
 **Full-lifecycle deltas.**  Retracting and correcting rows are just as
 additive: :meth:`FactoredPriorBackend.remove_rows` subtracts the removed
@@ -114,6 +138,9 @@ DEFAULT_MAX_COUNT_CELLS = 128_000_000
 # refits into a compact layout; see the module docstring.
 _MAX_RETIRED_FRACTION = 0.25
 _MIN_RETIRED_SLOTS = 16
+# Candidate pairs enumerated per pass while building a block support or a
+# slot-level term list, bounding their temporaries (~50 MB) at any density.
+_SUPPORT_PASS_PAIRS = 1 << 20
 
 
 def backend_name(max_cells: int) -> str:
@@ -137,12 +164,14 @@ class EstimatorConfig:
     kernel:
         Kernel function name (default ``"epanechnikov"``, as in the paper).
     max_cells:
-        Cell budget for the *per-bandwidth contraction working set*: block
-        joint matrices and materialised joint-row tiles stay below this many
-        float64 cells.  It deliberately does **not** bound the factored count
-        tensor, which scales linearly with the data (``solo domain x
-        observed rest combinations x m``) - shrinking the budget makes the
-        blocks and tiles smaller, never the storage.  ``0`` selects the flat
+        Cell budget for the *per-bandwidth contraction working set*: dense
+        block joints, materialised joint-row tiles and support-term tiles
+        stay below this many float64 cells.  It deliberately does **not**
+        bound the factored count tensor, which scales linearly with the
+        data (``solo domain x observed rest combinations x m``) - shrinking
+        the budget makes the blocks and tiles smaller, never the storage.
+        A block whose support is sparse never allocates ``c_b x c_b``
+        cells at all.  ``0`` selects the flat
         ``O(n^2 d)`` reference sweep instead (kept only for small-size
         equivalence checks).
     batch_size:
@@ -160,12 +189,6 @@ class EstimatorConfig:
         ``os.cpu_count()``; ``1`` selects the serial reference path.  Must be
         a positive integer when given.  Threading never changes results -
         the ``jobs=1`` and ``jobs=N`` priors are bitwise identical.
-    share_bandwidths:
-        Share each block's gathered distance sub-matrices across bandwidths
-        so K bandwidths stop paying K full joint rebuilds (compact-support
-        kernels additionally evaluate only inside the ``d <= B`` support
-        mask).  Bitwise identical to the dense rebuild; the switch exists
-        for the equivalence suite and the sharing on/off benchmark.
     chunk_rows:
         Rows per chunk when fitting from a
         :class:`~repro.data.source.TableSource` (the out-of-core path).
@@ -179,7 +202,6 @@ class EstimatorConfig:
     batch_size: int = DEFAULT_BATCH_SIZE
     max_count_cells: int = DEFAULT_MAX_COUNT_CELLS
     jobs: int | None = None
-    share_bandwidths: bool = True
     chunk_rows: int | None = None
 
     def __post_init__(self) -> None:
@@ -233,6 +255,74 @@ class _RestBlock:
     code_of_slot: np.ndarray = field(repr=False)
 
 
+@dataclass
+class _BlockSupport:
+    """The support of one block joint ``J_b``, held as compressed rows.
+
+    Row ``i`` lists the block combinations ``j`` with ``J_b[i, j] > 0`` in
+    ascending order, ``neighbours[indptr[i]:indptr[i + 1]]``, next to their
+    kernel-product ``weights`` - bitwise the dense joint's entries.
+    """
+
+    indptr: np.ndarray
+    neighbours: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_pairs(
+        cls, n_combos: int, rows: np.ndarray, columns: np.ndarray, weights: np.ndarray
+    ) -> "_BlockSupport":
+        order = np.argsort(rows * n_combos + columns)
+        indptr = np.zeros(n_combos + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_combos), out=indptr[1:])
+        return cls(indptr, columns[order], weights[order])
+
+    @property
+    def nnz(self) -> int:
+        return int(self.neighbours.size)
+
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.indptr.size - 1, dtype=np.int64), np.diff(self.indptr))
+
+
+@dataclass
+class _TermPlan:
+    """How one contraction expands rest slots into their support terms.
+
+    ``pivot`` indexes the block support whose neighbour lists are expanded
+    (``support``); ``reach[r]`` is the number of candidate slots that
+    expansion yields for slot ``r``, an upper bound on its terms.
+    ``slot_order``/``slot_first``/``per_combo`` list the slots of each of
+    the pivot's block combinations, and ``lookups`` holds every other
+    block as ``(index, sorted entry keys, weights)`` for a support or
+    ``(index, None, dense joint)``.
+    """
+
+    pivot: int
+    support: _BlockSupport
+    reach: np.ndarray
+    codes: list
+    slot_order: np.ndarray
+    slot_first: np.ndarray
+    per_combo: np.ndarray
+    lookups: list
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges ``starts[k] : starts[k] + counts[k]``.
+
+    Returns ``(owner, index)``: the range ``k`` each element came from and
+    the element itself, in range order.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if counts.size else 0
+    shift = np.asarray(starts, dtype=np.int64) - (ends - counts)
+    return owner, np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
+
+
 class FactoredPriorBackend:
     """Shared contraction backend for kernel prior estimation.
 
@@ -265,10 +355,6 @@ class FactoredPriorBackend:
         self._kernel = get_kernel(self.config.kernel)
         self._jobs = resolve_jobs(self.config.jobs)
         self._compact_support = has_compact_support(self.config.kernel)
-        # Per-block gathered distance sub-matrices shared across bandwidths
-        # (share_bandwidths); keyed by block index, tagged with the block's
-        # combo count so growth invalidates the entry.
-        self._block_distance_cache: dict[int, tuple[int, dict[str, np.ndarray]]] = {}
         self.incremental = bool(incremental)
         self._distance_matrices = dict(distance_matrices) if distance_matrices else {}
         self._table: MicrodataTable | None = None
@@ -297,8 +383,10 @@ class FactoredPriorBackend:
         self._flat_unique: np.ndarray | None = None
         self._flat_inverse: np.ndarray | None = None
         # Per-bandwidth contraction caches (incremental mode only), keyed by
-        # Bandwidth.items(): {"bandwidth", "block_joints", "contracted_storage",
-        # "numerators"} with contracted storage at the shared slot capacity.
+        # Bandwidth.items(): {"bandwidth", "path" ("support" or "dense"),
+        # "joints" (block supports or dense block joints),
+        # "contracted_storage", "numerators"} with contracted storage at the
+        # shared slot capacity.
         self._contractions: dict[tuple, dict] = {}
 
     # -- small helpers ----------------------------------------------------------------
@@ -401,7 +489,6 @@ class FactoredPriorBackend:
         self._table = table
         self._overall = table.sensitive_distribution()
         self._contractions = {}
-        self._block_distance_cache = {}
         codes = table.qi_code_matrix().astype(np.int64)
         sensitive = table.sensitive_codes().astype(np.int64)
         m = table.sensitive_domain().size
@@ -548,7 +635,14 @@ class FactoredPriorBackend:
             (self._count_storage.shape[0], capacity, self._count_storage.shape[2]),
             dtype=np.float64,
         )
-        storage[:, :n_combos, :] = self._count_storage[:, :n_combos, :][:, order, :]
+        # Gather straight into the new storage: no third copy of the tensor.
+        np.take(
+            self._count_storage[:, :n_combos, :],
+            order,
+            axis=1,
+            out=storage[:, :n_combos, :],
+            mode="clip",
+        )
         self._count_storage = storage
         totals = np.zeros(capacity, dtype=np.float64)
         totals[:n_combos] = storage[:, :n_combos, :].sum(axis=(0, 2))
@@ -558,7 +652,6 @@ class FactoredPriorBackend:
         self._blocks = self._build_blocks(
             canonical, [qi_names[i] for i in self._rest_indices], capacity
         )
-        self._block_distance_cache = {}
         self._contractions = {}
         self._overall = self._table.sensitive_distribution()
         self._rebuild_query_index()
@@ -697,36 +790,14 @@ class FactoredPriorBackend:
             # under the same count-tensor guard).
             self.fit(table)
             return "refit"
-        n_combos = self._n_combos
-        solo_size = self._count_storage.shape[0]
-
-        # Count the batch only over the touched rest slots - O(batch), not
-        # O(count tensor) - and scatter the block into the storage.
-        rest_touched = np.unique(delta_rest)
-        touched_position = np.searchsorted(rest_touched, delta_rest)
-        flat = (delta_solo * rest_touched.size + touched_position) * m + sensitive_new
-        delta_counts = (
-            np.bincount(flat, minlength=solo_size * rest_touched.size * m)
-            .reshape(solo_size, rest_touched.size, m)
-            .astype(np.float64)
+        delta = self._exact_cell_deltas(
+            added_solo=delta_solo, added_slot=delta_rest, added_sensitive=sensitive_new
         )
-        self._count_storage[:, rest_touched, :] += delta_counts
-        self._slot_totals[rest_touched] += delta_counts.sum(axis=(0, 2))
-        cells = np.unique(delta_solo * n_combos + delta_rest)
-        cell_solo = cells // n_combos
-        cell_rest = cells % n_combos
-
         self._table = table
         self._overall = table.sensitive_distribution()
         self._solo_of_row = np.concatenate([self._solo_of_row, delta_solo])
         self._slot_of_row = np.concatenate([self._slot_of_row, delta_rest])
-        previous_solo, previous_rest = self._query_solo, self._query_rest
-        self._rebuild_query_index()
-        previous_pairs = previous_solo * max(1, self._n_combos) + previous_rest
-        for cache in self._contractions.values():
-            self._update_cache(
-                cache, delta_counts, rest_touched, cell_solo, cell_rest, previous_pairs
-            )
+        self._finish_exact_update(*delta)
         return "incremental"
 
     # -- removing and updating --------------------------------------------------------
@@ -864,21 +935,18 @@ class FactoredPriorBackend:
         exact and an emptied slot lands on exactly ``0.0`` (a *retired* slot
         whose contributions are exact zeros everywhere).
         """
-        m = self._count_storage.shape[2]
-        solo_size = self._count_storage.shape[0]
         slot_parts = [s for s in (removed_slot, added_slot) if s is not None]
         rest_touched = np.unique(np.concatenate(slot_parts))
 
+        _, capacity, m = self._count_storage.shape
+
         def scatter(solo: np.ndarray, slot: np.ndarray, sensitive: np.ndarray, sign: float) -> None:
-            position = np.searchsorted(rest_touched, slot)
-            flat = (solo * rest_touched.size + position) * m + sensitive
-            counts = (
-                np.bincount(flat, minlength=solo_size * rest_touched.size * m)
-                .reshape(solo_size, rest_touched.size, m)
-                .astype(np.float64)
-            )
-            self._count_storage[:, rest_touched, :] += sign * counts
-            self._slot_totals[rest_touched] += sign * counts.sum(axis=(0, 2))
+            # Unbuffered per-row adds of +-1.0 into the flat view of the
+            # (contiguous) storage: exact on integer counts, and no
+            # temporaries beyond the batch itself.
+            cells = (solo * capacity + slot) * m + sensitive
+            np.add.at(self._count_storage.reshape(-1), cells, sign)
+            np.add.at(self._slot_totals, slot, sign)
 
         cells = []
         if removed_slot is not None:
@@ -898,7 +966,7 @@ class FactoredPriorBackend:
     def _finish_exact_update(
         self, rest_touched: np.ndarray, cell_solo: np.ndarray, cell_rest: np.ndarray
     ) -> None:
-        """Rebuild the query index and exactly refresh every cached contraction."""
+        """Rebuild the query index and refresh every cached contraction."""
         previous_solo, previous_rest = self._query_solo, self._query_rest
         self._rebuild_query_index()
         previous_pairs = previous_solo * max(1, self._n_combos) + previous_rest
@@ -915,14 +983,14 @@ class FactoredPriorBackend:
         cell_rest: np.ndarray,
         previous_pairs: np.ndarray,
     ) -> None:
-        """Fold removals/updates into one bandwidth's cached contraction.
+        """Fold a delta into one bandwidth's cached contraction by recontraction.
 
-        Unlike the append path (:meth:`_update_cache`), nothing is
-        delta-accumulated: the touched contracted columns are recomputed from
-        the exactly-updated count tensor and every affected or fresh query is
-        fully recontracted, so a numerator whose neighbourhood emptied lands
-        on exactly zero (and takes the overall-distribution fallback) instead
-        of surviving as a cancellation residue.
+        Serves appends, removals and updates on both paths.  Nothing is
+        delta-accumulated: the touched contracted columns are recomputed
+        from the exactly-updated count tensor and every affected or fresh
+        query is fully recontracted, so a numerator whose neighbourhood
+        emptied lands on exactly zero (and takes the overall-distribution
+        fallback) instead of surviving as a cancellation residue.
         """
         qi_names = list(self._table.quasi_identifier_names)
         n_combos = self._n_combos
@@ -934,7 +1002,7 @@ class FactoredPriorBackend:
         contracted[:, rest_touched, :] = (
             solo_weights @ counts_touched.reshape(solo_size, -1)
         ).reshape(solo_size, rest_touched.size, m)
-        block_joints = cache["block_joints"]
+        joints = cache["joints"]
 
         # Realign numerators with the (shrunk or grown) query set: vanished
         # pairs are dropped, fresh pairs recontract fully below.
@@ -945,12 +1013,18 @@ class FactoredPriorBackend:
         numerators[positions[survives]] = cache["numerators"][survives]
         fresh = np.ones(self._pair_keys.size, dtype=bool)
         fresh[positions[survives]] = False
-        affected = self._affected_query_mask(
-            cache["bandwidth"], block_joints, cell_solo, cell_rest
-        )
-        self._contract_queries(
-            numerators, np.flatnonzero(affected | fresh), block_joints, contracted
-        )
+        if cache["path"] == "dense":
+            affected = self._affected_query_mask(
+                cache["bandwidth"], joints, cell_solo, cell_rest
+            )
+            self._contract_queries(
+                numerators, np.flatnonzero(affected | fresh), joints, contracted
+            )
+        else:
+            affected = self._support_affected(joints, solo_weights, cell_solo, cell_rest)
+            self._contract_support(
+                numerators, np.flatnonzero(affected | fresh), joints, contracted
+            )
         cache["numerators"] = numerators
 
     def _assign_fresh_slots(self, rest_new: np.ndarray, m: int) -> np.ndarray | None:
@@ -1018,9 +1092,9 @@ class FactoredPriorBackend:
             for block in self._blocks
         ]
         for cache in self._contractions.values():
-            cache["block_joints"] = [
+            cache["joints"] = [
                 self._grow_block_joint(block, joint, n_new, cache["bandwidth"])
-                for block, joint, n_new in zip(self._blocks, cache["block_joints"], grown)
+                for block, joint, n_new in zip(self._blocks, cache["joints"], grown)
             ]
             cache["contracted_storage"][:, slots, :] = 0.0
 
@@ -1040,92 +1114,348 @@ class FactoredPriorBackend:
         return int(fresh.size)
 
     def _grow_block_joint(
-        self, block: _RestBlock, joint: np.ndarray, n_new: int, bandwidth: Bandwidth
-    ) -> np.ndarray:
-        """Extend a cached block joint with rows/columns for new block combos.
+        self,
+        block: _RestBlock,
+        joint: "_BlockSupport | np.ndarray",
+        n_new: int,
+        bandwidth: Bandwidth,
+    ) -> "_BlockSupport | np.ndarray":
+        """Extend a cached block joint (support or dense) to new block combos.
 
-        The matrix stays symmetric because every attribute distance matrix is.
+        The joint stays symmetric because every attribute distance matrix
+        is: a support gains the new combinations' own neighbour lists plus
+        their mirror entries in the old rows; a dense joint gains the new
+        rows and their transposes.
         """
         if n_new == 0:
             return joint
         c_after = block.n_combos
         c_old = c_after - n_new
+        if isinstance(joint, _BlockSupport):
+            rows, columns, weights = self._support_pairs(
+                block, bandwidth, np.arange(c_old, c_after, dtype=np.int64)
+            )
+            mirror = columns < c_old
+            return _BlockSupport.from_pairs(
+                c_after,
+                np.concatenate([joint.rows(), rows, columns[mirror]]),
+                np.concatenate([joint.neighbours, columns, rows[mirror]]),
+                np.concatenate([joint.weights, weights, weights[mirror]]),
+            )
         grown = np.empty((c_after, c_after), dtype=np.float64)
         grown[:c_old, :c_old] = joint
-        rows = np.ones((n_new, c_after), dtype=np.float64)
+        new_rows = np.ones((n_new, c_after), dtype=np.float64)
         for offset, name in enumerate(block.names):
             weights = self._bandwidth_weights(bandwidth, name)
             column = block.combos[:c_after, offset]
-            rows *= weights[column[c_old:]][:, column]
-        grown[c_old:, :] = rows
-        grown[:c_old, c_old:] = rows[:, :c_old].T
+            new_rows *= weights[column[c_old:]][:, column]
+        grown[c_old:, :] = new_rows
+        grown[:c_old, c_old:] = new_rows[:, :c_old].T
         return grown
 
-    # -- per-bandwidth contraction ----------------------------------------------------
-    def _block_distances(self, index: int, block: _RestBlock) -> dict[str, np.ndarray] | None:
-        """Gathered per-attribute distance sub-matrices of one block (lazy).
-
-        Bandwidth-independent, so one gather pass serves every bandwidth of a
-        skyline grid (:attr:`EstimatorConfig.share_bandwidths`).  Entries are
-        tagged with the block's combo count: growth invalidates them, a refit
-        clears the whole cache.  Returns ``None`` - compute dense - for a
-        singleton block whose over-budget ``c^2`` would blow the cell budget
-        (every multi-attribute block satisfies ``c^2 <= max_cells`` by
-        construction).
-        """
-        cached = self._block_distance_cache.get(index)
-        if cached is not None and cached[0] == block.n_combos:
-            return cached[1]
-        c = block.n_combos
-        if c * c > max(1, self.config.max_cells):
-            return None
-        gathered: dict[str, np.ndarray] = {}
-        for offset, name in enumerate(block.names):
-            column = block.combos[:c, offset]
-            distances = self._distance_matrices[name]
-            gathered[name] = np.take(np.take(distances, column, axis=0), column, axis=1)
-        self._block_distance_cache[index] = (c, gathered)
-        return gathered
-
-    def _block_joint(
+    # -- per-bandwidth contraction: block supports ------------------------------------
+    def _support_pairs(
         self,
         block: _RestBlock,
         bandwidth: Bandwidth,
-        distances: dict[str, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """The kernel-product joint weight matrix of one block's combinations.
+        left: np.ndarray,
+        limit: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The kernel-positive entries ``(i, j, J_b[i, j])`` of rows ``left``.
 
-        With ``distances`` (the shared gathered sub-matrices) the kernel is
-        applied elementwise to the gathered values instead of gathering from
-        the full-domain weight matrix - value-identical per element, hence
-        bitwise identical.  Compact-support kernels whose closed support mask
-        ``d <= B`` is sparse evaluate only inside the mask; everything
-        outside is an exact ``0.0`` for them by definition.
+        Enumerated from each attribute's closed ``d <= B`` neighbour set on
+        its own ``|D_i|^2`` distance matrix.  Attributes whose neighbour set
+        is just the value itself join by equality; among the others, the one
+        yielding the fewest candidates leads the enumeration and the rest
+        filter it.  Candidates are expanded in passes of at most
+        ``_SUPPORT_PASS_PAIRS``, so no ``c_b x c_b`` array ever exists.  The
+        weight is the kernel product in the block's attribute order, bitwise
+        the dense joint's entry; exact zeros (open kernels at ``d == B``) are
+        dropped.  Returns ``None`` once more than ``limit`` entries survive.
         """
         c = block.n_combos
-        if distances is not None:
-            if self._compact_support:
-                mask: np.ndarray | None = None
-                for name in block.names:
-                    within = distances[name] <= bandwidth[name]
-                    mask = within if mask is None else mask & within
-                if mask.sum() * 4 <= mask.size:
-                    rows, cols = np.nonzero(mask)
-                    values: np.ndarray | None = None
-                    for name in block.names:
-                        weights = self._kernel(
-                            distances[name][rows, cols], bandwidth[name]
-                        )
-                        values = weights if values is None else values * weights
-                    joint = np.zeros((c, c), dtype=np.float64)
-                    joint[rows, cols] = values
-                    return joint
-            joint: np.ndarray | None = None
-            for name in block.names:
-                weights = self._kernel(distances[name], bandwidth[name])
-                joint = weights if joint is None else joint * weights
-            return joint
-        joint = None
+        combos = block.combos[:c]
+        width = len(block.names)
+        within = [self._distance_matrices[name] <= bandwidth[name] for name in block.names]
+        exact = [
+            offset
+            for offset in range(width)
+            if np.array_equal(within[offset], np.eye(within[offset].shape[0], dtype=bool))
+        ]
+        loose = [offset for offset in range(width) if offset not in exact]
+        if not loose:
+            # Every attribute joins by equality: each row's support is itself.
+            filters: list[int] = []
+            passes = iter([(left, left)])
+        else:
+            equal_key = np.zeros(c, dtype=np.int64)
+            if exact:
+                _, equal_key = np.unique(combos[:, exact], axis=0, return_inverse=True)
+                equal_key = equal_key.reshape(-1).astype(np.int64)
+            # (left row, candidate group) lookups for every loose pivot candidate.
+            best = None
+            for pivot in loose:
+                size = within[pivot].shape[0]
+                group = equal_key * size + combos[:, pivot]
+                order = np.argsort(group, kind="stable")
+                keys, first, counts = np.unique(
+                    group[order], return_index=True, return_counts=True
+                )
+                value_rows = within[pivot].sum(axis=1)
+                value_ptr = np.concatenate([[0], np.cumsum(value_rows)])
+                value_neighbours = np.nonzero(within[pivot])[1]
+                values = combos[left, pivot]
+                owner, entry = _ragged(value_ptr[values], value_rows[values])
+                wanted = equal_key[left][owner] * size + value_neighbours[entry]
+                found = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+                hit = keys[found] == wanted
+                owner, found = owner[hit], found[hit]
+                total = int(counts[found].sum())
+                if best is None or total < best[0]:
+                    best = (total, pivot, order, first[found], counts[found], owner)
+            _, pivot, order, starts, sizes, owner = best
+            filters = [offset for offset in loose if offset != pivot]
+            cuts = np.flatnonzero(np.diff(np.cumsum(sizes) // _SUPPORT_PASS_PAIRS)) + 1
+
+            def expand():
+                for part in np.split(np.arange(sizes.size), cuts):
+                    lookup, index = _ragged(starts[part], sizes[part])
+                    yield left[owner[part[lookup]]], order[index]
+
+            passes = expand()
+
+        kernel_weights = [self._bandwidth_weights(bandwidth, name) for name in block.names]
+        kept_rows, kept_columns, kept_weights = [], [], []
+        stored = 0
+        for rows, columns in passes:
+            keep = np.ones(rows.size, dtype=bool)
+            for offset in filters:
+                keep &= within[offset][combos[rows, offset], combos[columns, offset]]
+            rows, columns = rows[keep], columns[keep]
+            weights: np.ndarray | None = None
+            for offset, kernel in enumerate(kernel_weights):
+                factor = kernel[combos[rows, offset], combos[columns, offset]]
+                weights = factor if weights is None else weights * factor
+            positive = weights > 0.0
+            kept_rows.append(rows[positive])
+            kept_columns.append(columns[positive])
+            kept_weights.append(weights[positive])
+            stored += int(positive.sum())
+            if limit is not None and stored > limit:
+                return None
+        return (
+            np.concatenate(kept_rows),
+            np.concatenate(kept_columns),
+            np.concatenate(kept_weights),
+        )
+
+    def _block_support(self, block: _RestBlock, bandwidth: Bandwidth) -> "_BlockSupport | None":
+        """One block's support, or ``None`` when it is dense.
+
+        Dense means the support fills more than a quarter of the block's
+        ``c_b x c_b`` joint (the old mask rule); the enumeration stops as
+        soon as it knows.
+        """
+        c = block.n_combos
+        pairs = self._support_pairs(
+            block, bandwidth, np.arange(c, dtype=np.int64), limit=c * c // 4
+        )
+        return None if pairs is None else _BlockSupport.from_pairs(c, *pairs)
+
+    def _term_plan(self, joints: list, slots: np.ndarray) -> _TermPlan:
+        """How to expand slots into their support terms under ``joints``.
+
+        ``joints`` mixes block supports and the dense joints of blocks whose
+        support is dense.  The support whose neighbour lists expand
+        ``slots`` (with repeats) to the fewest candidate slots leads the
+        expansion; every other block filters by lookup.
+        """
+        n_combos = self._n_combos
+        codes = [block.code_of_slot[:n_combos] for block in self._blocks]
+        slots_per_combo = [
+            np.bincount(code, minlength=block.n_combos)
+            for code, block in zip(codes, self._blocks)
+        ]
+        pivot, reach = None, None
+        for index, joint in enumerate(joints):
+            if not isinstance(joint, _BlockSupport):
+                continue
+            expansion = np.bincount(
+                joint.rows(),
+                weights=slots_per_combo[index][joint.neighbours],
+                minlength=slots_per_combo[index].size,
+            ).astype(np.int64)[codes[index]]
+            if reach is None or expansion[slots].sum() < reach[slots].sum():
+                pivot, reach = index, expansion
+        per_combo = slots_per_combo[pivot]
+        return _TermPlan(
+            pivot=pivot,
+            support=joints[pivot],
+            reach=reach,
+            codes=codes,
+            slot_order=np.argsort(codes[pivot], kind="stable"),
+            slot_first=np.cumsum(per_combo) - per_combo,
+            per_combo=per_combo,
+            lookups=[
+                (index, joint.rows() * block.n_combos + joint.neighbours, joint.weights)
+                if isinstance(joint, _BlockSupport)
+                else (index, None, joint)
+                for index, (block, joint) in enumerate(zip(self._blocks, joints))
+                if index != pivot
+            ],
+        )
+
+    def _term_tiles(self, order: np.ndarray, reach: np.ndarray, width: int) -> list[np.ndarray]:
+        """Cut ``order`` into runs whose candidate terms fit the cell budget.
+
+        ``reach[k]`` bounds the terms of ``order[k]``, and each term costs
+        about ``width + 8`` cells (its ``width`` products plus the index and
+        weight arrays), so a run stays within ``max_cells`` - and within
+        ``_SUPPORT_PASS_PAIRS`` candidates - plus one member's own terms.  With ``jobs > 1`` runs are also cut to about ``2 * jobs``
+        per call so the pool has work to share; tiling never changes a
+        result.
+        """
+        budget = min(_SUPPORT_PASS_PAIRS, max(1, self.config.max_cells // (width + 8)))
+        if self._jobs > 1:
+            budget = min(budget, max(1, -(-int(reach.sum()) // (2 * self._jobs))))
+        start = np.cumsum(reach) - reach
+        return np.split(order, np.flatnonzero(np.diff(start // budget)) + 1)
+
+    def _slot_terms(
+        self, plan: _TermPlan, slots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The joint's support rows for ``slots``: ``(indptr, columns, weights)``.
+
+        Row ``k`` holds the active slots in the intersection of the blocks'
+        supports of ``slots[k]``, ascending, with their weights - the
+        per-block values multiplied in block order, bitwise the dense
+        chain's entry whichever block leads.  Callers keep ``slots`` to a
+        tile of :meth:`_term_tiles`, which bounds the candidates expanded.
+        """
+        codes, pivot, support = plan.codes, plan.pivot, plan.support
+        owner, entry = _ragged(
+            support.indptr[codes[pivot][slots]],
+            np.diff(support.indptr)[codes[pivot][slots]],
+        )
+        neighbours = support.neighbours[entry]
+        expand, index = _ragged(plan.slot_first[neighbours], plan.per_combo[neighbours])
+        owner = owner[expand]
+        columns = plan.slot_order[index]
+        factors = {pivot: support.weights[entry[expand]]}
+        for b, keys, values in plan.lookups:
+            if keys is None:  # a dense block joint
+                factor = values[codes[b][slots[owner]], codes[b][columns]]
+                hit = factor > 0.0
+            else:
+                wanted = codes[b][slots[owner]] * self._blocks[b].n_combos + codes[b][columns]
+                found = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+                hit = keys[found] == wanted
+                factor = values[found]
+            owner, columns = owner[hit], columns[hit]
+            factors = {key: value[hit] for key, value in factors.items()}
+            factors[b] = factor[hit]
+        weights = factors[0]
+        for b in range(1, len(self._blocks)):
+            weights = weights * factors[b]
+        keys = owner * self._n_combos + columns
+        if keys.size > 1 and (keys[1:] < keys[:-1]).any():
+            order = np.argsort(keys)
+            owner, columns, weights = owner[order], columns[order], weights[order]
+        indptr = np.zeros(slots.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=slots.size), out=indptr[1:])
+        return indptr, columns, weights
+
+    def _contract_support(
+        self,
+        numerators: np.ndarray,
+        selection: np.ndarray,
+        joints: list,
+        contracted: np.ndarray,
+    ) -> tuple[int, int]:
+        """Numerators of the selected queries as sums of their support terms.
+
+        Query ``(a, r)`` sums ``w * contracted[a, r']`` over the terms
+        ``(r', w)`` of slot ``r``, in ascending ``r'`` order, so its bits
+        depend on nothing but its own terms.  The queries are taken in slot
+        order and cut by :meth:`_term_tiles`; each tile expands only its
+        own slots' terms, so the working set stays within ``max_cells``.
+        Tiles run on the shared pool like the dense tiles.  Returns
+        ``(threads, terms)``.
+        """
+        if selection.size == 0:
+            return 1, 0
+        m = contracted.shape[2]
+        query_slots = self._query_rest[selection]
+        plan = self._term_plan(joints, query_slots)
+        # Slot order: a tile holding several queries of one slot expands it once.
+        by_slot = np.argsort(query_slots, kind="stable")
+        tiles = self._term_tiles(selection[by_slot], plan.reach[query_slots[by_slot]], m)
+        terms: list[int] = []
+
+        def contract(chunk: np.ndarray) -> None:
+            slots, slot_of_query = np.unique(self._query_rest[chunk], return_inverse=True)
+            indptr, columns, weights = self._slot_terms(plan, slots)
+            slot_of_query = slot_of_query.reshape(-1)
+            counts = np.diff(indptr)[slot_of_query]
+            _, index = _ragged(indptr[slot_of_query], counts)
+            solo = np.repeat(self._query_solo[chunk], counts)
+            products = contracted[solo, columns[index]] * weights[index][:, None]
+            sums = np.zeros((chunk.size, m), dtype=np.float64)
+            nonempty = counts > 0
+            if nonempty.any():
+                starts = np.cumsum(counts) - counts
+                sums[nonempty] = np.add.reduceat(products, starts[nonempty], axis=0)
+            numerators[chunk] = sums
+            terms.append(int(counts.sum()))
+
+        if self._jobs <= 1 or len(tiles) <= 1:
+            for chunk in tiles:
+                contract(chunk)
+            return 1, sum(terms)
+        threads = self._dispatch_tiles(contract, tiles)
+        return threads, sum(terms)
+
+    def _support_affected(
+        self,
+        joints: list,
+        solo_weights: np.ndarray,
+        cell_solo: np.ndarray,
+        cell_rest: np.ndarray,
+    ) -> np.ndarray:
+        """Boolean mask over the queries with a positive weight to a touched cell.
+
+        The joint is symmetric, so the touched slots' own support rows name
+        every rest slot that can see them; a query ``(a, r)`` is affected
+        when ``r`` lies in the support of a touched cell ``(a0, r0)`` whose
+        solo weight ``a -> a0`` is positive.  Boolean bookkeeping over the
+        support rows, tiled like the contraction, in place of the dense
+        path's witness matmuls.
+        """
+        solo_size = solo_weights.shape[0]
+        touched, group = np.unique(cell_rest, return_inverse=True)
+        group = group.reshape(-1)
+        order = np.argsort(group, kind="stable")
+        starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+        # sees[t, a]: some touched cell of slot touched[t] is visible from a.
+        sees = np.logical_or.reduceat(
+            solo_weights[:, cell_solo[order]] > 0.0, starts, axis=1
+        ).T
+        plan = self._term_plan(joints, touched)
+        visible = np.zeros((self._n_combos, solo_size), dtype=bool)
+        positions = np.arange(touched.size, dtype=np.int64)
+        for tile in self._term_tiles(positions, plan.reach[touched], -(-solo_size // 8)):
+            indptr, columns, _ = self._slot_terms(plan, touched[tile])
+            owner = np.repeat(tile, np.diff(indptr))
+            by_slot = np.argsort(columns, kind="stable")
+            seen, first = np.unique(columns[by_slot], return_index=True)
+            visible[seen] |= np.logical_or.reduceat(sees[owner[by_slot]], first, axis=0)
+        return visible[self._query_rest, self._query_solo]
+
+    # -- per-bandwidth contraction: dense joints --------------------------------------
+    def _block_joint(self, block: _RestBlock, bandwidth: Bandwidth) -> np.ndarray:
+        """The dense kernel-product joint weight matrix of one block's combinations."""
+        c = block.n_combos
+        joint: np.ndarray | None = None
         for offset, name in enumerate(block.names):
             weights = self._bandwidth_weights(bandwidth, name)
             column = block.combos[:c, offset]
@@ -1174,15 +1504,8 @@ class FactoredPriorBackend:
         selection: np.ndarray,
         block_joints: list[np.ndarray],
         contracted: np.ndarray,
-        columns: np.ndarray | None = None,
-        accumulate: bool = False,
-    ) -> None:
+    ) -> int:
         """Numerators for the selected query positions (grouped by solo code, tiled).
-
-        ``columns`` restricts the contraction to a subset of rest slots (with
-        ``contracted`` holding just those columns) and ``accumulate`` adds to
-        the existing numerators instead of overwriting - together they serve
-        the incremental delta updates of :meth:`_update_cache`.
 
         Tiles are dispatched over the shared worker pool when ``jobs > 1``:
         every tile writes a disjoint ``numerators`` slice with exactly the
@@ -1192,32 +1515,26 @@ class FactoredPriorBackend:
         """
         if selection.size == 0:
             return 1
-        tile = self._tile_rows(self._n_combos if columns is None else len(columns))
-        selected_solo = self._query_solo[selection]
-        boundaries = np.flatnonzero(np.diff(selected_solo)) + 1
-        tiles: list[tuple[int, np.ndarray]] = []
-        for run in np.split(selection, boundaries):
-            a = int(self._query_solo[run[0]])
-            for start in range(0, run.size, tile):
-                tiles.append((a, run[start : start + tile]))
+        tile = self._tile_rows(self._n_combos)
+        boundaries = np.flatnonzero(np.diff(self._query_solo[selection])) + 1
+        tiles = [
+            run[start : start + tile]
+            for run in np.split(selection, boundaries)
+            for start in range(0, run.size, tile)
+        ]
 
-        def contract(a: int, chunk: np.ndarray) -> None:
-            rows = self._joint_rows(self._query_rest[chunk], block_joints, columns)
-            if accumulate:
-                numerators[chunk] += rows @ contracted[a]
-            else:
-                numerators[chunk] = rows @ contracted[a]
+        def contract(chunk: np.ndarray) -> None:
+            rows = self._joint_rows(self._query_rest[chunk], block_joints)
+            numerators[chunk] = rows @ contracted[self._query_solo[chunk[0]]]
 
         if self._jobs <= 1 or len(tiles) <= 1:
-            for a, chunk in tiles:
-                contract(a, chunk)
+            for chunk in tiles:
+                contract(chunk)
             return 1
         return self._dispatch_tiles(contract, tiles)
 
     def _dispatch_tiles(
-        self,
-        contract: Callable[[int, np.ndarray], None],
-        tiles: list[tuple[int, np.ndarray]],
+        self, contract: Callable[[np.ndarray], None], tiles: list[np.ndarray]
     ) -> int:
         """Run independent contraction tiles on the shared pool.
 
@@ -1231,70 +1548,14 @@ class FactoredPriorBackend:
         parent = tracer.current()
         used: set[int] = set()
 
-        def task(a: int, chunk: np.ndarray) -> None:
+        def task(chunk: np.ndarray) -> None:
             used.add(threading.get_ident())
             with tracer.attach(parent):
-                with tracer.span("backend.tile", solo=a, queries=int(chunk.size)):
-                    contract(a, chunk)
+                with tracer.span("backend.tile", queries=int(chunk.size)):
+                    contract(chunk)
 
-        run_tasks(
-            [lambda a=a, chunk=chunk: task(a, chunk) for a, chunk in tiles],
-            self._jobs,
-        )
+        run_tasks([lambda chunk=chunk: task(chunk) for chunk in tiles], self._jobs)
         return len(used)
-
-    def _update_cache(
-        self,
-        cache: dict,
-        delta_counts: np.ndarray,
-        rest_touched: np.ndarray,
-        cell_solo: np.ndarray,
-        cell_rest: np.ndarray,
-        previous_pairs: np.ndarray,
-    ) -> None:
-        """Fold an append batch into one bandwidth's cached contraction.
-
-        ``delta_counts`` holds the batch's counts over the touched rest slots
-        (``(solo, len(rest_touched), m)``).  Only queries with a positive
-        kernel weight towards some appended row can change: the kernels are
-        non-negative with compact support, so a query whose solo weight or
-        chained rest weight is zero for every touched cell keeps a
-        bitwise-identical numerator.
-        """
-        qi_names = list(self._table.quasi_identifier_names)
-        solo_weights = self._bandwidth_weights(cache["bandwidth"], qi_names[self._solo_index])
-        contracted = cache["contracted_storage"][:, : self._n_combos, :]
-        block_joints = cache["block_joints"]
-        m = contracted.shape[2]
-        contracted_delta = (
-            solo_weights @ delta_counts.reshape(delta_counts.shape[0], -1)
-        ).reshape(solo_weights.shape[0], rest_touched.size, m)
-        contracted[:, rest_touched, :] += contracted_delta
-
-        # Realign the cached numerators with the (possibly grown) query set.
-        numerators = np.zeros((self._pair_keys.size, m), dtype=np.float64)
-        kept = np.searchsorted(self._pair_keys, previous_pairs)
-        numerators[kept] = cache["numerators"]
-        fresh = np.ones(self._pair_keys.size, dtype=bool)
-        fresh[kept] = False
-
-        affected = self._affected_query_mask(
-            cache["bandwidth"], block_joints, cell_solo, cell_rest
-        )
-        # Existing affected queries take the *delta* contraction (touched
-        # columns only); brand-new queries need the full contraction.  Both
-        # sides are sums of non-negative kernel terms, so an exactly-zero
-        # numerator can neither appear nor vanish spuriously.
-        self._contract_queries(
-            numerators,
-            np.flatnonzero(affected & ~fresh),
-            block_joints,
-            contracted_delta,
-            columns=rest_touched,
-            accumulate=True,
-        )
-        self._contract_queries(numerators, np.flatnonzero(fresh), block_joints, contracted)
-        cache["numerators"] = numerators
 
     def _affected_query_mask(
         self,
@@ -1304,6 +1565,8 @@ class FactoredPriorBackend:
         cell_rest: np.ndarray,
     ) -> np.ndarray:
         """Boolean mask over the query positions whose numerator may change.
+
+        For dense-path caches; the support path uses :meth:`_support_affected`.
 
         A query (a, r) is affected iff some touched cell (a0, r0) has
         positive solo weight a->a0 *and* positive chained rest weight
@@ -1331,48 +1594,54 @@ class FactoredPriorBackend:
         run_tasks([lambda start=start: witness(start) for start in starts], self._jobs)
         return witnesses[self._query_solo, self._query_rest] > 0.0
 
-    def _build_block_joints(self, bandwidth: Bandwidth, tracer) -> list[np.ndarray]:
-        """All block joints for one bandwidth, threaded when ``jobs > 1``.
+    def _build_block_joints(self, bandwidth: Bandwidth, tracer) -> tuple[str, list]:
+        """Every block's joint for one bandwidth: ``(path, joints)``.
 
-        Each block's joint is an independent build, so with multiple blocks
-        they dispatch over the shared pool; the per-block spans attach to the
-        dispatching thread's open ``backend.contract`` span.  The serial path
-        is the pre-pool loop, span for span.
+        Under a compact-support kernel each block holds its support unless
+        that fills more than a quarter of the block's ``c_b x c_b`` joint,
+        in which case the block holds the dense joint; the contraction takes
+        the support path whenever some block holds a support.  An unbounded
+        kernel builds every block dense.  Each build runs in its own
+        ``backend.block_joint`` span recording the stored entries' ``nnz``.
         """
-        share = self.config.share_bandwidths
-        distances = [
-            self._block_distances(index, block) if share else None
-            for index, block in enumerate(self._blocks)
-        ]
-        if self._jobs <= 1 or len(self._blocks) <= 1:
-            block_joints = []
-            for index, block in enumerate(self._blocks):
-                with tracer.span(
-                    "backend.block_joint",
-                    names=list(block.names),
-                    combos=block.n_combos,
-                ):
-                    block_joints.append(
-                        self._block_joint(block, bandwidth, distances[index])
+        if self._compact_support:
+            joints = self._per_block(
+                tracer,
+                lambda block: self._block_support(block, bandwidth)
+                or self._block_joint(block, bandwidth),
+            )
+            sparse = any(isinstance(joint, _BlockSupport) for joint in joints)
+            return ("support" if sparse else "dense"), joints
+        return "dense", self._per_block(
+            tracer, lambda block: self._block_joint(block, bandwidth)
+        )
+
+    def _per_block(self, tracer, build: Callable[[_RestBlock], object]) -> list:
+        """Run ``build(block)`` for every block inside its span."""
+
+        def traced(block: _RestBlock):
+            with tracer.span(
+                "backend.block_joint", names=list(block.names), combos=block.n_combos
+            ) as span:
+                joint = build(block)
+                if tracer.enabled:
+                    span.annotate(
+                        nnz=joint.nnz
+                        if isinstance(joint, _BlockSupport)
+                        else int(np.count_nonzero(joint))
                     )
-            return block_joints
+            return joint
+
+        if self._jobs <= 1 or len(self._blocks) <= 1:
+            return [traced(block) for block in self._blocks]
         parent = tracer.current()
 
-        def build(index: int, block: _RestBlock) -> np.ndarray:
+        def attached(block: _RestBlock):
             with tracer.attach(parent):
-                with tracer.span(
-                    "backend.block_joint",
-                    names=list(block.names),
-                    combos=block.n_combos,
-                ):
-                    return self._block_joint(block, bandwidth, distances[index])
+                return traced(block)
 
         return run_tasks(
-            [
-                lambda index=index, block=block: build(index, block)
-                for index, block in enumerate(self._blocks)
-            ],
-            self._jobs,
+            [lambda block=block: attached(block) for block in self._blocks], self._jobs
         )
 
     def _factored_matrix(self, bandwidth: Bandwidth) -> np.ndarray:
@@ -1390,37 +1659,46 @@ class FactoredPriorBackend:
             ) as contract_span:
                 solo_name = qi_names[self._solo_index]
                 solo_weights = self._bandwidth_weights(bandwidth, solo_name)
-                block_joints = self._build_block_joints(bandwidth, tracer)
+                path, joints = self._build_block_joints(bandwidth, tracer)
 
                 n_combos = self._n_combos
                 solo_size = solo_weights.shape[0]
                 # Padding slots (growth headroom) only exist in incremental mode,
-                # where they must be zero; one-shot estimations get exact-size,
-                # uninitialised buffers.  The solo contraction stays a single
+                # where they must be zero; one-shot estimations keep the GEMM's
+                # own exact-size output.  The solo contraction stays a single
                 # GEMM (never split across workers): BLAS blocking could vary
                 # with the operand shape, and the one matmul already uses
                 # whatever threads BLAS itself brings.
-                allocate = np.zeros if self.incremental else np.empty
-                contracted_storage = allocate(self._count_storage.shape, dtype=np.float64)
+                product = solo_weights @ self._count_tensor.reshape(solo_size, -1)
+                if self.incremental:
+                    contracted_storage = np.zeros(self._count_storage.shape, dtype=np.float64)
+                    contracted_storage[:, :n_combos, :] = product.reshape(solo_size, n_combos, m)
+                else:
+                    contracted_storage = product.reshape(solo_size, n_combos, m)
                 contracted = contracted_storage[:, :n_combos, :]
-                contracted[:] = (
-                    solo_weights @ self._count_tensor.reshape(solo_size, -1)
-                ).reshape(solo_size, n_combos, m)
 
                 numerators = np.empty((self._pair_keys.size, m), dtype=np.float64)
-                threads = self._contract_queries(
-                    numerators,
-                    np.arange(self._pair_keys.size, dtype=np.int64),
-                    block_joints,
-                    contracted,
-                )
+                every_query = np.arange(self._pair_keys.size, dtype=np.int64)
+                if path == "support":
+                    threads, terms = self._contract_support(
+                        numerators, every_query, joints, contracted
+                    )
+                else:
+                    threads = self._contract_queries(
+                        numerators, every_query, joints, contracted
+                    )
+                    terms = int(self._pair_keys.size) * n_combos
                 contract_span.annotate(
-                    queries=int(self._pair_keys.size), threads=int(threads)
+                    queries=int(self._pair_keys.size),
+                    threads=int(threads),
+                    path=path,
+                    terms=terms,
                 )
             if self.incremental:
                 self._contractions[bandwidth.items()] = {
                     "bandwidth": bandwidth,
-                    "block_joints": block_joints,
+                    "path": path,
+                    "joints": joints,
                     "contracted_storage": contracted_storage,
                     "numerators": numerators,
                 }
@@ -1554,18 +1832,18 @@ class FactoredPriorBackend:
         order = np.argsort(query_solo, kind="stable")
         boundaries = np.flatnonzero(np.diff(query_solo[order])) + 1
         tile = self._tile_rows(n_combos)
-        tiles: list[tuple[int, np.ndarray]] = []
-        for run in np.split(order, boundaries):
-            a = int(query_solo[run[0]])
-            for start in range(0, run.size, tile):
-                tiles.append((a, run[start : start + tile]))
+        tiles = [
+            run[start : start + tile]
+            for run in np.split(order, boundaries)
+            for start in range(0, run.size, tile)
+        ]
 
-        def contract(a: int, chunk: np.ndarray) -> None:
-            numerators[chunk] = joint_rows_for(chunk) @ contracted[a]
+        def contract(chunk: np.ndarray) -> None:
+            numerators[chunk] = joint_rows_for(chunk) @ contracted[query_solo[chunk[0]]]
 
         if self._jobs <= 1 or len(tiles) <= 1:
-            for a, chunk in tiles:
-                contract(a, chunk)
+            for chunk in tiles:
+                contract(chunk)
         else:
             self._dispatch_tiles(contract, tiles)
         return self._normalise(numerators)[inverse]

@@ -85,10 +85,14 @@ _KERNELS: dict[str, KernelFunction] = {
 # Kernels whose weight is *exactly* 0.0 whenever ``|x/B| > 1``.  The closed
 # ball ``d <= B`` is therefore a support superset for every one of them
 # (uniform includes the boundary; the strict-support kernels evaluate to an
-# exact 0.0 there), which is what lets the factored backend share gathered
-# distances across bandwidths and evaluate the kernel only inside the mask
-# without changing a single bit of the result.  Custom kernels registered at
-# runtime are conservatively treated as unbounded unless declared compact.
+# exact 0.0 there), which is what lets the factored backend hold each block
+# joint as its support - neighbour lists enumerated from the ``d <= B`` balls
+# of the per-attribute distance matrices - and sum only those terms.  Every
+# term equals the dense joint's entry bit for bit, so a query with a single
+# term gets the dense GEMM's exact result; longer supports are summed in
+# ascending slot order and agree with the GEMM to round-off.  Custom kernels
+# registered at runtime are conservatively treated as unbounded (dense)
+# unless declared compact.
 _COMPACT_SUPPORT: set[str] = {"epanechnikov", "uniform", "triangular", "biweight"}
 
 
@@ -124,8 +128,8 @@ def register_kernel(
     """Register a custom kernel under ``name`` (overwriting is not allowed).
 
     Declare ``compact_support=True`` only when ``function`` returns an exact
-    ``0.0`` for every ``|x/B| > 1`` - the factored backend then skips those
-    entries when sharing contractions across bandwidths.
+    ``0.0`` for every ``|x/B| > 1`` - the factored backend then contracts
+    over the kernel's support alone, skipping every other entry.
     """
     key = name.lower()
     if key in _KERNELS:

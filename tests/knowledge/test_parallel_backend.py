@@ -2,8 +2,7 @@
 
 The contract under test: ``jobs=N`` never changes results.  Per-tile tasks
 write disjoint output slices with arithmetic identical to the serial loop,
-and bandwidth sharing evaluates the same elementwise kernels on the same
-values - so threaded priors are *bitwise* equal to ``jobs=1``, across every
+so threaded priors are *bitwise* equal to ``jobs=1``, across every
 kernel, per-attribute bandwidths, blocked wide schemas, generic unseen-combo
 queries and the full incremental lifecycle.  The growth-aware block layout
 is separately checked against the flat reference sweep to ``<= 1e-12``.
@@ -15,7 +14,7 @@ import pytest
 from repro.data.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
-from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.parallel import (
     JOBS_ENV,
@@ -184,16 +183,6 @@ def test_incremental_lifecycle_threaded_matches_serial():
     assert max(
         float(np.abs(a - b).max()) for a, b in zip(maintained, scratch)
     ) <= 1e-12
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_bandwidth_sharing_off_matches_on(kernel):
-    table = _dense_table(seed=13)
-    shared = FactoredPriorBackend(EstimatorConfig(kernel=kernel)).fit(table)
-    rebuilt = FactoredPriorBackend(
-        EstimatorConfig(kernel=kernel, share_bandwidths=False)
-    ).fit(table)
-    _assert_bitwise(shared.matrices(BANDWIDTHS), rebuilt.matrices(BANDWIDTHS))
 
 
 def _skewed_table(n=500, seed=29):
