@@ -2,7 +2,7 @@
 
 The PR-gated contract of the :class:`~repro.data.source.TableSource` layer:
 an Adult-scale table published (Mondrian with a spilled value matrix) and
-skyline-audited (chunked prior fit, chunked posterior pass) from an ``.npz``
+skyline-audited (chunked prior fit, row-tiled posterior pass) from an ``.npz``
 file must stay under ``REPRO_BENCH_SCALE_MAX_RSS_MB`` of peak resident
 memory - at the full one-million-row size the ceiling is 8 GB - while
 producing *exactly* the release the resident pipeline produces: an identical
@@ -21,8 +21,9 @@ Scale knobs:
 
 * ``REPRO_BENCH_SCALE_ROWS``         - table size (default 20000; the
   nightly full-scale run uses 1000000);
-* ``REPRO_BENCH_SCALE_CHUNK_ROWS``   - chunk size for ingestion, prior fit
-  and the posterior pass (default: rows/8 capped to [1024, 65536]);
+* ``REPRO_BENCH_SCALE_CHUNK_ROWS``   - chunk size for ingestion and the
+  prior fit (default: rows/8 capped to [1024, 65536]; the posterior pass
+  walks the risk kernel's fixed row tiles);
 * ``REPRO_BENCH_SCALE_MAX_RSS_MB``   - peak-RSS ceiling for the chunked run
   (default 8192, the tentpole's 8 GB budget; CI's tiny run pins a far
   tighter ceiling);
@@ -106,7 +107,7 @@ def _child_prepare(npz_path: str, rows: int) -> dict:
 
 
 def _child_publish(npz_path: str, rows: int, chunk_rows: int) -> dict:
-    """The measured run: chunked ingestion, spilled Mondrian, chunked audit."""
+    """The measured run: chunked ingestion, spilled Mondrian, chunked prior fit."""
     from repro.api import Session
     from repro.data.adult import adult_schema
     from repro.data.io import open_table
@@ -119,7 +120,7 @@ def _child_publish(npz_path: str, rows: int, chunk_rows: int) -> dict:
     publish_seconds = time.perf_counter() - start
     groups = result.release.groups
     start = time.perf_counter()
-    report = session.audit_skyline(groups, _skyline(), chunk_rows=chunk_rows)
+    report = session.audit_skyline(groups, _skyline())
     audit_seconds = time.perf_counter() - start
     return {
         "rows": rows,

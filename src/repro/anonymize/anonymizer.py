@@ -66,10 +66,8 @@ def anonymize(
         enforces ``k`` together with each model to prevent identity
         disclosure).
     split_strategy:
-        Mondrian split strategy: ``"widest"`` (default; frontier-synchronous
-        traversal with the paper's widest-dimension heuristic),
-        ``"round_robin"`` (ablation) or ``"dfs"`` (legacy depth-first
-        traversal - identical partition, legacy group order).
+        Mondrian split strategy: ``"widest"`` (default; the paper's
+        widest-dimension heuristic) or ``"round_robin"`` (ablation).
     anatomy_l:
         Number of distinct sensitive values per Anatomy bucket.
     **options:

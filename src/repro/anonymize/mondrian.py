@@ -18,40 +18,47 @@ Categorical attributes are split on their domain code order (the common
 Mondrian relaxation when full hierarchical splits are not required); numeric
 attributes are split on raw values.
 
-The candidate evaluation is vectorised: per node, the normalised widths and
-the median cut points of *every* dimension come from one NumPy pass over the
-group's value matrix (instead of one pass per attribute).  Two entry points
-consume the shared search:
+The search runs **frontier-synchronously**: the unresolved nodes of every
+region form one frontier held as one flat row array, and a round is a fixed
+set of NumPy passes over it, however many nodes it holds:
 
-* :meth:`MondrianAnonymizer.partition` - the run used by ``anonymize()``.
-  By default it executes **frontier-synchronously** (all candidate splits of
-  a round are checked through one ``is_satisfied_batch`` call - one batched
-  posterior pass for (B,t) models) and returns the groups in the recorded
-  tree's deterministic left-to-right leaf order.  The legacy depth-first
-  traversal survives as ``split_strategy="dfs"``; it cuts the *identical
-  partition* (both traversals try the same candidate splits per node), only
-  the emission order of the groups differs.
-* :meth:`MondrianAnonymizer.partition_forest` - the frontier-synchronous run
-  over one or more *regions* that records the split decisions as a tree of
-  :class:`MondrianNode` / :class:`MondrianLeaf`.  The recorded trees are what
-  :mod:`repro.stream` replays to route appended rows and re-split only dirty
-  leaves.
+* newly created nodes get their normalised widths from one
+  ``np.maximum.reduceat`` / ``np.minimum.reduceat`` over their concatenated
+  rows, and their dimension order from one stable descending argsort (or the
+  ``round_robin`` rotation);
+* every node takes the median of only the column it is trying; nodes trying
+  the same column share one gather and one ``lexsort``, and the median is
+  the middle element or the mean of the two middle ones - ``np.median``'s
+  arithmetic, bit for bit;
+* the ``<=`` cut (``<`` when the median is the maximum), the retry of a
+  degenerate cut and both halves come from segmented counts and one stable
+  per-segment partition;
+* all candidate halves go through one ``is_satisfied_batch`` call - for
+  (B,t) models one call of the tiled risk kernel.
+
+An accepted cut replaces its node by its two halves; a rejected one keeps
+the node, which tries its next dimension in the next round.  The recorded
+tree (:class:`MondrianNode` / :class:`MondrianLeaf`) is the same tree a
+node-by-node search records, and :meth:`MondrianAnonymizer.partition`
+returns its leaves in left-to-right order.  :mod:`repro.stream` replays the
+recorded trees to route appended rows and re-split only dirty leaves.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.data.table import MicrodataTable
 from repro.exceptions import AnonymizationError
+from repro.obs.tracing import current_tracer
 from repro.privacy.models import PrivacyModel
 
-_STRATEGIES = ("widest", "round_robin", "dfs")
+_STRATEGIES = ("widest", "round_robin")
 
 
 def spilled_value_matrix(source, *, directory: str | None = None) -> np.ndarray:
@@ -109,8 +116,8 @@ class MondrianSplit:
     """One accepted cut: ``value <= threshold`` goes left (``<`` when not inclusive).
 
     Numeric attributes cut on raw values, categorical attributes on domain
-    codes - the same convention :meth:`MondrianAnonymizer._median_split` uses,
-    so a recorded split can route rows that were not part of the original run.
+    codes - the convention of the value matrix the search runs on - so a
+    recorded split can route rows that were not part of the original run.
     """
 
     attribute: str
@@ -166,21 +173,6 @@ class MondrianNode:
         yield from self.right.leaves()
 
 
-@dataclass
-class _Frontier:
-    """One unresolved region during a frontier-synchronous run."""
-
-    indices: np.ndarray
-    depth: int
-    parent: MondrianNode | None  # None while this region is a forest root
-    side: str  # "left" / "right" / "root"
-    root_slot: int
-    dimensions: list[int] = field(default_factory=list)  # candidate columns, in try order
-    next_dimension: int = 0
-    medians: np.ndarray | None = None
-    proposal: tuple[MondrianSplit, np.ndarray, np.ndarray] | None = None
-
-
 class MondrianAnonymizer:
     """Top-down multidimensional Mondrian with a pluggable privacy requirement.
 
@@ -191,10 +183,8 @@ class MondrianAnonymizer:
         ``prepare``-d on the table at the start of :meth:`partition`.
     split_strategy:
         ``"widest"`` (paper / original Mondrian heuristic: split the dimension
-        with the widest normalised range, frontier-synchronous traversal),
-        ``"round_robin"`` (rotating dimension choice, ablation) or ``"dfs"``
-        (widest dimension ordering with the legacy depth-first traversal -
-        identical partition, legacy group emission order).
+        with the widest normalised range) or ``"round_robin"`` (rotating
+        dimension choice, ablation).
     """
 
     def __init__(self, model: PrivacyModel, *, split_strategy: str = "widest"):
@@ -220,58 +210,17 @@ class MondrianAnonymizer:
         :class:`~repro.exceptions.AnonymizationError` if even the whole table
         fails the requirement (no release is possible).
 
-        The default strategies run frontier-synchronously (every candidate
-        split of a round verified through one batched model call) and return
-        the groups in a **deterministic, documented order**: the left-to-right
-        leaf order of the recorded split tree, i.e. for every accepted cut the
-        ``value <= threshold`` half's groups precede the other half's.
-        ``split_strategy="dfs"`` opts back into the legacy iterative
-        depth-first traversal; both traversals try the same candidate splits
-        per node, so the *partition* is identical - only the group emission
-        order differs.
+        The groups come in a **deterministic, documented order**: the
+        left-to-right leaf order of the recorded split tree, i.e. for every
+        accepted cut the ``value <= threshold`` half's groups precede the
+        other half's.
 
         ``values`` optionally supplies a prebuilt value matrix - e.g. a
         :func:`spilled_value_matrix` memmap - instead of building the
         resident one from ``table``; the partition is identical either way.
         """
-        if prepare:
-            self.model.prepare(table)
-        self.statistics = MondrianStatistics()
-        all_indices = np.arange(table.n_rows, dtype=np.int64)
-        if not self.model.is_satisfied(all_indices):
-            raise AnonymizationError(
-                "the whole table does not satisfy the privacy requirement; no release is possible"
-            )
-        if self.split_strategy != "dfs":
-            root = self.partition_forest(table, [all_indices], values=values)[0]
-            return [leaf.indices for leaf in root.leaves()]
-        return self._partition_dfs(table, all_indices, values=values)
-
-    def _partition_dfs(
-        self,
-        table: MicrodataTable,
-        all_indices: np.ndarray,
-        values: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
-        """The legacy iterative depth-first traversal (``split_strategy="dfs"``)."""
-        qi_names = list(table.quasi_identifier_names)
-        spans = self._span_vector(table, qi_names)
-        values = self._checked_values(table, qi_names, values)
-        groups: list[np.ndarray] = []
-        # Iterative depth-first traversal to avoid recursion limits on large tables.
-        stack: list[tuple[np.ndarray, int]] = [(all_indices, 0)]
-        while stack:
-            indices, depth = stack.pop()
-            self.statistics.max_depth = max(self.statistics.max_depth, depth)
-            split = self._find_split(values, indices, qi_names, spans, depth)
-            if split is None:
-                groups.append(np.sort(indices))
-                self.statistics.n_groups += 1
-            else:
-                _, left, right = split
-                stack.append((left, depth + 1))
-                stack.append((right, depth + 1))
-        return groups
+        root = self.partition_tree(table, prepare=prepare, values=values)
+        return [leaf.indices for leaf in root.leaves()]
 
     def partition_tree(
         self,
@@ -280,13 +229,12 @@ class MondrianAnonymizer:
         prepare: bool = True,
         values: np.ndarray | None = None,
     ) -> MondrianNode | MondrianLeaf:
-        """Like :meth:`partition`, but record the split decisions as a tree.
+        """Like :meth:`partition`, but return the recorded split tree.
 
-        The leaves of the returned tree (in :meth:`MondrianNode.leaves` order)
-        are exactly the groups a :meth:`partition` call would produce - the
-        two entry points share the same per-node candidate search - plus the
-        routing information (:class:`MondrianSplit`) the streaming publisher
-        needs to place appended rows.
+        Its leaves (in :meth:`MondrianNode.leaves` order) are exactly the
+        groups :meth:`partition` returns, plus the routing information
+        (:class:`MondrianSplit`) the streaming publisher needs to place
+        appended rows.
         """
         if prepare:
             self.model.prepare(table)
@@ -306,14 +254,15 @@ class MondrianAnonymizer:
         depths: Sequence[int] | None = None,
         values: np.ndarray | None = None,
     ) -> list[MondrianNode | MondrianLeaf]:
-        """Recursively split several regions at once, frontier-synchronously.
+        """Recursively split several regions at once, one frontier round at a time.
 
         Every region is assumed to *already satisfy* the privacy model (the
         caller checks, e.g. the whole-table check of :meth:`partition_tree` or
-        the merge-up walk of the streaming publisher).  Per frontier round all
-        candidate splits - across every region - are verified through a single
-        ``is_satisfied_batch`` call, so models with a batched risk kernel
-        evaluate the whole round in one posterior pass.
+        the merge-up walk of the streaming publisher) and to hold at least one
+        row.  The frontier - every unresolved node of every region - lives in
+        one flat row array, and each round is a fixed set of array passes over
+        it (see the module docstring); all candidate splits of a round are
+        verified through a single ``is_satisfied_batch`` call.
 
         ``depths`` gives the tree depth each region starts at (it offsets the
         ``round_robin`` dimension rotation and the depth statistics); it
@@ -329,58 +278,203 @@ class MondrianAnonymizer:
             depths = [0] * len(regions)
         if len(depths) != len(regions):
             raise AnonymizationError("depths must align one-to-one with regions")
+        regions = [np.asarray(region, dtype=np.int64) for region in regions]
+        if any(region.size == 0 for region in regions):
+            raise AnonymizationError("every region must hold at least one row")
 
         roots: list[MondrianNode | MondrianLeaf | None] = [None] * len(regions)
-        frontier = [
-            _Frontier(
-                indices=np.asarray(region, dtype=np.int64),
-                depth=int(depth),
-                parent=None,
-                side="root",
-                root_slot=slot,
-            )
-            for slot, (region, depth) in enumerate(zip(regions, depths))
+        # Frontier entry e owns rows[starts[e] : starts[e] + sizes[e]]; its
+        # ``targets[e]`` is (parent node, "left"/"right") or (None, root slot).
+        rows = np.concatenate(regions) if regions else np.empty(0, dtype=np.int64)
+        sizes = np.array([region.size for region in regions], dtype=np.int64)
+        depth = np.array(depths, dtype=np.int64).reshape(-1)
+        targets: list[tuple[MondrianNode | None, str | int]] = [
+            (None, slot) for slot in range(len(regions))
         ]
-        for entry in frontier:
-            self._start_entry(entry, values, spans)
+        order, n_candidates = self._dimension_order(values, rows, sizes, depth, spans)
+        tried = np.zeros(sizes.size, dtype=np.int64)
+        tracer = current_tracer()
 
-        while frontier:
-            proposals: list[_Frontier] = []
-            for entry in frontier:
-                self.statistics.max_depth = max(self.statistics.max_depth, entry.depth)
-                if self._propose(entry, values, qi_names):
-                    proposals.append(entry)
-                else:
-                    self._finalise_leaf(entry, roots)
-            if not proposals:
-                break
-            halves: list[np.ndarray] = []
-            for entry in proposals:
-                halves.extend(entry.proposal[1:])
-            verdicts = self.model.is_satisfied_batch(halves)
-            self.statistics.n_split_attempts += len(proposals)
-            frontier = []
-            for position, entry in enumerate(proposals):
-                split, left, right = entry.proposal
-                entry.proposal = None
-                if verdicts[2 * position] and verdicts[2 * position + 1]:
-                    node = MondrianNode(split=split, depth=entry.depth)
-                    self._attach(entry, node, roots)
-                    for side, indices in (("left", left), ("right", right)):
-                        child = _Frontier(
-                            indices=indices,
-                            depth=entry.depth + 1,
-                            parent=node,
-                            side=side,
-                            root_slot=entry.root_slot,
-                        )
-                        self._start_entry(child, values, spans)
-                        frontier.append(child)
-                else:
-                    self.statistics.n_rejected_splits += 1
-                    entry.next_dimension += 1
-                    frontier.append(entry)
+        while sizes.size:
+            self.statistics.max_depth = max(self.statistics.max_depth, int(depth.max()))
+            with tracer.span(
+                "mondrian.round", entries=int(sizes.size), rows=int(rows.size)
+            ) as span:
+                starts = _offsets(sizes)
+                column, threshold, inclusive, n_left, goes_left = self._median_cuts(
+                    values, rows, starts, sizes, order, n_candidates, tried
+                )
+                leaves = np.flatnonzero(n_left == 0)
+                for entry in leaves.tolist():
+                    start = int(starts[entry])
+                    indices = rows[start : start + int(sizes[entry])]
+                    leaf = MondrianLeaf(
+                        indices=np.sort(indices),
+                        depth=int(depth[entry]),
+                        searched_size=int(indices.size),
+                    )
+                    self._attach(targets[entry], leaf, roots)
+                self.statistics.n_groups += int(leaves.size)
+                proposing = np.flatnonzero(n_left)
+                span.annotate(proposals=int(proposing.size), rejected=0)
+                if not proposing.size:
+                    break
+
+                positions = _segment_positions(starts[proposing], sizes[proposing])
+                held = rows[positions]
+                proposal_sizes = sizes[proposing]
+                proposal_left = n_left[proposing]
+                cut = _stable_cut(held, goes_left[positions], proposal_sizes, proposal_left)
+                local = _offsets(proposal_sizes)
+                halves = []
+                for start, middle, stop in zip(
+                    local.tolist(),
+                    (local + proposal_left).tolist(),
+                    (local + proposal_sizes).tolist(),
+                ):
+                    halves.append(cut[start:middle])
+                    halves.append(cut[middle:stop])
+                verdicts = np.asarray(self.model.is_satisfied_batch(halves), dtype=bool)
+                accepted = verdicts[0::2] & verdicts[1::2]
+                n_rejected = int(proposing.size - accepted.sum())
+                span.annotate(rejected=n_rejected)
+                self.statistics.n_split_attempts += int(proposing.size)
+                self.statistics.n_rejected_splits += n_rejected
+
+                # The next frontier, in proposal order: an accepted entry
+                # becomes its two halves, a rejected one stays (rows in their
+                # original order) and tries its next candidate column.
+                next_targets: list[tuple[MondrianNode | None, str | int]] = []
+                for entry, ok in zip(proposing.tolist(), accepted.tolist()):
+                    if not ok:
+                        next_targets.append(targets[entry])
+                        continue
+                    node = MondrianNode(
+                        split=MondrianSplit(
+                            attribute=qi_names[column[entry]],
+                            threshold=float(threshold[entry]),
+                            inclusive=bool(inclusive[entry]),
+                        ),
+                        depth=int(depth[entry]),
+                    )
+                    self._attach(targets[entry], node, roots)
+                    next_targets.extend(((node, "left"), (node, "right")))
+                targets = next_targets
+                rows = np.where(np.repeat(accepted, proposal_sizes), cut, held)
+                child_sizes = np.stack(
+                    [
+                        np.where(accepted, proposal_left, proposal_sizes),
+                        np.where(accepted, proposal_sizes - proposal_left, 0),
+                    ],
+                    axis=1,
+                ).reshape(-1)
+                kept = child_sizes > 0
+                parent = np.repeat(proposing, 2)[kept]
+                fresh = np.repeat(accepted, 2)[kept]
+                sizes = child_sizes[kept]
+                depth = depth[parent] + fresh
+                tried = np.where(fresh, 0, tried[parent] + 1)
+                order = order[parent]
+                n_candidates = n_candidates[parent]
+                if fresh.any():
+                    born = np.flatnonzero(fresh)
+                    born_rows = rows[_segment_positions(_offsets(sizes)[born], sizes[born])]
+                    order[born], n_candidates[born] = self._dimension_order(
+                        values, born_rows, sizes[born], depth[born], spans
+                    )
         return roots
+
+    # -- frontier passes ---------------------------------------------------------------
+    def _dimension_order(
+        self,
+        values: np.ndarray,
+        rows: np.ndarray,
+        sizes: np.ndarray,
+        depth: np.ndarray,
+        spans: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate columns of new frontier entries, in try order.
+
+        One gather of the entries' concatenated rows and one max / min
+        ``reduceat`` give every entry's normalised widths; the first
+        ``n_candidates[e]`` columns of ``order[e]`` are its positive-width
+        dimensions, widest first (a stable sort, so ties keep column order)
+        or rotated by depth for ``round_robin``.
+        """
+        if not sizes.size:
+            return np.empty((0, spans.size), dtype=np.int64), np.empty(0, dtype=np.int64)
+        sub = values[rows]
+        starts = _offsets(sizes)
+        widths = (
+            np.maximum.reduceat(sub, starts, axis=0) - np.minimum.reduceat(sub, starts, axis=0)
+        ) / spans
+        positive = widths > 0.0
+        n_candidates = positive.sum(axis=1)
+        if self.split_strategy == "widest":
+            return np.argsort(-widths, axis=1, kind="stable"), n_candidates
+        candidates = np.argsort(~positive, axis=1, kind="stable")
+        period = np.maximum(n_candidates, 1)[:, None]
+        rotation = ((depth[:, None] % period) + np.arange(spans.size)) % period
+        return np.take_along_axis(candidates, rotation, axis=1), n_candidates
+
+    @staticmethod
+    def _median_cuts(
+        values: np.ndarray,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        sizes: np.ndarray,
+        order: np.ndarray,
+        n_candidates: np.ndarray,
+        tried: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry's median cut on its next viable candidate column.
+
+        Returns per-entry ``column``, ``threshold``, ``inclusive`` and
+        ``n_left`` (0 when no candidate is left: the entry becomes a leaf),
+        plus the per-row left-half mask.  Entries trying the same column share
+        one gather and one ``lexsort``; the median is the middle element or
+        the mean of the two middle ones, which is :func:`numpy.median`'s
+        arithmetic.  The cut is ``value <= median``, or ``value < median``
+        when that would take every row; an entry whose cut is still
+        degenerate advances ``tried`` to its next candidate within the round.
+        """
+        n_entries = sizes.size
+        column = np.zeros(n_entries, dtype=np.int64)
+        threshold = np.zeros(n_entries, dtype=np.float64)
+        inclusive = np.ones(n_entries, dtype=bool)
+        n_left = np.zeros(n_entries, dtype=np.int64)
+        goes_left = np.zeros(rows.size, dtype=bool)
+        pending = np.flatnonzero(tried < n_candidates)
+        while pending.size:
+            column[pending] = order[pending, tried[pending]]
+            for dimension in np.unique(column[pending]).tolist():
+                entries = pending[column[pending] == dimension]
+                entry_sizes = sizes[entries]
+                positions = _segment_positions(starts[entries], entry_sizes)
+                cells = values[rows[positions], dimension]
+                segment = np.repeat(np.arange(entries.size), entry_sizes)
+                ranked = cells[np.lexsort((cells, segment))]
+                local = _offsets(entry_sizes)
+                low = ranked[local + (entry_sizes - 1) // 2]
+                high = ranked[local + entry_sizes // 2]
+                median = np.where(entry_sizes % 2 == 1, low, (low + high) / 2.0)
+                left = cells <= median[segment]
+                count = np.bincount(segment[left], minlength=entries.size)
+                strict = count == entry_sizes
+                if strict.any():
+                    # The median is the maximum: cut strictly below it instead.
+                    redo = strict[segment]
+                    left[redo] = cells[redo] < median[segment[redo]]
+                    count = np.bincount(segment[left], minlength=entries.size)
+                goes_left[positions] = left
+                threshold[entries] = median
+                inclusive[entries] = ~strict
+                n_left[entries] = count
+            degenerate = pending[(n_left[pending] == 0) | (n_left[pending] == sizes[pending])]
+            n_left[degenerate] = 0
+            tried[degenerate] += 1
+            pending = degenerate[tried[degenerate] < n_candidates[degenerate]]
+        return column, threshold, inclusive, n_left, goes_left
 
     # -- helpers -----------------------------------------------------------------------
     @staticmethod
@@ -421,121 +515,49 @@ class MondrianAnonymizer:
                 spans[position] = max(float(domain.size - 1), 1e-12)
         return spans
 
-    def _ordered_dimensions(
-        self, sub: np.ndarray, spans: np.ndarray, depth: int
-    ) -> list[int]:
-        """Candidate dimension columns in try order (one NumPy pass for all widths)."""
-        widths = (sub.max(axis=0) - sub.min(axis=0)) / spans
-        candidates = [int(j) for j in np.flatnonzero(widths > 0.0)]
-        if not candidates:
-            return []
-        if self.split_strategy != "round_robin":
-            # "widest" and its depth-first twin "dfs" share the dimension order.
-            return sorted(candidates, key=lambda j: widths[j], reverse=True)
-        offset = depth % len(candidates)
-        return candidates[offset:] + candidates[:offset]
-
-    def _start_entry(self, entry: _Frontier, values: np.ndarray, spans: np.ndarray) -> None:
-        sub = values[entry.indices]
-        entry.dimensions = self._ordered_dimensions(sub, spans, entry.depth)
-        entry.medians = np.median(sub, axis=0) if entry.dimensions else None
-        entry.next_dimension = 0
-
-    def _propose(self, entry: _Frontier, values: np.ndarray, qi_names: list[str]) -> bool:
-        """Advance ``entry`` to its next viable candidate split (False = leaf)."""
-        while entry.next_dimension < len(entry.dimensions):
-            column = entry.dimensions[entry.next_dimension]
-            halves = self._cut(
-                values[entry.indices, column], float(entry.medians[column])
-            )
-            if halves is None:
-                entry.next_dimension += 1
-                continue
-            left_mask, inclusive = halves
-            split = MondrianSplit(
-                attribute=qi_names[column],
-                threshold=float(entry.medians[column]),
-                inclusive=inclusive,
-            )
-            entry.proposal = (
-                split,
-                entry.indices[left_mask],
-                entry.indices[~left_mask],
-            )
-            return True
-        return False
-
-    @staticmethod
-    def _cut(column: np.ndarray, median: float) -> tuple[np.ndarray, bool] | None:
-        """Left-half mask for a median cut (None when the cut is degenerate)."""
-        left_mask = column <= median
-        inclusive = True
-        if left_mask.all():
-            # Median equals the maximum; split strictly below it instead.
-            left_mask = column < median
-            inclusive = False
-        if not left_mask.any() or left_mask.all():
-            return None
-        return left_mask, inclusive
-
-    def _find_split(
-        self,
-        values: np.ndarray,
-        indices: np.ndarray,
-        qi_names: list[str],
-        spans: np.ndarray,
-        depth: int,
-    ) -> tuple[MondrianSplit, np.ndarray, np.ndarray] | None:
-        """The best allowable split of one group (vectorised candidate search).
-
-        Widths and medians for *all* candidate dimensions come from one NumPy
-        pass over the group's value matrix; candidates are then tried in
-        strategy order, each verified with one batched model call.
-        """
-        sub = values[indices]
-        ordered = self._ordered_dimensions(sub, spans, depth)
-        if not ordered:
-            return None
-        medians = np.median(sub, axis=0)
-        for column in ordered:
-            halves = self._cut(sub[:, column], float(medians[column]))
-            if halves is None:
-                continue
-            left_mask, inclusive = halves
-            left, right = indices[left_mask], indices[~left_mask]
-            self.statistics.n_split_attempts += 1
-            # One batched call so models with a vectorised posterior kernel
-            # ((B,t)-privacy, skylines) evaluate both halves in a single pass.
-            if all(self.model.is_satisfied_batch((left, right))):
-                split = MondrianSplit(
-                    attribute=qi_names[column],
-                    threshold=float(medians[column]),
-                    inclusive=inclusive,
-                )
-                return split, left, right
-            self.statistics.n_rejected_splits += 1
-        return None
-
-    def _finalise_leaf(
-        self, entry: _Frontier, roots: list[MondrianNode | MondrianLeaf | None]
-    ) -> None:
-        leaf = MondrianLeaf(
-            indices=np.sort(entry.indices),
-            depth=entry.depth,
-            searched_size=int(entry.indices.size),
-        )
-        self.statistics.n_groups += 1
-        self._attach(entry, leaf, roots)
-
     @staticmethod
     def _attach(
-        entry: _Frontier,
+        target: tuple[MondrianNode | None, str | int],
         node: MondrianNode | MondrianLeaf,
         roots: list[MondrianNode | MondrianLeaf | None],
     ) -> None:
-        if entry.parent is None:
-            roots[entry.root_slot] = node
-        elif entry.side == "left":
-            entry.parent.left = node
+        parent, side = target
+        if parent is None:
+            roots[side] = node
         else:
-            entry.parent.right = node
+            setattr(parent, side, node)
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Start of each segment when segments of ``sizes`` lie back to back."""
+    offsets = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=offsets[1:])
+    return offsets
+
+
+def _stable_cut(
+    rows: np.ndarray, goes_left: np.ndarray, sizes: np.ndarray, n_left: np.ndarray
+) -> np.ndarray:
+    """Every segment's rows reordered into its left half, then its right half.
+
+    Both halves keep the rows' original order (a stable per-segment
+    partition, from one running count of left rows).
+    """
+    local = _offsets(sizes)
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    lefts_before = np.cumsum(goes_left) - goes_left
+    left_rank = lefts_before - lefts_before[local][segment]
+    right_rank = np.arange(rows.size) - local[segment] - left_rank
+    destination = local[segment] + np.where(
+        goes_left, left_rank, n_left[segment] + right_rank
+    )
+    cut = np.empty_like(rows)
+    cut[destination] = rows
+    return cut
+
+
+def _segment_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions ``start .. start + size - 1`` of every segment, concatenated."""
+    return np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(
+        starts - _offsets(sizes), sizes
+    )

@@ -158,10 +158,9 @@ def run_mondrian(
 ) -> tuple[list[np.ndarray], str]:
     """Mondrian multidimensional generalization (the paper's algorithm).
 
-    The default ``"widest"`` strategy runs frontier-synchronously (one batched
-    requirement check per round, groups in deterministic left-to-right tree
-    order); ``"dfs"`` opts back into the legacy depth-first traversal, which
-    cuts the identical partition in the legacy emission order.
+    Runs frontier-synchronously (one batched requirement check per round,
+    groups in deterministic left-to-right tree order) with the ``"widest"``
+    (default) or ``"round_robin"`` split strategy.
 
     ``spill=True`` builds the value matrix chunk by chunk into an unlinked
     temp-file memmap (:func:`~repro.anonymize.mondrian.spilled_value_matrix`)

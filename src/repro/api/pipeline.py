@@ -174,7 +174,6 @@ class Pipeline:
         skyline: list[tuple[Any, float]] | None = None,
         *,
         method: str = "omega",
-        chunk_rows: int | None = None,
     ) -> "Pipeline":
         """Audit the release against a whole skyline ``{(B_i, t_i)}`` of adversaries.
 
@@ -186,7 +185,6 @@ class Pipeline:
         self._skyline_audit = {
             "skyline": list(skyline) if skyline is not None else None,
             "method": method,
-            "chunk_rows": chunk_rows,
         }
         return self
 
@@ -327,7 +325,6 @@ class Pipeline:
                         result.release.groups,
                         points,
                         method=self._skyline_audit["method"],
-                        chunk_rows=self._skyline_audit["chunk_rows"],
                     )
                 timings["skyline_audit_seconds"] = skyline_span.duration_s
 

@@ -365,7 +365,6 @@ class Session:
         *,
         method: str = "omega",
         kernel: str | None = None,
-        chunk_rows: int | None = None,
     ) -> SkylineAuditReport:
         """Audit a release against a whole skyline ``{(B_i, t_i)}`` in one pass.
 
@@ -394,7 +393,6 @@ class Session:
             method=method,
             measure=self.measure("smoothed-js", kernel=kernel),
             priors=priors,
-            chunk_rows=chunk_rows,
             distance_matrices={
                 name: self.distance_matrix(name)
                 for name in self.table.quasi_identifier_names

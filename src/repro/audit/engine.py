@@ -8,15 +8,15 @@ Figure 4(b) shows dominating the pipeline.  The engine removes the redundancy:
   :class:`~repro.knowledge.prior.BatchedKernelPriorEstimator` pass, which
   shares all bandwidth-independent work (distance matrices, QI
   de-duplication, the count-tensor factorisation);
-* **posteriors and risks** reuse the same vectorised
-  :func:`~repro.inference.omega.posterior_for_groups` /
-  :func:`~repro.privacy.disclosure.attack_result` path as the single-adversary
+* **posteriors and risks** go through the same risk kernel
+  (:func:`~repro.privacy.disclosure.member_risks`, via
+  :func:`~repro.privacy.disclosure.attack_result`) as the single-adversary
   attack, so the reported risks are numerically identical to looping
-  :class:`~repro.privacy.disclosure.BackgroundKnowledgeAttack`;
+  :class:`~repro.privacy.disclosure.BackgroundKnowledgeAttack`; the kernel's
+  fixed row tiles bound each pass's working set on any table;
 * the per-adversary posterior passes are independent, so they run on the
   shared thread pool of :mod:`repro.knowledge.parallel` (sized by
-  ``config.jobs``; risks are bitwise identical at any thread count), and
-  very large tables can bound each pass's working set with ``chunk_rows``.
+  ``config.jobs``; risks are bitwise identical at any thread count).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.data.table import MicrodataTable
 from repro.exceptions import AuditError
-from repro.inference.omega import grouped_posterior
 from repro.knowledge.backend import EstimatorConfig, resolve_config
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.parallel import resolve_jobs, run_tasks
@@ -40,6 +39,7 @@ from repro.privacy.disclosure import (
     attack_result,
     count_vulnerable_tuples,
     max_risk,
+    member_risks,
 )
 from repro.privacy.measures import DistanceMeasure, sensitive_distance_measure
 
@@ -196,11 +196,6 @@ class SkylineAuditEngine:
         Optional precomputed priors aligned with ``skyline`` (``None`` entries
         are estimated).  This is how :class:`~repro.api.session.Session`
         injects its cache.
-    chunk_rows:
-        Optional row cap per posterior pass (bounds memory on huge tables;
-        up to ``jobs`` passes run at once).
-        Distinct from ``config.chunk_rows``, which chunks the estimator's
-        *fit* over a table source.
     max_cells:
         Cell budget for the factored estimation backend's blocked contraction
         (see :class:`~repro.knowledge.backend.FactoredPriorBackend`; ``0``
@@ -225,7 +220,6 @@ class SkylineAuditEngine:
         method: str = "omega",
         measure: DistanceMeasure | None = None,
         priors: Sequence[PriorBeliefs | None] | None = None,
-        chunk_rows: int | None = None,
         max_cells: int | None = None,
         jobs: int | None = None,
         distance_matrices: dict[str, np.ndarray] | None = None,
@@ -240,7 +234,6 @@ class SkylineAuditEngine:
         self.config = resolve_config(config, kernel=kernel, max_cells=max_cells, jobs=jobs)
         self.kernel = self.config.kernel
         self.method = method
-        self.chunk_rows = chunk_rows
         self.max_cells = int(self.config.max_cells)
         self.jobs = self.config.jobs
         self._distance_matrices = distance_matrices
@@ -291,14 +284,16 @@ class SkylineAuditEngine:
         threads (``jobs=1`` is the inline loop).  Callers :meth:`prepare`
         first, so no adversary task ever submits pool work of its own.  Each
         ``engine.adversary`` span attaches to the caller's open span, so
-        concurrent audits keep their trees apart.
+        concurrent audits keep their trees apart, and the caller's tracer is
+        the pool thread's ambient one, so the risk kernel's spans nest under
+        their adversary.
         """
         tracer = current_tracer()
         parent = tracer.current()
 
         def task(index: int) -> Any:
             adversary = self.adversaries[index]
-            with tracer.attach(parent), tracer.span(
+            with tracer.activate(), tracer.attach(parent), tracer.span(
                 "engine.adversary", b=adversary.scalar_b, t=adversary.t
             ) as span:
                 return attack(index, span)
@@ -320,7 +315,7 @@ class SkylineAuditEngine:
             return attack_result(
                 self._priors[index].matrix, sensitive_codes, group_list, self.measure,
                 adversary_b=adversary.scalar_b, threshold=adversary.t,
-                method=self.method, chunk_rows=self.chunk_rows,
+                method=self.method,
             )
 
         attacks = self._per_adversary(attack)
@@ -432,11 +427,10 @@ class SkylineAuditEngine:
                 offsets = np.cumsum(
                     [0] + [group.size for group in stale[:-1]], dtype=np.int64
                 )
-                prior_rows = prior.matrix[members]
-                posterior_rows = grouped_posterior(
-                    prior_rows, sensitive_codes[members], offsets, method=self.method
+                risks[members] = member_risks(
+                    prior.matrix, sensitive_codes, members, offsets, self.measure,
+                    method=self.method,
                 )
-                risks[members] = self.measure.rowwise(prior_rows, posterior_rows)
             span.annotate(recomputed_groups=len(stale))
             return AttackResult(
                 adversary_b=adversary.scalar_b,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import InferenceError
-from repro.inference.exact import _validate_group
+from repro.inference.exact import _validate_group, exact_posterior
 
 
 def omega_posterior(prior: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -76,48 +76,128 @@ def omega_posterior(prior: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return posterior
 
 
-def _omega_posterior_flat(
-    prior_rows: np.ndarray,
-    code_rows: np.ndarray,
-    offsets: np.ndarray,
-    sizes: np.ndarray,
-) -> np.ndarray:
-    """Omega posteriors for many groups at once (one flat pass, no Python loop).
+#: Member rows per tile of :func:`posterior_tiles`: every tile's temporaries
+#: stay a few hundred kilobytes, whatever the number of rows.
+TILE_ROWS = 4096
 
-    ``prior_rows``/``code_rows`` hold the member rows of every group laid out
-    contiguously (group ``g`` occupies ``offsets[g] : offsets[g] + sizes[g]``).
-    Returns the posterior rows in the same layout.  Exactly reproduces
-    :func:`omega_posterior` applied group by group, including both degenerate
-    fallbacks.
+
+def layout_groups(groups: list[np.ndarray], n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lay a partition's non-empty groups back to back: ``(members, offsets)``.
+
+    Raises :class:`~repro.exceptions.InferenceError` when a group index is
+    out of range or a tuple appears in more than one group.
     """
-    n_rows, m = prior_rows.shape
-    n_groups = offsets.shape[0]
-    group_of = np.repeat(np.arange(n_groups), sizes)
+    populated = [np.asarray(group, dtype=np.int64) for group in groups]
+    populated = [indices for indices in populated if indices.size]
+    if not populated:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    members = np.concatenate(populated)
+    if members.min() < 0 or members.max() >= n_rows:
+        raise InferenceError("group index out of range")
+    seen = np.zeros(n_rows, dtype=bool)
+    seen[members] = True
+    if int(seen.sum()) != members.size:
+        raise InferenceError("groups overlap: a tuple appears in more than one group")
+    offsets = np.cumsum([0] + [indices.size for indices in populated[:-1]], dtype=np.int64)
+    return members, offsets
 
-    counts = np.bincount(group_of * m + code_rows, minlength=n_groups * m)
-    counts = counts.reshape(n_groups, m).astype(np.float64)
+
+def posterior_tiles(
+    prior_matrix: np.ndarray,
+    sensitive_codes: np.ndarray,
+    members: np.ndarray,
+    offsets: np.ndarray,
+    *,
+    method: str = "omega",
+):
+    """Posterior rows of groups laid out back to back, one row tile at a time.
+
+    Parameters
+    ----------
+    prior_matrix:
+        ``(n, m)`` prior beliefs of the whole table.
+    sensitive_codes:
+        Length-``n`` sensitive codes of the whole table.
+    members:
+        Table rows of every group, groups back to back (a row may appear in
+        several groups: Mondrian checks alternative candidate splits).
+    offsets:
+        Start of each group within ``members`` (strictly increasing, starting
+        at 0); the last group runs to the end.
+    method:
+        ``"omega"`` or ``"exact"``.
+
+    Yields ``(start, stop, prior_rows, posterior_rows)`` for consecutive
+    tiles of at most :data:`TILE_ROWS` member rows.  One group pass first
+    takes every group's sensitive counts and prior column sums (a sequential
+    ``np.add.reduceat``); each tile then forms its rows' Omega posteriors
+    (Equation 5, with :func:`omega_posterior`'s two degenerate fallbacks), so
+    a group may span tiles and every row's posterior is bitwise the same
+    whatever the tiling.  ``method="exact"`` runs the count DP per group and
+    yields the result in the same tiles.
+    """
+    prior_matrix = np.asarray(prior_matrix, dtype=np.float64)
+    sensitive_codes = np.asarray(sensitive_codes, dtype=np.int64)
+    members = np.asarray(members, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if prior_matrix.ndim != 2 or prior_matrix.shape[0] != sensitive_codes.shape[0]:
+        raise InferenceError("prior matrix and sensitive codes must cover the same tuples")
+    if method not in {"omega", "exact"}:
+        raise InferenceError(f"unknown inference method {method!r}; use 'omega' or 'exact'")
+    n_rows = members.size
+    if offsets.size == 0:
+        if n_rows:
+            raise InferenceError("group offsets must be strictly increasing and start at 0")
+        return
+    if offsets[0] != 0 or np.any(np.diff(offsets) <= 0) or offsets[-1] >= n_rows:
+        raise InferenceError("group offsets must be strictly increasing and start at 0")
+    m = prior_matrix.shape[1]
+    code_rows = sensitive_codes[members]
+    if code_rows.min() < 0 or code_rows.max() >= m:
+        raise InferenceError("sensitive code out of range")
+    sizes = np.diff(np.append(offsets, n_rows))
+    group_of = np.repeat(np.arange(offsets.size), sizes)
+    counts = np.bincount(group_of * m + code_rows, minlength=offsets.size * m)
+    counts = counts.reshape(offsets.size, m).astype(np.float64)
+    prior_rows = prior_matrix[members]
+
+    if method == "exact":
+        posterior = np.empty_like(prior_rows)
+        for start, size, group_counts in zip(offsets, sizes, counts.astype(np.int64)):
+            stop = start + size
+            posterior[start:stop] = exact_posterior(prior_rows[start:stop], group_counts)
+        for start in range(0, n_rows, TILE_ROWS):
+            stop = min(start + TILE_ROWS, n_rows)
+            yield start, stop, prior_rows[start:stop], posterior[start:stop]
+        return
+
     column_sums = np.add.reduceat(prior_rows, offsets, axis=0)
     present = counts > 0.0
     positive_columns = present & (column_sums > 0.0)
     zero_columns = present & (column_sums <= 0.0)
-
+    any_zero_column = bool(zero_columns.any())
     safe_sums = np.where(column_sums > 0.0, column_sums, 1.0)
-    shares = np.where(positive_columns[group_of], prior_rows / safe_sums[group_of], 0.0)
-    if zero_columns.any():
-        uniform = (1.0 / sizes.astype(np.float64))[group_of]
-        shares = np.where(zero_columns[group_of], uniform[:, None], shares)
-
-    unnormalised = shares * counts[group_of]
-    row_sums = unnormalised.sum(axis=1)
-    good = row_sums > 0.0
-    posterior = np.where(
-        good[:, None], unnormalised / np.where(good, row_sums, 1.0)[:, None], 0.0
-    )
-    if not good.all():
-        empirical = counts / sizes.astype(np.float64)[:, None]
-        bad = ~good
-        posterior[bad] = empirical[group_of[bad]]
-    return posterior
+    float_sizes = sizes.astype(np.float64)
+    uniform = 1.0 / float_sizes
+    for start in range(0, n_rows, TILE_ROWS):
+        stop = min(start + TILE_ROWS, n_rows)
+        rows = prior_rows[start:stop]
+        group = group_of[start:stop]
+        shares = np.where(positive_columns[group], rows / safe_sums[group], 0.0)
+        if any_zero_column:
+            # Nobody's prior allows a present value: each member takes 1/k of it.
+            shares = np.where(zero_columns[group], uniform[group][:, None], shares)
+        unnormalised = shares * counts[group]
+        row_sums = unnormalised.sum(axis=1)
+        good = row_sums > 0.0
+        posterior = np.where(
+            good[:, None], unnormalised / np.where(good, row_sums, 1.0)[:, None], 0.0
+        )
+        if not good.all():
+            # The prior excludes every present value: fall back to n_i / k.
+            bad = ~good
+            posterior[bad] = counts[group[bad]] / float_sizes[group[bad], None]
+        yield start, stop, rows, posterior
 
 
 def grouped_posterior(
@@ -127,50 +207,24 @@ def grouped_posterior(
     *,
     method: str = "omega",
 ) -> np.ndarray:
-    """Posterior rows for a batch of groups laid out contiguously.
+    """Posterior rows for a batch of groups whose member rows are already gathered.
 
-    Parameters
-    ----------
-    prior_rows:
-        ``(r, m)`` prior beliefs of all group members, groups back to back.
-    code_rows:
-        Length-``r`` sensitive codes of the same members.
-    offsets:
-        Start index of each group within the rows (strictly increasing,
-        starting at 0); the last group runs to the end.
-    method:
-        ``"omega"`` (vectorised, one flat pass) or ``"exact"`` (count-DP per
-        group).
-
-    This is the shared kernel behind :func:`posterior_for_groups`, the batched
-    privacy-model checks and the skyline audit engine: callers that already
-    hold member rows (and may evaluate overlapping candidate groups, e.g. a
-    Mondrian split and its parent) use it directly.
+    ``prior_rows`` / ``code_rows`` hold the members of every group back to
+    back (group ``g`` starts at ``offsets[g]``); the result has the same
+    layout.  Groups may overlap in the table they came from - each laid-out
+    group is inferred independently.  Runs :func:`posterior_tiles` over the
+    rows.
     """
-    from repro.inference.exact import exact_posterior, group_sensitive_counts
-
     prior_rows = np.asarray(prior_rows, dtype=np.float64)
     code_rows = np.asarray(code_rows, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
     if prior_rows.ndim != 2 or prior_rows.shape[0] != code_rows.shape[0]:
         raise InferenceError("prior rows and sensitive codes must cover the same tuples")
-    if method not in {"omega", "exact"}:
-        raise InferenceError(f"unknown inference method {method!r}; use 'omega' or 'exact'")
-    if code_rows.size and (code_rows.min() < 0 or code_rows.max() >= prior_rows.shape[1]):
-        raise InferenceError("sensitive code out of range")
-    if offsets.size == 0:
-        return np.empty_like(prior_rows)
-    if offsets[0] != 0 or np.any(np.diff(offsets) <= 0) or offsets[-1] >= max(prior_rows.shape[0], 1):
-        raise InferenceError("group offsets must be strictly increasing and start at 0")
-    sizes = np.diff(np.append(offsets, prior_rows.shape[0]))
-    m = prior_rows.shape[1]
-    if method == "omega":
-        return _omega_posterior_flat(prior_rows, code_rows, offsets, sizes)
     posterior = np.empty_like(prior_rows)
-    for start, size in zip(offsets, sizes):
-        stop = start + size
-        counts = group_sensitive_counts(code_rows[start:stop], m)
-        posterior[start:stop] = exact_posterior(prior_rows[start:stop], counts)
+    members = np.arange(prior_rows.shape[0], dtype=np.int64)
+    for start, stop, _, tile in posterior_tiles(
+        prior_rows, code_rows, members, offsets, method=method
+    ):
+        posterior[start:stop] = tile
     return posterior
 
 
@@ -180,7 +234,6 @@ def posterior_for_groups(
     groups: list[np.ndarray],
     *,
     method: str = "omega",
-    chunk_rows: int | None = None,
 ) -> np.ndarray:
     """Posterior beliefs for every tuple of a partitioned table.
 
@@ -196,11 +249,6 @@ def posterior_for_groups(
     method:
         ``"omega"`` (default) for the linear-time estimate or ``"exact"`` for
         the count-DP exact inference.
-    chunk_rows:
-        Optional cap on how many member rows are materialised per flat pass.
-        Groups are processed in runs of at most this many tuples (always at
-        least one group per run), bounding the working set on very large
-        tables; the result does not depend on it.
 
     Returns
     -------
@@ -210,50 +258,15 @@ def posterior_for_groups(
 
     Notes
     -----
-    All groups are processed in one vectorised pass (bucketed by a group-id
-    vector and segment sums) rather than a per-group Python loop; with
+    The groups go through :func:`posterior_tiles`: one vectorised group pass,
+    then fixed row tiles, rather than a per-group Python loop; with
     ``method="exact"`` the count DP still runs per group.
     """
     prior_matrix = np.asarray(prior_matrix, dtype=np.float64)
-    sensitive_codes = np.asarray(sensitive_codes, dtype=np.int64)
-    if prior_matrix.ndim != 2 or prior_matrix.shape[0] != sensitive_codes.shape[0]:
-        raise InferenceError("prior matrix and sensitive codes must cover the same tuples")
-    if method not in {"omega", "exact"}:
-        raise InferenceError(f"unknown inference method {method!r}; use 'omega' or 'exact'")
-    if chunk_rows is not None and chunk_rows < 1:
-        raise InferenceError("chunk_rows must be a positive integer")
-    n = prior_matrix.shape[0]
+    members, offsets = layout_groups(groups, prior_matrix.shape[0])
     posterior = prior_matrix.copy()
-    seen = np.zeros(n, dtype=bool)
-
-    populated = []
-    for group in groups:
-        indices = np.asarray(group, dtype=np.int64)
-        if indices.size == 0:
-            continue
-        if indices.min() < 0 or indices.max() >= n:
-            raise InferenceError("group index out of range")
-        if seen[indices].any():
-            raise InferenceError("groups overlap: a tuple appears in more than one group")
-        seen[indices] = True
-        populated.append(indices)
-    if not populated:
-        return posterior
-
-    start = 0
-    while start < len(populated):
-        stop = start + 1
-        rows = populated[start].size
-        while stop < len(populated) and (
-            chunk_rows is None or rows + populated[stop].size <= chunk_rows
-        ):
-            rows += populated[stop].size
-            stop += 1
-        chunk = populated[start:stop]
-        members = np.concatenate(chunk)
-        offsets = np.cumsum([0] + [g.size for g in chunk[:-1]], dtype=np.int64)
-        posterior[members] = grouped_posterior(
-            prior_matrix[members], sensitive_codes[members], offsets, method=method
-        )
-        start = stop
+    for start, stop, _, tile in posterior_tiles(
+        prior_matrix, sensitive_codes, members, offsets, method=method
+    ):
+        posterior[members[start:stop]] = tile
     return posterior

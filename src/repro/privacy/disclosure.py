@@ -24,9 +24,44 @@ import numpy as np
 
 from repro.data.table import MicrodataTable
 from repro.exceptions import PrivacyModelError
-from repro.inference.omega import posterior_for_groups
+from repro.inference.omega import layout_groups, posterior_tiles
 from repro.knowledge.prior import PriorBeliefs, kernel_prior
+from repro.obs.tracing import current_tracer
 from repro.privacy.measures import DistanceMeasure, sensitive_distance_measure
+
+
+def member_risks(
+    prior_matrix: np.ndarray,
+    sensitive_codes: np.ndarray,
+    members: np.ndarray,
+    offsets: np.ndarray,
+    measure: DistanceMeasure,
+    *,
+    method: str = "omega",
+) -> np.ndarray:
+    """The risk kernel: ``D[prior, posterior]`` of every member row of many groups.
+
+    ``members`` holds the table rows of every group back to back and
+    ``offsets`` each group's start (see
+    :func:`~repro.inference.omega.posterior_tiles`).  One group pass takes
+    every group's sensitive counts and prior column sums; the rows are then
+    walked in fixed tiles of :data:`~repro.inference.omega.TILE_ROWS`, each
+    forming its posteriors and calling ``measure.rowwise`` into one output
+    vector, so the working set stays bounded and every row goes through the
+    same operations whatever the tiling.  Every group-risk check - the
+    (B,t) model's Mondrian checks, full and incremental skyline audits,
+    single-adversary attacks - runs through here.
+    """
+    risks = np.empty(np.shape(members)[0], dtype=np.float64)
+    with current_tracer().span("privacy.risks", rows=int(risks.size)) as span:
+        tiles = 0
+        for start, stop, prior_rows, posterior_rows in posterior_tiles(
+            prior_matrix, sensitive_codes, members, offsets, method=method
+        ):
+            risks[start:stop] = measure.rowwise(prior_rows, posterior_rows)
+            tiles += 1
+        span.annotate(tiles=tiles)
+    return risks
 
 
 def tuple_disclosure_risks(
@@ -36,7 +71,6 @@ def tuple_disclosure_risks(
     measure: DistanceMeasure,
     *,
     method: str = "omega",
-    chunk_rows: int | None = None,
 ) -> np.ndarray:
     """Knowledge gain ``D[prior, posterior]`` for every tuple of a partitioned table.
 
@@ -53,15 +87,23 @@ def tuple_disclosure_risks(
         Distance measure ``D[P, Q]``.
     method:
         Posterior inference method, ``"omega"`` (default) or ``"exact"``.
-    chunk_rows:
-        Optional row cap per posterior pass (see
-        :func:`repro.inference.omega.posterior_for_groups`).
+
+    Tuples outside every group keep their prior as posterior, so their risk
+    is ``D[prior, prior]``.
     """
-    prior_matrix = priors.matrix if isinstance(priors, PriorBeliefs) else np.asarray(priors)
-    posterior_matrix = posterior_for_groups(
-        prior_matrix, sensitive_codes, groups, method=method, chunk_rows=chunk_rows
+    prior_matrix = priors.matrix if isinstance(priors, PriorBeliefs) else priors
+    prior_matrix = np.asarray(prior_matrix, dtype=np.float64)
+    members, offsets = layout_groups(groups, prior_matrix.shape[0])
+    risks = np.empty(prior_matrix.shape[0], dtype=np.float64)
+    risks[members] = member_risks(
+        prior_matrix, sensitive_codes, members, offsets, measure, method=method
     )
-    return measure.rowwise(prior_matrix, posterior_matrix)
+    if members.size < risks.size:
+        uncovered = np.ones(risks.size, dtype=bool)
+        uncovered[members] = False
+        alone = prior_matrix[uncovered]
+        risks[uncovered] = measure.rowwise(alone, alone)
+    return risks
 
 
 def max_risk(risks: np.ndarray) -> float:
@@ -79,7 +121,6 @@ def attack_result(
     adversary_b: float,
     threshold: float,
     method: str = "omega",
-    chunk_rows: int | None = None,
 ) -> "AttackResult":
     """One risks computation shared by every audit entry point.
 
@@ -87,9 +128,7 @@ def attack_result(
     and the skyline audit engine all route through here, so their reported
     risks are byte-for-byte the same computation.
     """
-    risks = tuple_disclosure_risks(
-        priors, sensitive_codes, groups, measure, method=method, chunk_rows=chunk_rows
-    )
+    risks = tuple_disclosure_risks(priors, sensitive_codes, groups, measure, method=method)
     return AttackResult(
         adversary_b=float(adversary_b),
         threshold=float(threshold),

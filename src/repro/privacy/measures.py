@@ -23,7 +23,7 @@ functions so privacy models can treat the measure as a configuration value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -311,6 +311,7 @@ class HierarchicalEMD(DistanceMeasure):
                 weights.append(weight)
         self._masks = np.asarray(masks)
         self._weights = np.asarray(weights)
+        self._edge_columns = [np.flatnonzero(mask) for mask in masks]
 
     def __call__(self, p: np.ndarray, q: np.ndarray) -> float:
         p, q = _validate_pair(p, q)
@@ -326,27 +327,49 @@ class HierarchicalEMD(DistanceMeasure):
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
         if p.shape != q.shape:
             raise PrivacyModelError("rowwise distance requires matrices of identical shape")
-        flows = (p - q) @ self._masks.T
-        return np.abs(flows) @ self._weights
+        # Per-row sums rather than BLAS products, so a row's distance does
+        # not depend on how many rows share the call (the risk kernel tiles).
+        difference = p - q
+        if not self._edge_columns:
+            return np.zeros(difference.shape[0])
+        flows = np.stack(
+            [difference[:, columns].sum(axis=1) for columns in self._edge_columns], axis=1
+        )
+        return (np.abs(flows) * self._weights).sum(axis=1)
 
 
 @dataclass
 class SmoothedJSDivergence(DistanceMeasure):
-    """The paper's measure: kernel smoothing over the sensitive domain, then JS."""
+    """The paper's measure: kernel smoothing over the sensitive domain, then JS.
+
+    The row-normalised smoothing weights are computed once per measure, on
+    first use.  When they are exactly the identity - as at the default
+    bandwidth 0.5 on a height-2 hierarchy, where every sibling sits on the
+    kernel's open support boundary - :meth:`rowwise` skips the two matmuls
+    (``p @ I == p`` bit for bit) and only renormalises.
+    """
 
     distance_matrix: np.ndarray
     bandwidth: float = 0.5
     kernel: str = "epanechnikov"
     name = "smoothed-js"
+    _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _identity: bool = field(default=False, init=False, repr=False, compare=False)
 
     def _smoothing_weights(self) -> np.ndarray:
-        weights = get_kernel(self.kernel)(np.asarray(self.distance_matrix, dtype=np.float64), self.bandwidth)
-        denominators = weights.sum(axis=1, keepdims=True)
-        if np.any(denominators <= 0.0):
-            raise PrivacyModelError(
-                "smoothing kernel gives zero total weight for some value; increase the bandwidth"
+        if self._weights is None:
+            weights = get_kernel(self.kernel)(
+                np.asarray(self.distance_matrix, dtype=np.float64), self.bandwidth
             )
-        return weights / denominators
+            denominators = weights.sum(axis=1, keepdims=True)
+            if np.any(denominators <= 0.0):
+                raise PrivacyModelError(
+                    "smoothing kernel gives zero total weight for some value; increase the bandwidth"
+                )
+            weights = weights / denominators
+            self._identity = bool(np.array_equal(weights, np.eye(weights.shape[0])))
+            self._weights = weights
+        return self._weights
 
     def __call__(self, p: np.ndarray, q: np.ndarray) -> float:
         return smoothed_js_divergence(
@@ -355,10 +378,13 @@ class SmoothedJSDivergence(DistanceMeasure):
 
     def rowwise(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         weights = self._smoothing_weights()
-        p_smooth = np.atleast_2d(np.asarray(p, dtype=np.float64)) @ weights.T
-        q_smooth = np.atleast_2d(np.asarray(q, dtype=np.float64)) @ weights.T
-        p_smooth /= p_smooth.sum(axis=1, keepdims=True)
-        q_smooth /= q_smooth.sum(axis=1, keepdims=True)
+        p_smooth = np.atleast_2d(np.asarray(p, dtype=np.float64))
+        q_smooth = np.atleast_2d(np.asarray(q, dtype=np.float64))
+        if not self._identity:
+            p_smooth = p_smooth @ weights.T
+            q_smooth = q_smooth @ weights.T
+        p_smooth = p_smooth / p_smooth.sum(axis=1, keepdims=True)
+        q_smooth = q_smooth / q_smooth.sum(axis=1, keepdims=True)
         return _rowwise_js(p_smooth, q_smooth)
 
 

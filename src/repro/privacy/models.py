@@ -26,10 +26,10 @@ import numpy as np
 from repro.data.distance import attribute_distance_matrix
 from repro.data.table import MicrodataTable
 from repro.exceptions import PrivacyModelError
-from repro.inference.omega import grouped_posterior
 from repro.knowledge.backend import DEFAULT_MAX_CELLS
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import PriorBeliefs, kernel_prior
+from repro.privacy.disclosure import member_risks
 from repro.privacy.measures import (
     DistanceMeasure,
     HierarchicalEMD,
@@ -549,11 +549,11 @@ class BTPrivacy(PrivacyModel):
     def group_risks(self, groups: Sequence[np.ndarray]) -> np.ndarray:
         """Maximum prior-to-posterior distance of every candidate group, batched.
 
-        All uncached groups go through one flat posterior pass (the batched
-        Omega kernel) and one vectorised measure evaluation, so checking a
-        Mondrian split's two halves - or one group against every skyline
-        point - costs a single call.  Groups may overlap (candidate splits are
-        alternatives, not a partition).
+        All uncached groups go through one call of the risk kernel
+        (:func:`~repro.privacy.disclosure.member_risks`: one group pass, then
+        fixed row tiles of posteriors and measure evaluations), so checking a
+        whole Mondrian round's candidate halves costs a single call.  Groups
+        may overlap (candidate splits are alternatives, not a partition).
         """
         self._require_prepared()
         arrays = [np.asarray(group, dtype=np.int64) for group in groups]
@@ -574,10 +574,10 @@ class BTPrivacy(PrivacyModel):
         self.risk_evaluations += len(pending)
         members = np.concatenate([indices for _, indices, _ in pending])
         offsets = np.cumsum([0] + [indices.size for _, indices, _ in pending[:-1]], dtype=np.int64)
-        prior_rows = self._priors.matrix[members]
-        code_rows = self._sensitive_codes[members]
-        posterior_rows = grouped_posterior(prior_rows, code_rows, offsets, method=self.inference)
-        distances = self.measure.rowwise(prior_rows, posterior_rows)
+        distances = member_risks(
+            self._priors.matrix, self._sensitive_codes, members, offsets, self.measure,
+            method=self.inference,
+        )
         group_max = np.maximum.reduceat(distances, offsets)
         if len(self._risk_cache) + len(pending) > self._risk_cache_limit:
             self._risk_cache.clear()

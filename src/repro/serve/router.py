@@ -76,12 +76,12 @@ class Response:
     def body_chunks(self, chunk_bytes: int = 64 * 1024):
         """Yield the serialized body in bounded pieces (for chunked sends).
 
-        Uses :meth:`json.JSONEncoder.iterencode` with the same ``sort_keys``
-        encoder settings as :meth:`body`, so the concatenation of the chunks
-        is byte-identical to the non-streaming body - a client that decodes
-        the chunked framing sees exactly the bytes ``body()`` would have
-        sent.  ``iterencode`` emits ASCII (the default ``ensure_ascii``), so
-        character counts are byte counts.
+        Encodes with the same ``sort_keys`` encoder settings as :meth:`body`
+        (see :func:`_json_pieces`), so the concatenation of the chunks is
+        byte-identical to the non-streaming body - a client that decodes the
+        chunked framing sees exactly the bytes ``body()`` would have sent.
+        The encoder emits ASCII (the default ``ensure_ascii``), so character
+        counts are byte counts.
         """
         if self.text is not None:
             yield self.text.encode()
@@ -89,7 +89,7 @@ class Response:
         encoder = json.JSONEncoder(sort_keys=True)
         pending: list[str] = []
         size = 0
-        for piece in encoder.iterencode(self.payload):
+        for piece in _json_pieces(self.payload, encoder):
             pending.append(piece)
             size += len(piece)
             if size >= chunk_bytes:
@@ -98,6 +98,55 @@ class Response:
                 size = 0
         pending.append("\n")
         yield "".join(pending).encode()
+
+
+#: Containers holding at most this many items (nested ones included) are
+#: encoded by one call of the C-accelerated encoder.
+_WHOLE_ITEMS = 1024
+
+
+def _json_pieces(value: Any, encoder: json.JSONEncoder):
+    """The text of ``encoder.encode(value)``, in pieces that stay bounded.
+
+    ``iterencode`` would bound the pieces too, but it runs the pure-Python
+    encoder token by token, several times slower than one C-accelerated
+    ``encode`` call - which matters for span traces and other many-small-dict
+    documents the read path sends.  So containers with at most
+    ``_WHOLE_ITEMS`` items go through ``encode`` whole; larger lists and
+    string-keyed dicts are walked item by item with the same separators and
+    key order (anything else falls back to ``iterencode``).
+    """
+    if not isinstance(value, (dict, list, tuple)) or _holds_at_most(value, _WHOLE_ITEMS):
+        yield encoder.encode(value)
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        yield "{"
+        for position, key in enumerate(sorted(value)):
+            yield (", " if position else "") + encoder.encode(key) + ": "
+            yield from _json_pieces(value[key], encoder)
+        yield "}"
+    elif isinstance(value, (list, tuple)):
+        yield "["
+        for position, item in enumerate(value):
+            if position:
+                yield ", "
+            yield from _json_pieces(item, encoder)
+        yield "]"
+    else:
+        yield from encoder.iterencode(value)
+
+
+def _holds_at_most(value: Any, limit: int) -> bool:
+    """Whether ``value`` holds at most ``limit`` dict/list items, nested ones included."""
+    stack = [value]
+    count = 0
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list, tuple)):
+            count += len(item)
+            if count > limit:
+                return False
+            stack.extend(item.values() if isinstance(item, dict) else item)
+    return True
 
 
 Handler = Callable[[Request], Awaitable[Response]]

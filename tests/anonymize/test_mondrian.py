@@ -6,7 +6,6 @@ import pytest
 from repro.anonymize.mondrian import (
     MondrianAnonymizer,
     MondrianNode,
-    MondrianSplit,
     spilled_value_matrix,
 )
 from repro.anonymize.partition import AnonymizedRelease
@@ -188,80 +187,7 @@ def test_skyline_model_partition_checks_every_point(tiny_adult):
             assert point.is_satisfied(group)
 
 
-# -- vectorised candidate search and recorded split trees ---------------------------
-
-
-class _ScalarSearchMondrian(MondrianAnonymizer):
-    """Reference implementation: the pre-vectorisation per-attribute search."""
-
-    def _find_split(self, values, indices, qi_names, spans, depth):
-        widths = {}
-        for column, name in enumerate(qi_names):
-            sub = values[indices, column]
-            widths[name] = float(sub.max() - sub.min()) / spans[column]
-        candidates = [name for name in qi_names if widths[name] > 0.0]
-        if not candidates:
-            return None
-        if self.split_strategy != "round_robin":
-            ordered = sorted(candidates, key=lambda name: widths[name], reverse=True)
-        else:
-            offset = depth % len(candidates)
-            ordered = candidates[offset:] + candidates[:offset]
-        for name in ordered:
-            column = qi_names.index(name)
-            sub = values[indices, column]
-            median = float(np.median(sub))
-            left_mask = sub <= median
-            inclusive = True
-            if left_mask.all():
-                left_mask = sub < median
-                inclusive = False
-            if not left_mask.any() or left_mask.all():
-                continue
-            left, right = indices[left_mask], indices[~left_mask]
-            self.statistics.n_split_attempts += 1
-            if all(self.model.is_satisfied_batch((left, right))):
-                split = MondrianSplit(attribute=name, threshold=median, inclusive=inclusive)
-                return split, left, right
-            self.statistics.n_rejected_splits += 1
-        return None
-
-
-@pytest.mark.parametrize(
-    "model_factory",
-    [
-        lambda: KAnonymity(5),
-        lambda: CompositeModel([KAnonymity(3), BTPrivacy(0.3, 0.25)]),
-    ],
-)
-def test_vectorised_search_matches_scalar_reference(tiny_adult, model_factory):
-    """One-NumPy-pass widths/medians must not change any depth-first partition."""
-    batched = MondrianAnonymizer(model_factory(), split_strategy="dfs").partition(
-        tiny_adult
-    )
-    scalar = _ScalarSearchMondrian(model_factory(), split_strategy="dfs").partition(
-        tiny_adult
-    )
-    assert len(batched) == len(scalar)
-    for a, b in zip(batched, scalar):
-        np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize(
-    "model_factory",
-    [
-        lambda: KAnonymity(5),
-        lambda: CompositeModel([KAnonymity(3), DistinctLDiversity(3)]),
-        lambda: CompositeModel([KAnonymity(3), BTPrivacy(0.3, 0.25)]),
-    ],
-)
-def test_frontier_default_matches_dfs_partition(tiny_adult, model_factory):
-    """The frontier default cuts the identical partition the DFS opt-out does."""
-    frontier = MondrianAnonymizer(model_factory()).partition(tiny_adult)
-    dfs = MondrianAnonymizer(model_factory(), split_strategy="dfs").partition(tiny_adult)
-    assert sorted(tuple(g.tolist()) for g in frontier) == sorted(
-        tuple(g.tolist()) for g in dfs
-    )
+# -- recorded split trees (see test_mondrian_reference.py for the per-node reference) -
 
 
 def test_frontier_partition_order_is_deterministic_tree_order(tiny_adult):
@@ -338,10 +264,10 @@ def test_spilled_value_matrix_is_bitwise_the_resident_one(tiny_adult):
     assert spilled.tobytes() == resident.tobytes()
 
 
-@pytest.mark.parametrize("strategy", ["widest", "round_robin", "dfs"])
+@pytest.mark.parametrize("strategy", ["widest", "round_robin"])
 def test_spilled_partition_identical_to_resident_recursion(tiny_adult, strategy):
     """Frontier recursion over the spill cuts the exact resident partition -
-    same groups, same order - for every traversal strategy."""
+    same groups, same order - for every split strategy."""
     from repro.data.source import InMemoryTableSource
 
     model = CompositeModel([KAnonymity(4), DistinctLDiversity(3)])

@@ -61,13 +61,6 @@ def test_satisfied_flags_match_budgets(audit_table, release, loop_results):
     assert report.worst_entry().margin == min(e.margin for e in report.entries)
 
 
-def test_chunked_audit_is_equivalent(audit_table, release):
-    full = SkylineAuditEngine(audit_table, SKYLINE).audit(release.groups)
-    chunked = SkylineAuditEngine(audit_table, SKYLINE, chunk_rows=17).audit(release.groups)
-    for a, b in zip(full.entries, chunked.entries):
-        np.testing.assert_allclose(a.attack.risks, b.attack.risks, atol=1e-12)
-
-
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_thread_counts_are_bitwise_identical(audit_table, release, jobs):
     """Per-adversary passes on the shared pool never change a single bit.

@@ -3,8 +3,9 @@
 ``posterior_for_groups`` used to loop group by group; it now runs one flat
 pass over a group-id vector.  These property-style tests pin the new kernel to
 the per-group reference (``omega_posterior`` / ``exact_posterior`` applied to
-each group) on randomized tables, covering empty groups, uncovered tuples,
-degenerate priors and the chunked path.
+each group) on randomized tables, covering empty groups, uncovered tuples
+and degenerate priors.  Tiles that split groups are covered by
+``tests/privacy/test_risk_kernel.py``.
 """
 
 import numpy as np
@@ -62,11 +63,8 @@ def test_batched_matches_per_group_loop(method, zero_mass):
             with pytest.raises(InferenceError):
                 posterior_for_groups(prior, codes, groups, method=method)
             continue
-        for chunk_rows in (None, 1, 7):
-            batched = posterior_for_groups(
-                prior, codes, groups, method=method, chunk_rows=chunk_rows
-            )
-            np.testing.assert_allclose(batched, reference, atol=1e-9)
+        batched = posterior_for_groups(prior, codes, groups, method=method)
+        np.testing.assert_allclose(batched, reference, atol=1e-9)
 
 
 def test_uncovered_tuples_keep_their_prior():
@@ -87,25 +85,18 @@ def test_all_groups_empty_returns_prior_copy():
     assert posterior is not prior
 
 
-def test_overlapping_groups_rejected_across_chunks():
+def test_overlapping_groups_rejected():
     prior = np.full((6, 2), 0.5)
     codes = np.zeros(6, dtype=int)
     groups = [np.array([0, 1]), np.array([2, 3]), np.array([3, 4])]
-    for chunk_rows in (None, 2):
-        with pytest.raises(InferenceError, match="overlap"):
-            posterior_for_groups(prior, codes, groups, chunk_rows=chunk_rows)
+    with pytest.raises(InferenceError, match="overlap"):
+        posterior_for_groups(prior, codes, groups)
 
 
 def test_out_of_range_group_index_rejected():
     prior = np.full((4, 2), 0.5)
     with pytest.raises(InferenceError, match="out of range"):
         posterior_for_groups(prior, np.zeros(4, dtype=int), [np.array([0, 7])])
-
-
-def test_bad_chunk_rows_rejected():
-    prior = np.full((4, 2), 0.5)
-    with pytest.raises(InferenceError, match="chunk_rows"):
-        posterior_for_groups(prior, np.zeros(4, dtype=int), [np.array([0])], chunk_rows=0)
 
 
 def test_grouped_posterior_validates_offsets():

@@ -210,13 +210,14 @@ def test_concurrent_audits_do_not_mix_adversary_spans():
 
 def test_serial_audit_trace_shape_is_unchanged():
     """``jobs=1`` keeps the inline loop: adversary spans in skyline order,
-    directly under the caller's span, with no children of their own."""
+    directly under the caller's span, each holding only its risk-kernel
+    span."""
     table = _table()
     engine = _prepared_engine(table, SKYLINE, 1)
     audit, incremental = _traced_audits(engine, _groups(table))
     for root in (audit, incremental):
         assert [span.name for span in root.walk()] == (
-            [root.name] + ["engine.adversary"] * len(SKYLINE)
+            [root.name] + ["engine.adversary", "privacy.risks"] * len(SKYLINE)
         )
         points = [(span.attributes["b"], span.attributes["t"]) for span in root.children]
         assert points == SKYLINE

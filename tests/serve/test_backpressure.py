@@ -190,8 +190,32 @@ def test_http_429_carries_retry_after_and_metrics_remember(live_server, adult_ro
 # -- chunked streaming bodies --------------------------------------------------------------
 
 
-def test_body_chunks_concatenate_byte_identically():
-    payload = {"rows": [{"index": i, "text": "x" * 40} for i in range(500)]}
+def _span_tree(depth):
+    """A nested span-trace-like document (many small dicts and floats)."""
+    return {
+        "name": f"span-{depth}",
+        "start_s": depth / 7.0,
+        "duration_s": 1.0 / (depth + 3),
+        "attributes": {"rows": depth * 11, "label": "é" * depth, "ratio": float("nan")},
+        "children": [_span_tree(depth + 1) for _ in range(2)] if depth < 6 else [],
+    }
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"rows": [{"index": i, "text": "x" * 40} for i in range(500)]},
+        # Containers past the whole-encode limit next to small ones, tuples,
+        # a non-string-keyed dict and a deep trace.
+        {
+            "trace": _span_tree(0),
+            "lineage": [{"version": i, "groups": (i, -0.0, None)} for i in range(1500)],
+            "codes": {1: "one", 2: "two"},
+            "risks": [i / 3.0 for i in range(3000)],
+        },
+    ],
+)
+def test_body_chunks_concatenate_byte_identically(payload):
     response = Response(200, payload, stream=True)
     chunks = list(response.body_chunks(chunk_bytes=1024))
     assert len(chunks) > 1
