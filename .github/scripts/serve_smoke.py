@@ -2,10 +2,10 @@
 
 Usage::
 
-    python serve_smoke.py seed           http://127.0.0.1:8751
-    python serve_smoke.py resume         http://127.0.0.1:8751
-    python serve_smoke.py flood          http://127.0.0.1:8752
-    python serve_smoke.py resume-workers http://127.0.0.1:8752
+    python serve_smoke.py seed               http://127.0.0.1:8751
+    python serve_smoke.py resume             http://127.0.0.1:8751
+    python serve_smoke.py flood              http://127.0.0.1:8752
+    python serve_smoke.py resume-after-flood http://127.0.0.1:8752
 
 ``seed`` waits for the daemon to come up, creates a stream from 200 Adult
 rows, fires one append, one delete and one update (sequentially, so each
@@ -17,16 +17,16 @@ restart also exercises stale-lock recovery: the killed daemon leaves
 ``store.lock`` behind and the new one must steal it), then appends once
 more and checks the version numbering continues where it left off.
 
-``flood`` drives a daemon started with ``--publish-workers N`` and a
-one-slot queue (``--max-queue-batches 1``): it creates a stream, fires a
-burst of concurrent appends, asserts at least one was rejected with 429 +
+``flood`` drives a daemon started with a one-slot queue
+(``--max-queue-batches 1``): it creates a stream, fires a burst of
+concurrent appends, asserts at least one was rejected with 429 +
 ``Retry-After``, retries every rejected batch until accepted (the recovery
-half of the backpressure contract), checks the pool and rejection counters
-in ``/metrics`` - then leaves one final append *in flight* and exits, so
-the workflow can SIGKILL the daemon mid-publication.
-``resume-workers`` runs after that kill + restart: the orphaned publication
-worker processes must have self-exited (parent watchdog), their stale
-``store.lock`` files must have been stolen, and the stream must accept new
+half of the backpressure contract), checks the rejection counters in
+``/metrics`` - then leaves one final append *in flight* and exits, so the
+workflow can SIGKILL the daemon mid-publication.
+``resume-after-flood`` runs after that kill + restart: the killed daemon's
+``store.lock`` (its pid is now dead) must have been stolen - a lock held by
+a live process makes the resume fail - and the stream must accept new
 appends with the version numbering continuing from whatever was durably
 published before the kill.
 
@@ -260,11 +260,9 @@ def flood(base: str) -> None:
     assert stream["counters"]["rejected_batches"] == len(rejections), body
     assert stream["counters"]["failed_batches"] == 0, body
     assert stream["queue_high_water"] == 1, body
-    pool_state = body["server"]["publication_pool"]
-    assert pool_state["workers"] >= 1 and pool_state["restarts"] == 0, body
 
     # Leave one publication in flight for the workflow's SIGKILL: fire the
-    # append without awaiting it and give it a moment to reach the worker.
+    # append without awaiting it and give it a moment to reach the writer.
     threading.Thread(
         target=call_full,
         args=(base, "POST", "/streams/burst/append"),
@@ -278,7 +276,7 @@ def flood(base: str) -> None:
     )
 
 
-def resume_workers(base: str) -> None:
+def resume_after_flood(base: str) -> None:
     status, body = call(base, "GET", "/healthz")
     assert status == 200 and "burst" in body["streams"], (status, body)
     status, body = call(base, "GET", "/streams/burst")
@@ -287,17 +285,17 @@ def resume_workers(base: str) -> None:
     assert versions >= 2, body
     assert body["stream"]["poisoned"] is None, body
 
-    # The killed daemon's orphaned workers held the shard lock; the restart
-    # proves it went stale and was stolen.  New writes must publish with the
-    # numbering continuing from whatever survived on disk.
+    # The killed daemon held the shard lock; the restart proves it went
+    # stale and was stolen.  New writes must publish with the numbering
+    # continuing from whatever survived on disk.
     rows = adult_rows(BATCH_ROWS, seed=22)
     status, body = call(base, "POST", "/streams/burst/append", {"rows": rows})
     assert status == 200 and body["version"]["version"] == versions, (status, body)
     status, body = call(base, "GET", "/streams/burst/audit")
     assert status == 200 and body["version"] == versions, (status, body)
     print(
-        "serve smoke (resume-workers): pool-published shard resumed after "
-        f"SIGKILL, version numbering continued at {versions}"
+        "serve smoke (resume-after-flood): stale lock stolen, shard resumed "
+        f"after SIGKILL, version numbering continued at {versions}"
     )
 
 
@@ -305,7 +303,7 @@ MODES = {
     "seed": seed,
     "resume": resume,
     "flood": flood,
-    "resume-workers": resume_workers,
+    "resume-after-flood": resume_after_flood,
 }
 
 

@@ -39,24 +39,18 @@ a tiny size and gates it with ``benchmarks/check_regression.py``, whose
 
 The second bench in this file is the **saturation** bench: N streams, each
 flooded by several concurrent writers against a deliberately tiny bounded
-queue, run twice - once with in-process publication (``publish_workers=0``)
-and once with a publication process pool.  It measures aggregate accepted
-mutations/sec in both modes (``process_speedup`` gates their ratio as a
-floor), the 429 rate under overload (``overload_rejected_frac``, gated as a
-symmetric band - backpressure must keep firing), and the p99 of reads
-issued while publications are in flight (a ceiling).  Saturation knobs::
+queue.  It measures aggregate accepted mutations/sec
+(``mutations_per_second``, a floor), the 429 rate under overload
+(``overload_rejected_frac``, gated as a symmetric band - backpressure must
+keep firing), and the p99 of reads issued while publications are in flight
+(a ceiling).  Saturation knobs::
 
     REPRO_BENCH_SERVE_SAT_STREAMS        hosted streams (default 4)
     REPRO_BENCH_SERVE_SAT_SEED_ROWS      seed rows per stream (default 240)
     REPRO_BENCH_SERVE_SAT_BATCH_ROWS     rows per append batch (default 40)
     REPRO_BENCH_SERVE_SAT_WRITERS        writer threads per stream (default 3)
     REPRO_BENCH_SERVE_SAT_ROUNDS         batches per writer (default 3)
-    REPRO_BENCH_SERVE_SAT_WORKERS        pool size for the process run (default 4)
     REPRO_BENCH_SERVE_SAT_READERS        in-flight reader threads (default 2)
-    REPRO_BENCH_SERVE_SAT_MIN_SPEEDUP    in-bench floor on process_speedup
-                                         (default 0: record, don't assert -
-                                         a single-core machine cannot
-                                         honestly clear 1.0; CI sets it)
     REPRO_BENCH_SERVE_SAT_MAX_READ_P99_SECONDS  latency ceiling (default 1.0)
 """
 
@@ -94,9 +88,7 @@ SAT_SEED_ROWS = int(os.environ.get("REPRO_BENCH_SERVE_SAT_SEED_ROWS", "240"))
 SAT_BATCH_ROWS = int(os.environ.get("REPRO_BENCH_SERVE_SAT_BATCH_ROWS", "40"))
 SAT_WRITERS = int(os.environ.get("REPRO_BENCH_SERVE_SAT_WRITERS", "3"))
 SAT_ROUNDS = int(os.environ.get("REPRO_BENCH_SERVE_SAT_ROUNDS", "3"))
-SAT_WORKERS = int(os.environ.get("REPRO_BENCH_SERVE_SAT_WORKERS", "4"))
 SAT_READERS = int(os.environ.get("REPRO_BENCH_SERVE_SAT_READERS", "2"))
-SAT_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_SERVE_SAT_MIN_SPEEDUP", "0"))
 SAT_MAX_READ_P99_SECONDS = float(
     os.environ.get("REPRO_BENCH_SERVE_SAT_MAX_READ_P99_SECONDS", "1.0")
 )
@@ -330,16 +322,15 @@ def test_serve_mixed_workload_throughput_and_read_latency(tmp_path):
     )
 
 
-# -- saturation: process-parallel publication vs threads under overload --------------------
+# -- saturation: a flood of writers against one-slot queues --------------------------------
 
 
-def _run_saturation(data_dir, publish_workers: int) -> dict:
-    """One saturation run: flood every stream, return the measured numbers."""
+def test_serve_saturation_thread_flood(tmp_path):
+    """Flood N streams through one-slot queues; measure throughput under 429s."""
     app = ServeApp(
-        data_dir,
+        tmp_path / "sat-data",
         port=0,
         coalesce_ms=COALESCE_MS,
-        publish_workers=publish_workers,
         max_queue_batches=SAT_QUEUE_BATCHES,
     )
     loop = asyncio.new_event_loop()
@@ -368,7 +359,7 @@ def _run_saturation(data_dir, publish_workers: int) -> dict:
             ]
         for name in names:
             # The warmup publish absorbs one-off costs that are real but not
-            # steady-state (process-mode: worker spawn + first shard resume).
+            # steady-state (a stream's first incremental publish).
             status, payload = client.request(
                 "POST", f"/streams/{name}/append", {"rows": slices[name][0]}
             )
@@ -459,10 +450,6 @@ def _run_saturation(data_dir, publish_workers: int) -> dict:
         assert sum(s["counters"]["rejected_batches"] for s in streams.values()) == rejected
         assert sum(s["counters"]["failed_batches"] for s in streams.values()) == 0
         assert all(s["queue_high_water"] <= SAT_QUEUE_BATCHES for s in streams.values())
-        if publish_workers:
-            pool_state = metrics["server"]["publication_pool"]
-            assert pool_state["workers"] == publish_workers
-            assert pool_state["restarts"] == 0
     finally:
         asyncio.run_coroutine_threadsafe(app.stop(), loop).result(120)
         loop.call_soon_threadsafe(loop.stop)
@@ -475,38 +462,19 @@ def _run_saturation(data_dir, publish_workers: int) -> dict:
         if ordered
         else 0.0
     )
-    return {
-        "wall_seconds": wall_seconds,
-        "accepted": accepted,
-        "rejected": rejected,
-        "reads": len(ordered),
-        "read_p99": read_p99,
-    }
-
-
-def test_serve_saturation_process_pool_vs_threads(tmp_path):
-    """Flood N streams twice - thread-mode and process-pool publication."""
-    threads_run = _run_saturation(tmp_path / "sat-threads", 0)
-    workers_run = _run_saturation(tmp_path / "sat-workers", SAT_WORKERS)
-
-    threads_mps = threads_run["accepted"] / threads_run["wall_seconds"]
-    workers_mps = workers_run["accepted"] / workers_run["wall_seconds"]
-    process_speedup = workers_mps / threads_mps
-    overload_rejected_frac = workers_run["rejected"] / (
-        workers_run["rejected"] + workers_run["accepted"]
-    )
+    mutations_per_second = accepted / wall_seconds
+    overload_rejected_frac = rejected / (rejected + accepted)
     print(
         f"\nserve saturation: {SAT_STREAMS} streams x {SAT_WRITERS} writers x "
         f"{SAT_ROUNDS} rounds ({SAT_BATCH_ROWS} rows, queue bound "
-        f"{SAT_QUEUE_BATCHES})  threads {threads_mps:.2f} mut/s vs "
-        f"{SAT_WORKERS} workers {workers_mps:.2f} mut/s "
-        f"(speedup {process_speedup:.2f}x)  429 frac {overload_rejected_frac:.2f}  "
-        f"in-flight read p99 {workers_run['read_p99'] * 1000:.1f}ms"
+        f"{SAT_QUEUE_BATCHES})  {mutations_per_second:.2f} mut/s  "
+        f"429 frac {overload_rejected_frac:.2f}  "
+        f"in-flight read p99 {read_p99 * 1000:.1f}ms"
     )
     write_bench_json(
         "serve",
         f"saturation-streams-{SAT_STREAMS}-writers-{SAT_WRITERS}x{SAT_ROUNDS}"
-        f"x{SAT_BATCH_ROWS}-workers-{SAT_WORKERS}{_JOBS_SUFFIX}",
+        f"x{SAT_BATCH_ROWS}{_JOBS_SUFFIX}",
         {
             "streams": SAT_STREAMS,
             "seed_rows": SAT_SEED_ROWS,
@@ -514,25 +482,17 @@ def test_serve_saturation_process_pool_vs_threads(tmp_path):
             "writers_per_stream": SAT_WRITERS,
             "jobs": JOBS,
             "rounds": SAT_ROUNDS,
-            "publish_workers": SAT_WORKERS,
             "max_queue_batches": SAT_QUEUE_BATCHES,
-            "accepted_batches": workers_run["accepted"],
-            "rejected_batches": workers_run["rejected"],
-            "reads": workers_run["reads"],
-            "threads_mutations_per_second": threads_mps,
-            "workers_mutations_per_second": workers_mps,
-            "process_speedup": process_speedup,
+            "accepted_batches": accepted,
+            "rejected_batches": rejected,
+            "reads": len(ordered),
+            "mutations_per_second": mutations_per_second,
             "overload_rejected_frac": overload_rejected_frac,
-            "inflight_read_p99_seconds": workers_run["read_p99"],
+            "inflight_read_p99_seconds": read_p99,
         },
     )
 
-    if SAT_MIN_SPEEDUP > 0:
-        assert process_speedup >= SAT_MIN_SPEEDUP, (
-            f"the publication pool only reached {process_speedup:.2f}x the "
-            f"thread-mode throughput (required: {SAT_MIN_SPEEDUP:g}x)"
-        )
-    assert workers_run["read_p99"] <= SAT_MAX_READ_P99_SECONDS, (
-        f"p99 in-flight read latency {workers_run['read_p99'] * 1000:.1f}ms "
+    assert read_p99 <= SAT_MAX_READ_P99_SECONDS, (
+        f"p99 in-flight read latency {read_p99 * 1000:.1f}ms "
         f"(allowed: {SAT_MAX_READ_P99_SECONDS * 1000:g}ms)"
     )

@@ -24,11 +24,10 @@ This script is the whole lifecycle over real HTTP:
    carries,
 5. restart the daemon on the same data dir and show every stream resumed
    from disk with its version numbering intact,
-6. restart once more with a publication *process pool* and a one-slot write
-   queue (``--publish-workers 2 --max-queue-batches 1`` on the CLI), flood
-   the stream with concurrent writers, and show a well-behaved client: on
-   429 it reads the ``Retry-After`` header, sleeps that many seconds and
-   retries - backpressure costs it time, never data.
+6. restart once more with a one-slot write queue (``--max-queue-batches 1``
+   on the CLI), flood the stream with concurrent writers, and show a
+   well-behaved client: on 429 it reads the ``Retry-After`` header, sleeps
+   that many seconds and retries - backpressure costs it time, never data.
 
 Run with:  python examples/serve_client.py
 """
@@ -208,14 +207,14 @@ def main() -> None:
     print(f"append after resume: published v{body['version']['version']} "
           f"(numbering continued across the restart)")
 
-    # -- 6. process-pool publication + bounded-queue backpressure -----------------------
-    # The same data dir, now served with publication running in worker
-    # *processes* and a deliberately tiny write queue.  Three writers flood
-    # the stream concurrently; each one honors Retry-After when throttled.
+    # -- 6. bounded-queue backpressure -------------------------------------------------
+    # The same data dir, now served with a deliberately tiny write queue.
+    # Three writers flood the stream concurrently; each one honors
+    # Retry-After when throttled.
     daemon.stop()
-    daemon = Daemon(data_dir, publish_workers=2, max_queue_batches=1)
-    print("\nrestarted with publish_workers=2, max_queue_batches=1 "
-          "(CLI: repro serve --publish-workers 2 --max-queue-batches 1)")
+    daemon = Daemon(data_dir, max_queue_batches=1)
+    print("\nrestarted with max_queue_batches=1 "
+          "(CLI: repro serve --max-queue-batches 1)")
     flood = [
         rows[SEED_ROWS + (2 + writer) * BATCH_ROWS:
              SEED_ROWS + (3 + writer) * BATCH_ROWS]
@@ -254,18 +253,6 @@ def main() -> None:
           f"batch(es) ({len(throttles)} throttle(s) honored), queue high-water "
           f"{stream['queue_high_water']}/{stream['max_queue_batches']}; every "
           f"batch still landed - {stream['versions']} versions on disk")
-    # Pool mode stitches the worker-side publish trace under the daemon's
-    # tick span: the per-stage breakdown was recorded inside the worker
-    # process and shipped back over the job pipe.
-    status, body = daemon.request(
-        "GET", f"/streams/census/versions/{stream['versions'] - 1}"
-    )
-    worker = body["trace"]["children"][0]
-    stages = body["stages"]
-    print(f"pool-published v{stream['versions'] - 1}: stages "
-          f"{sorted(stages['stages'])} recorded in worker pid "
-          f"{worker['attributes']['pid']}, stitched under the daemon's "
-          f"{body['trace']['name']} span")
     daemon.stop()
 
 

@@ -20,7 +20,8 @@ the synthetic Adult-like dataset (or any CSV file with the same schema):
   print the resulting comparison table;
 * ``serve``     - run the :mod:`repro.serve` HTTP daemon: many named streams
   under one ``--data-dir``, created over HTTP and resumed on restart, with
-  per-stream write coalescing and lock-free reads of historical versions;
+  per-stream write coalescing on one writer thread per stream and lock-free
+  reads of historical versions;
 * ``figure``    - regenerate one of the paper's figures and print it as a
   plain-text table.
 
@@ -36,6 +37,7 @@ import argparse
 import csv
 import json
 import sys
+import threading
 from pathlib import Path
 from typing import Sequence
 
@@ -250,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help=(
             "run the multi-stream release-serving HTTP daemon (streams are "
-            "created over HTTP and resumed from --data-dir on restart)"
+            "created over HTTP, publish on one writer thread each and "
+            "resume from --data-dir on restart)"
         ),
     )
     serve_parser.add_argument(
@@ -272,24 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
             "batches queued within one tick publish as a single version "
             "(default 50; 0 still coalesces whatever queued during the "
             "previous publication)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--publish-workers", default=0, type=_publish_workers_argument,
-        metavar="N",
-        help=(
-            "publish through N worker processes so concurrent tenants' "
-            "publication compute runs on separate cores (default 0 = "
-            "in-process threads; each stream's jobs stick to one worker)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--publish-timeout", default=0.0, type=_publish_timeout_argument,
-        metavar="SECONDS",
-        help=(
-            "kill a publication job (and poison only its stream) after this "
-            "many seconds in a worker process (default 0 = no timeout; only "
-            "meaningful with --publish-workers > 0)"
         ),
     )
     _add_jobs_argument(serve_parser)
@@ -702,47 +687,21 @@ def _data_dir_argument(text: str) -> str:
 
 
 def _coalesce_ms_argument(text: str) -> float:
-    """argparse ``type`` wrapper: malformed/negative/non-finite windows exit 2."""
+    """argparse ``type`` wrapper: malformed/negative/oversized windows exit 2.
+
+    The window becomes a thread wait timeout, so it may not exceed
+    :data:`threading.TIMEOUT_MAX` seconds.
+    """
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad coalescing window {text!r}; expected milliseconds >= 0"
         ) from None
-    if not 0.0 <= value < float("inf"):
+    if not 0.0 <= value / 1000.0 <= threading.TIMEOUT_MAX:
         raise argparse.ArgumentTypeError(
-            f"bad coalescing window {text!r}; the window must be a finite "
-            "number of milliseconds >= 0"
-        )
-    return value
-
-
-def _publish_workers_argument(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad worker count {text!r}; expected an integer >= 0"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"bad worker count {text!r}; 0 means in-process threads, N > 0 "
-            "means N publication worker processes"
-        )
-    return value
-
-
-def _publish_timeout_argument(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad publish timeout {text!r}; expected seconds >= 0"
-        ) from None
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"bad publish timeout {text!r}; expected a finite number of "
-            "seconds >= 0 (0 disables the timeout)"
+            f"bad coalescing window {text!r}; the window must be a number of "
+            f"milliseconds from 0 to {threading.TIMEOUT_MAX * 1000.0:g}"
         )
     return value
 
@@ -773,8 +732,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         coalesce_ms=args.coalesce_ms,
-        publish_workers=args.publish_workers,
-        publish_timeout=args.publish_timeout,
         jobs=args.jobs,
         max_queue_batches=args.max_queue_batches,
         max_queued_rows=args.max_queued_rows,

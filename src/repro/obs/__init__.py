@@ -4,8 +4,7 @@ Three stdlib-only pieces (see the submodules for detail):
 
 * :mod:`repro.obs.tracing` - hierarchical :class:`Span` trees from a
   :class:`Tracer`, cheap enough to leave on, a no-op when disabled, and
-  JSON-serializable so publication-pool workers can ship their publish
-  trace back over the job pipe.
+  JSON-serializable so the daemon can serve each version's publish trace.
 * :mod:`repro.obs.log` - a JSON-lines :class:`~repro.obs.log.JsonFormatter`
   on stdlib :mod:`logging` (``repro serve --log-level --log-format``), with
   per-request trace ids riding every record.

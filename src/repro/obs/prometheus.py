@@ -3,7 +3,7 @@
 ``GET /metrics`` keeps its JSON document; ``GET /metrics?format=prometheus``
 (and the ``/metrics.prom`` alias) render the *same* snapshot - the
 :class:`~repro.stats.CounterSet` / :class:`~repro.stats.Histogram` summaries
-plus live queue/pool gauges - in the `text exposition format
+plus live queue gauges - in the `text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ version
 0.0.4, so any standard scraper can ingest the daemon without an adapter.
 
@@ -14,8 +14,7 @@ Mapping:
 * histograms -> summary families (``{quantile="0.5|0.95|0.99"}`` +
   ``_sum`` / ``_count``), with window min/max as ``_min`` / ``_max`` gauges
 * registry state -> per-stream gauges (versions, rows, groups, satisfied,
-  drift, queue depth/high-water/bounds, poisoned) and pool gauges
-  (workers, restarts)
+  drift, queue depth/high-water/bounds, poisoned)
 
 The renderer is a pure function over the ``/metrics`` JSON payload, so the
 two representations can never drift apart.
@@ -150,16 +149,6 @@ def render(payload: Mapping[str, Any]) -> str:
                 summary,
                 f"Latency of handled {kind} requests in seconds.",
             )
-    pool = server.get("publication_pool")
-    if pool:
-        registry.family(
-            "repro_pool_workers", "gauge", "Publication worker processes in the pool."
-        ).add(pool.get("workers"))
-        registry.family(
-            "repro_pool_restarts_total",
-            "counter",
-            "Publication workers respawned after a crash or timeout.",
-        ).add(pool.get("restarts"))
 
     for stream_name, stream in sorted(payload.get("streams", {}).items()):
         labels = {"stream": stream_name}

@@ -23,9 +23,9 @@ Design constraints, in order:
   ``Tracer`` concurrently without seeing each other's spans; every thread
   retrieves its own finished root with :meth:`Tracer.take_root`.
 * **Serializable.**  :meth:`Span.to_dict` / :meth:`Span.from_dict` round-trip
-  a whole tree through JSON, which is how publication-pool workers ship
-  their publish trace back over the job ``Pipe`` so the parent can stitch
-  it under the daemon-side span (:meth:`Span.adopt`).
+  a whole tree through JSON (the daemon serves each version's publish trace
+  this way), and :meth:`Span.adopt` stitches a deserialized tree under a
+  live span.
 
 Code that is too deep to thread a tracer through (the prior backend, the
 audit engine) reads the *ambient* tracer instead: ``current_tracer()``
@@ -53,7 +53,7 @@ class Span:
 
     ``start_s`` is an offset in seconds from the root span's start (0.0 for
     the root itself) taken from the monotonic clock, so a serialized tree
-    is self-consistent even when stitched across process boundaries.
+    is self-consistent even after a JSON round trip.
     """
 
     __slots__ = ("name", "start_s", "duration_s", "attributes", "children")
@@ -71,7 +71,7 @@ class Span:
         return self
 
     def adopt(self, child: "Span") -> "Span":
-        """Stitch a foreign (e.g. deserialized worker) span under this one."""
+        """Stitch a foreign (e.g. deserialized) span under this one."""
         self.children.append(child)
         return child
 

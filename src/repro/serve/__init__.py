@@ -23,7 +23,6 @@ from repro.serve.errors import (
     TooManyRequests,
 )
 from repro.serve.metrics import ServeMetrics, StreamMetrics
-from repro.serve.pool import PublicationError, PublicationPool
 from repro.serve.registry import (
     CONFIG_DEFAULTS,
     DEFAULT_MAX_QUEUE_BATCHES,
@@ -45,8 +44,6 @@ __all__ = [
     "MethodNotAllowed",
     "NotFound",
     "PayloadTooLarge",
-    "PublicationError",
-    "PublicationPool",
     "ReproService",
     "Request",
     "Response",

@@ -51,8 +51,6 @@ class ServeApp:
         port: int = 8750,
         coalesce_ms: float = 50.0,
         schema: Schema | None = None,
-        publish_workers: int = 0,
-        publish_timeout: float = 0.0,
         jobs: int | None = None,
         max_queue_batches: int | None = None,
         max_queued_rows: int | None = None,
@@ -64,8 +62,6 @@ class ServeApp:
             data_dir,
             coalesce_ms=coalesce_ms,
             schema=schema,
-            publish_workers=publish_workers,
-            publish_timeout=publish_timeout,
             jobs=jobs,
             max_queue_batches=max_queue_batches,
             max_queued_rows=max_queued_rows,

@@ -20,17 +20,12 @@ enter the worker: published versions are immutable and the store's version
 list is append-only, so historical versions, lineages and audit reports are
 served lock-free from memory while a publication is in flight.
 
-Publication runs in one of two modes.  With ``publish_workers=0`` (the
-default) the tick calls
-:meth:`~repro.stream.IncrementalPublisher.publish_coalesced` in-process, on
-the host's own publisher.  With ``publish_workers=N`` the registry owns a
-:class:`~repro.serve.pool.PublicationPool` and the tick is dispatched as a
-job ``(shard path, operations, config)`` to a worker *process*, which
-resumes the shard (holding its ``store.lock``) and publishes there; the host
-then re-pins its lock-free reader store
-(:meth:`~repro.stream.store.ReleaseStore.refresh`) and resolves the waiters
-from the refreshed, immutable version - so heavy publication compute for
-different tenants runs on different cores instead of contending on the GIL.
+Each tick runs
+:meth:`~repro.stream.IncrementalPublisher.publish_coalesced` on the host's
+own thread, against the publisher that holds the shard's ``store.lock``.
+Threads are the daemon's only concurrency: no module starts a process, and
+the estimation backend's contraction fans out on the shared ``jobs`` thread
+pool.
 
 Every host's queue is **bounded** (``max_queue_batches`` /
 ``max_queued_rows``): a mutation that would overflow it is rejected
@@ -41,9 +36,7 @@ count stay visible in ``/metrics`` after the burst passes.
 
 A publication failure poisons only its own stream (PR 5's poisoning
 semantics): the host fails the tick's waiters, marks itself poisoned, and
-keeps serving reads; sibling streams keep publishing.  This holds in process
-mode too - a worker crash or job timeout poisons exactly the stream whose
-job died (the pool respawns the slot for its siblings).  The daemon surfaces
+keeps serving reads; sibling streams keep publishing.  The daemon surfaces
 the state as 409 pointing at the restart-resume path.
 """
 
@@ -67,12 +60,10 @@ from repro.data.table import MicrodataTable
 from repro.exceptions import ReproError, StreamError
 from repro.knowledge.backend import DEFAULT_MAX_CELLS
 from repro.knowledge.parallel import parse_jobs
-from repro.obs.tracing import Span, Tracer
 from repro.serve.errors import ApiError, BadRequest, Conflict, NotFound, TooManyRequests
 from repro.serve.metrics import StreamMetrics
-from repro.serve.pool import PublicationPool, build_stream_model
 from repro.stream import IncrementalPublisher
-from repro.stream.store import ReleaseStore, VersionCache
+from repro.stream.store import VersionCache
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 _STOP = object()
@@ -120,6 +111,20 @@ CONFIG_DEFAULTS: dict[str, Any] = {
 CONFIG_FILE = "stream.json"
 
 
+def build_stream_model(config: Mapping[str, Any]):
+    """Build a stream's privacy model from its (resolved) creation config."""
+    return MODELS.build_filtered(
+        config["model"],
+        {
+            "b": config["b"],
+            "t": config["t"],
+            "l": config["l"],
+            "k": config["k"],
+            "max_cells": config["max_cells"],
+        },
+    )
+
+
 class _Submission:
     """One queued mutation, its row weight and the future its submitter awaits."""
 
@@ -135,42 +140,29 @@ class _Submission:
 class StreamHost:
     """One hosted stream: its config, bounded queue and serialized write worker.
 
-    In thread mode (``pool=None``) the host owns an
-    :class:`~repro.stream.IncrementalPublisher` and publishes in-process.  In
-    process mode (``pool`` given) ``publisher`` is ``None``: the host owns a
-    lock-free reader :class:`~repro.stream.store.ReleaseStore` over the shard
-    and dispatches every tick to the pool, whose worker process holds the
-    shard's ``store.lock`` and warm publisher.
+    The host owns an :class:`~repro.stream.IncrementalPublisher` and
+    publishes on its own worker thread.
     """
 
     def __init__(
         self,
         name: str,
-        publisher: IncrementalPublisher | None,
+        publisher: IncrementalPublisher,
         config: dict[str, Any],
         *,
         coalesce_seconds: float = 0.05,
         max_queue_batches: int = DEFAULT_MAX_QUEUE_BATCHES,
         max_queued_rows: int = DEFAULT_MAX_QUEUED_ROWS,
-        pool: PublicationPool | None = None,
-        store: ReleaseStore | None = None,
         slow_publish_seconds: float = DEFAULT_SLOW_PUBLISH_SECONDS,
     ):
-        if publisher is None and (pool is None or store is None):
-            raise StreamError(
-                "a host without a publisher needs a publication pool and a store"
-            )
         self.name = name
         self.publisher = publisher
         self.config = config
-        # Thread mode shares the publisher's tracer, so the tick span and the
-        # publish spans land in one tree; process mode stitches the worker's
-        # shipped trace under the tick span instead.
-        self.tracer = publisher.tracer if publisher is not None else Tracer()
+        # The host shares the publisher's tracer, so the tick span and the
+        # publish spans land in one tree.
+        self.tracer = publisher.tracer
         self._slow_publish_seconds = float(slow_publish_seconds)
         self._traces: dict[int, dict[str, Any]] = {}
-        self._store = store if store is not None else publisher.store
-        self._pool = pool
         self.metrics = StreamMetrics()
         self._coalesce_seconds = float(coalesce_seconds)
         self._max_queue_batches = int(max_queue_batches)
@@ -193,7 +185,7 @@ class StreamHost:
     @property
     def store(self):
         """The stream's release store."""
-        return self._store
+        return self.publisher.store
 
     @property
     def poisoned(self) -> str | None:
@@ -240,19 +232,13 @@ class StreamHost:
     def describe(self) -> dict[str, Any]:
         """JSON-able summary: lineage position, drift, queue and health."""
         latest = self.store.latest()
-        if self.publisher is not None:
-            drift = self.publisher.drift_rows
-        else:
-            # Process mode: the worker's publisher owns the live drift; the
-            # persisted resume state carries it to the parent on refresh.
-            drift = int((self.store.state or {}).get("drift_rows", 0))
         summary = {
             "name": self.name,
             "versions": len(self.store),
             "rows": latest.n_rows,
             "groups": latest.n_groups,
             "satisfied": latest.satisfied,
-            "drift_rows": drift,
+            "drift_rows": self.publisher.drift_rows,
             "poisoned": self._poisoned,
             "config": self.config,
         }
@@ -377,23 +363,9 @@ class StreamHost:
             trace_ids=trace_ids,
         ) as tick_span:
             try:
-                if self._pool is None:
-                    version = self.publisher.publish_coalesced(operations)
-                else:
-                    number, trace = self._pool.publish(
-                        self.name, self._store.path, self.config, operations
-                    )
-                    # Re-pin: load exactly what the worker persisted (the reload
-                    # is byte-identical by the store's round-trip guarantee).
-                    self._store.refresh()
-                    version = self._store[number]
-                    if trace is not None:
-                        tick_span.adopt(Span.from_dict(trace))
+                version = self.publisher.publish_coalesced(operations)
             except BaseException as error:  # noqa: BLE001 - forwarded to every waiter
-                if self._pool is None:
-                    poisoned = self.publisher.poisoned
-                else:
-                    poisoned = getattr(error, "poisoned", True)
+                poisoned = self.publisher.poisoned
                 if poisoned:
                     with self._lock:
                         self._poisoned = f"{type(error).__name__}: {error}"
@@ -455,12 +427,7 @@ class StreamHost:
                 item.future.set_exception(
                     StreamError(f"stream {self.name!r} is shutting down")
                 )
-        if self.publisher is not None:
-            self.publisher.close()
-        else:
-            # Process mode: the shard lock lives in a worker process (the
-            # pool's close releases it); the reader store holds no lock.
-            self._store.close()
+        self.publisher.close()
 
 
 class StreamRegistry:
@@ -478,19 +445,18 @@ class StreamRegistry:
         *,
         coalesce_ms: float = 50.0,
         schema: Schema | None = None,
-        publish_workers: int = 0,
-        publish_timeout: float = 0.0,
         jobs: int | None = None,
         max_queue_batches: int | None = None,
         max_queued_rows: int | None = None,
         slow_publish_seconds: float = DEFAULT_SLOW_PUBLISH_SECONDS,
     ):
-        if coalesce_ms < 0:
-            raise BadRequest("coalesce_ms must be non-negative")
-        if publish_workers < 0:
-            raise BadRequest("publish_workers must be >= 0 (0 = in-process threads)")
-        if publish_timeout < 0:
-            raise BadRequest("publish_timeout must be >= 0 (0 disables it)")
+        # The window becomes a queue.get timeout, which must fit the
+        # platform's time_t or the writer thread dies on its first tick.
+        if not 0 <= coalesce_ms / 1000.0 <= threading.TIMEOUT_MAX:
+            raise BadRequest(
+                "coalesce_ms must be a non-negative number of at most "
+                f"{threading.TIMEOUT_MAX * 1000.0:g} ms"
+            )
         if slow_publish_seconds <= 0:
             raise BadRequest("slow_publish_seconds must be positive")
         if jobs is not None:
@@ -524,15 +490,6 @@ class StreamRegistry:
         self._coalesce_seconds = float(coalesce_ms) / 1000.0
         self._lock = threading.Lock()
         self._hosts: dict[str, StreamHost] = {}
-        # The pool spawns before any host thread starts, so worker processes
-        # never inherit mid-flight daemon state.
-        self.pool: PublicationPool | None = (
-            PublicationPool(
-                publish_workers, self.schema, timeout=publish_timeout, jobs=jobs
-            )
-            if publish_workers
-            else None
-        )
         try:
             for config_path in sorted(self.data_dir.glob(f"*/{CONFIG_FILE}")):
                 self._resume_shard(config_path.parent)
@@ -606,9 +563,6 @@ class StreamRegistry:
             raise BadRequest("stream config 'method' must be 'omega' or 'exact'")
         return resolved
 
-    def _build_model(self, config: Mapping[str, Any]):
-        return build_stream_model(config)
-
     def create(
         self,
         name: str,
@@ -643,7 +597,7 @@ class StreamRegistry:
             raise
         except (ReproError, TypeError, ValueError) as error:
             raise BadRequest(f"bad seed rows: {error}") from None
-        model = self._build_model(resolved)
+        model = build_stream_model(resolved)
         skyline = (
             [(b, t) for b, t in resolved["skyline"]]
             if resolved["skyline"] is not None
@@ -691,47 +645,18 @@ class StreamRegistry:
                 f"cannot resume stream {name!r}: {shard / CONFIG_FILE} is "
                 f"unreadable ({error})"
             ) from None
-        if self.pool is None:
-            publisher = IncrementalPublisher.resume(
-                shard,
-                schema=self.schema,
-                model=self._build_model(config),
-                jobs=self.jobs,
-                version_cache=self.version_cache,
-            )
-            return self._register(name, publisher, config)
-        # Process mode: the parent only *reads* the shard (no lock - the
-        # publication workers take it); the first dispatched tick runs the
-        # full resume validation in its worker.
-        store = ReleaseStore(
-            shard, schema=self.schema, lock=False, version_cache=self.version_cache
+        publisher = IncrementalPublisher.resume(
+            shard,
+            schema=self.schema,
+            model=build_stream_model(config),
+            jobs=self.jobs,
+            version_cache=self.version_cache,
         )
-        if not len(store):
-            raise StreamError(
-                f"cannot resume stream {name!r}: the release store at {shard} "
-                "holds no versions"
-            )
-        if store.state is None:
-            raise StreamError(
-                f"cannot resume stream {name!r}: the release store at {shard} "
-                "holds no publisher state (state.json)"
-            )
-        return self._register(name, None, config, store=store)
+        return self._register(name, publisher, config)
 
     def _register(
-        self,
-        name: str,
-        publisher: IncrementalPublisher | None,
-        config: dict[str, Any],
-        store: ReleaseStore | None = None,
+        self, name: str, publisher: IncrementalPublisher, config: dict[str, Any]
     ) -> StreamHost:
-        if self.pool is not None and publisher is not None:
-            # Lock handoff after an in-process creation: release the shard so
-            # the first dispatched tick's worker can take it; keep the (still
-            # readable, refreshable) store as the parent's reader.
-            store = publisher.store
-            publisher.close()
-            publisher = None
         host = StreamHost(
             name,
             publisher,
@@ -739,8 +664,6 @@ class StreamRegistry:
             coalesce_seconds=self._coalesce_seconds,
             max_queue_batches=self._max_queue_batches,
             max_queued_rows=self._max_queued_rows,
-            pool=self.pool,
-            store=store,
             slow_publish_seconds=self._slow_publish_seconds,
         )
         with self._lock:
@@ -751,7 +674,5 @@ class StreamRegistry:
         """Stop every worker and release every shard lock."""
         for host in self.hosts():
             host.close()
-        if self.pool is not None:
-            self.pool.close()
         with self._lock:
             self._hosts.clear()

@@ -157,10 +157,7 @@ class ReproService:
             summary.pop("config", None)
             summary.update(host.metrics.as_dict())
             streams[host.name] = summary
-        server = self.metrics.as_dict()
-        if self.registry.pool is not None:
-            server["publication_pool"] = self.registry.pool.describe()
-        return {"server": server, "streams": streams}
+        return {"server": self.metrics.as_dict(), "streams": streams}
 
     async def metrics_view(self, request: Request) -> Response:
         fmt = request.query.get("format", "json")

@@ -457,72 +457,6 @@ class IncrementalPublisher:
         publisher._fit_priors(table)
         return publisher
 
-    @classmethod
-    def publish_to_shard(
-        cls,
-        path: str | Path,
-        operations: Sequence[tuple[str, Any]],
-        *,
-        schema,
-        model: PrivacyModel,
-        cached: "IncrementalPublisher | None" = None,
-        measure: DistanceMeasure | None = None,
-        distance_matrices: dict[str, np.ndarray] | None = None,
-        jobs: int | None = None,
-        tracer: Tracer | None = None,
-    ) -> tuple["IncrementalPublisher", StreamVersion]:
-        """Process-safe publish entrypoint: adopt a shard and publish one tick.
-
-        This is the unit of work the serving daemon dispatches to publication
-        worker processes: given a disk shard, one coalesced tick's operations
-        and the stream's model, it :meth:`resume`\\ s the shard (taking
-        ``store.lock``; a stale lock left by a dead worker is stolen),
-        publishes the tick with :meth:`publish_coalesced` and returns
-        ``(publisher, version)``.  Pass the publisher back as ``cached`` on
-        the next call for the same shard to skip the resume - it is reused
-        while healthy and closed (releasing the lock) when poisoned or bound
-        to a different shard.
-
-        On failure the lock is never left behind by an unusable publisher: a
-        poisoned publisher - and any publisher resumed inside this call - is
-        closed before the error propagates, while a still-healthy ``cached``
-        publisher stays open for reuse.  The raised exception carries a
-        ``shard_poisoned`` attribute (``True`` when the shard's maintained
-        state advanced past its published lineage, i.e. the same condition
-        that poisons an in-process stream) so the dispatching host can decide
-        whether to poison the stream.
-        """
-        path = Path(path)
-        publisher = cached
-        if publisher is not None and (
-            publisher.poisoned or publisher.store.path != path
-        ):
-            publisher.close()
-            publisher = None
-        fresh = publisher is None
-        if fresh:
-            try:
-                publisher = cls.resume(
-                    path,
-                    schema=schema,
-                    model=model,
-                    measure=measure,
-                    distance_matrices=distance_matrices,
-                    jobs=jobs,
-                    tracer=tracer,
-                )
-            except BaseException as error:
-                error.shard_poisoned = True
-                raise
-        try:
-            version = publisher.publish_coalesced(list(operations))
-        except BaseException as error:
-            error.shard_poisoned = publisher.poisoned
-            if publisher.poisoned or fresh:
-                publisher.close()
-            raise
-        return publisher, version
-
     # -- initial publication ----------------------------------------------------------
     def publish(self) -> StreamVersion:
         """Publish version 0 from the seed table."""

@@ -243,13 +243,6 @@ class ReleaseStore:
         ``lineage.jsonl`` is *loaded*, which requires ``schema``.
     schema:
         The table schema used to decode persisted columns when loading.
-    lock:
-        Pass ``False`` to open a disk-backed directory *without* taking its
-        exclusive publisher lock.  A lock-free store is a reader: it serves
-        the loaded lineage and can :meth:`refresh` to pick up versions that
-        another process (the holder of ``store.lock``) appends - the serving
-        daemon's process-parallel mode opens every shard this way in the
-        parent while the publication worker processes hold the locks.
     version_cache:
         The byte-bounded LRU that holds lazily decoded versions.  Defaults
         to a private :class:`VersionCache` with
@@ -262,7 +255,6 @@ class ReleaseStore:
         path: str | Path | None = None,
         *,
         schema: Schema | None = None,
-        lock: bool = True,
         version_cache: VersionCache | None = None,
     ) -> None:
         # Versions appended live stay resident; versions discovered on disk
@@ -277,8 +269,7 @@ class ReleaseStore:
         self.state: dict[str, Any] | None = None
         if self._path is not None:
             self._path.mkdir(parents=True, exist_ok=True)
-            if lock:
-                self._acquire_lock()
+            self._acquire_lock()
             if (self._path / "lineage.jsonl").exists():
                 if schema is None:
                     raise StreamError(
@@ -353,72 +344,6 @@ class ReleaseStore:
             except FileNotFoundError:
                 pass
             self._owns_lock = False
-
-    def acquire_lock(self) -> None:
-        """Take the publisher lock on a store opened with ``lock=False``.
-
-        The explicit half of the lock handoff: a reader store that is about
-        to become the publisher (e.g. a publication worker process adopting a
-        shard) claims the directory before its first :meth:`add`.  Raises
-        :class:`~repro.exceptions.StreamError` when another live process
-        holds the lock; stale locks from dead holders are stolen.
-        """
-        if self._path is None or self._owns_lock:
-            return
-        self._acquire_lock()
-
-    def refresh(self) -> int:
-        """Re-pin the in-memory lineage to the directory's current contents.
-
-        Loads every ``lineage.jsonl`` line beyond the versions already in
-        memory (plus the current ``state.json``) and returns how many new
-        versions arrived.  This is how the serving daemon's parent process
-        observes publications performed by its worker processes: the workers
-        append to the shard under ``store.lock``, the parent refreshes its
-        lock-free reader store and keeps serving immutable versions.  New
-        versions arrive as lazy stubs (only the archive's existence is
-        checked here); the first access decodes through the same path as a
-        cold open, so refreshed versions are byte-identical to the worker's.
-        """
-        if self._path is None:
-            return 0
-        lineage_path = self._path / "lineage.jsonl"
-        if not lineage_path.exists():
-            return 0
-        if self._schema is None:
-            raise StreamError(
-                f"refreshing the release store at {self._path} requires a schema"
-            )
-        lines = [
-            line for line in lineage_path.read_text().splitlines() if line.strip()
-        ]
-        added = 0
-        for position in range(len(self._versions), len(lines)):
-            try:
-                payload = json.loads(lines[position])
-            except json.JSONDecodeError as error:
-                raise StreamError(
-                    f"corrupt release store: {lineage_path} line {position + 1} "
-                    f"is not valid JSON ({error})"
-                ) from None
-            if payload.get("version") != position:
-                raise StreamError(
-                    f"corrupt release store: {lineage_path} line {position + 1} "
-                    f"holds version {payload.get('version')!r}, expected {position} "
-                    "(the lineage must be contiguous from 0)"
-                )
-            self._append_lazy(payload)
-            added += 1
-        if added:
-            state_path = self._path / "state.json"
-            if state_path.exists():
-                try:
-                    self.state = json.loads(state_path.read_text())
-                except json.JSONDecodeError as error:
-                    raise StreamError(
-                        f"corrupt release store: {state_path} is not valid JSON ({error})"
-                    ) from None
-        return added
 
     def add(self, version: StreamVersion, *, state: dict[str, Any] | None = None) -> StreamVersion:
         """Append the next version (versions must be contiguous from 0).

@@ -11,7 +11,6 @@ PAYLOAD = {
             "count": 5, "mean": 0.01, "p50": 0.008, "p95": 0.02, "p99": 0.03,
             "min": 0.004, "max": 0.031,
         },
-        "publication_pool": {"workers": 2, "restarts": 1},
     },
     "streams": {
         "census": {
@@ -60,14 +59,13 @@ def _parse(text):
     return samples, typed
 
 
-def test_render_is_a_valid_exposition_with_all_three_namespaces():
+def test_render_is_a_valid_exposition_with_server_and_stream_namespaces():
     samples, typed = _parse(render(PAYLOAD))
     names = {name for name, _, _ in samples}
     assert "repro_server_requests_total" in names
-    assert "repro_pool_workers" in names
     assert "repro_stream_versions" in names
     assert typed["repro_server_requests_total"] == "counter"
-    assert typed["repro_pool_workers"] == "gauge"
+    assert typed["repro_stream_versions"] == "gauge"
     assert typed["repro_server_read_seconds"] == "summary"
     assert CONTENT_TYPE.startswith("text/plain; version=0.0.4")
 
@@ -114,13 +112,12 @@ def test_empty_payload_renders_no_samples_but_stays_well_formed():
 
 
 def test_sections_absent_from_the_snapshot_are_omitted():
-    # Thread-mode daemons have no publication pool; streams may predate
-    # their first histogram sample.  Neither may invent zero families.
+    # Streams may predate their first histogram sample; the renderer may
+    # not invent zero families for them.
     text = render(
         {
             "server": {"uptime_seconds": 1.0, "counters": {"requests": 1}},
             "streams": {"census": {"versions": 1, "counters": {}}},
         }
     )
-    assert "repro_pool_" not in text
     assert "publish_seconds" not in text

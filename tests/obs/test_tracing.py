@@ -107,13 +107,13 @@ def test_json_round_trip_preserves_the_tree_with_root_relative_offsets():
 
 
 def test_adopt_stitches_a_foreign_tree():
-    """The pool parent stitches a deserialized worker trace under its own
-    tick span - exactly ``Span.adopt`` on a ``Span.from_dict`` result."""
+    """A deserialized trace stitches under a live tick span - exactly
+    ``Span.adopt`` on a ``Span.from_dict`` result."""
     worker = Tracer()
     with worker.span("publish.append", rows=30):
         with worker.span("prior"):
             pass
-    shipped = worker.take_root().to_dict()  # what crosses the job pipe
+    shipped = worker.take_root().to_dict()  # the JSON-able tree
 
     parent = Tracer()
     with parent.timed("serve.publish_tick", stream="census") as tick:

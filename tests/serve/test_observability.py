@@ -1,9 +1,7 @@
 """The daemon's observability surface: trace ids, Prometheus, span stitching."""
 
-import os
 import urllib.request
 
-from repro.serve import StreamRegistry
 
 #: Same small stream config the HTTP lifecycle tests use.
 FAST_CONFIG = {"model": "bt", "b": 0.3, "t": 0.25, "k": 2, "max_cells": 20000}
@@ -119,49 +117,3 @@ def test_metrics_format_negotiation(live_server, adult_rows):
 
     status, body, _ = server.request("GET", "/metrics?format=xml")
     assert status == 400 and "unknown metrics format" in body["message"]
-
-
-# -- pool mode: worker traces stitched under the parent tick -------------------------------
-
-
-def test_pool_publish_trace_is_stitched_from_the_worker(tmp_path):
-    """The acceptance path: with a publication process pool, the per-stage
-    spans are recorded *inside the worker process* and arrive stitched under
-    the parent's tick span, pid and all."""
-    from repro.data.adult import adult_schema, generate_adult
-    from repro.data.table import MicrodataTable
-
-    schema = adult_schema()
-    rows = generate_adult(SEED_ROWS + 30, seed=11).rows()
-    registry = StreamRegistry(
-        tmp_path / "data", coalesce_ms=0.0, publish_workers=1
-    )
-    try:
-        host = registry.create("census", rows[:SEED_ROWS], FAST_CONFIG)
-        batch = MicrodataTable.from_rows(schema, rows[SEED_ROWS:])
-        version = host.submit(("append", batch)).result(timeout=300)
-        assert version.version == 1
-
-        trace = host.trace_for(1)
-        assert trace is not None
-        assert trace["name"] == "serve.publish_tick"
-        worker = trace["children"][0]
-        assert worker["name"] == "pool.worker"
-        assert worker["attributes"]["stream"] == "census"
-        assert worker["attributes"]["pid"] != os.getpid()
-
-        def find(node, name):
-            if node["name"].startswith(name):
-                return node
-            for child in node["children"]:
-                found = find(child, name)
-                if found is not None:
-                    return found
-            return None
-
-        publish = find(worker, "publish.")
-        assert publish is not None, "the worker shipped its publish span"
-        assert publish["children"], "stage spans crossed the process boundary"
-        assert host.trace_for(99) is None
-    finally:
-        registry.close()

@@ -11,6 +11,10 @@ The load-bearing contracts from the issue:
   next published version is identical to an uninterrupted publisher's.
 """
 
+import multiprocessing
+import threading
+from concurrent.futures import TimeoutError as FutureTimeout
+
 import numpy as np
 import pytest
 
@@ -279,3 +283,97 @@ def test_resume_fails_loudly_on_unreadable_config(tmp_path):
     (tmp_path / "data" / "census" / "stream.json").write_text("{broken")
     with pytest.raises(StreamError, match="census"):
         _registry(tmp_path)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), 1e20, float("nan"), -1.0])
+def test_rejects_coalescing_windows_the_writer_cannot_wait(tmp_path, bad):
+    # The window becomes the writer thread's queue wait timeout; one beyond
+    # threading.TIMEOUT_MAX would kill the thread on its first tick and hang
+    # every later write, so construction refuses it up front.
+    with pytest.raises(BadRequest, match="coalesce_ms"):
+        StreamRegistry(tmp_path / "data", coalesce_ms=bad)
+
+
+def test_longest_allowed_window_keeps_the_writer_alive(tmp_path):
+    # The largest accepted window is a real wait: the writer sits in it
+    # without dying, and close() still flushes the pending tick.
+    registry = StreamRegistry(
+        tmp_path / "data", coalesce_ms=threading.TIMEOUT_MAX * 1000.0
+    )
+    try:
+        host = registry.create("census", SEED_TABLE.rows(), FAST_CONFIG)
+        future = host.submit(("append", _table(ROWS[SEED_ROWS:SEED_ROWS + 20])))
+        with pytest.raises(FutureTimeout):
+            future.result(timeout=0.5)
+        assert host._worker.is_alive()
+    finally:
+        registry.close()
+    assert future.result(timeout=300).version == 1
+
+
+# -- one publication path: the stream's own host thread -----------------------------------
+
+
+def test_every_tick_publishes_on_its_stream_host_thread(tmp_path, monkeypatch):
+    registry = _registry(tmp_path)
+    try:
+        hosts = [
+            registry.create(name, SEED_TABLE.rows(), FAST_CONFIG)
+            for name in ("census", "second")
+        ]
+        seen = {}
+        for host in hosts:
+            publish = host.publisher.publish_coalesced
+
+            def record(operations, host=host, publish=publish):
+                seen[host] = threading.current_thread()
+                return publish(operations)
+
+            monkeypatch.setattr(host.publisher, "publish_coalesced", record)
+        batch = _table(ROWS[SEED_ROWS:SEED_ROWS + 20])
+        for host in hosts:
+            assert host.submit(("append", batch)).result(timeout=300).version == 1
+
+        # Each stream publishes on its own writer thread, never the caller's,
+        # and no publication leaves a child process behind.
+        assert {host: host._worker for host in hosts} == seen
+        assert threading.current_thread() not in seen.values()
+        assert multiprocessing.active_children() == []
+    finally:
+        registry.close()
+
+
+def test_shard_of_a_poisoned_stream_resumes_after_restart(tmp_path, monkeypatch):
+    first = _registry(tmp_path)
+    try:
+        host = first.create("census", SEED_TABLE.rows(), FAST_CONFIG)
+
+        def explode(operations):
+            host.publisher._inconsistent = True
+            raise StreamError("mid-publication failure")
+
+        monkeypatch.setattr(host.publisher, "publish_coalesced", explode)
+        batch = _table(ROWS[SEED_ROWS:SEED_ROWS + 30])
+        with pytest.raises(StreamError):
+            host.submit(("append", batch)).result(timeout=300)
+        assert host.poisoned is not None
+    finally:
+        first.close()
+
+    # The failure struck before anything was persisted: a fresh registry
+    # resumes the seed version and publishes on, matching an uninterrupted
+    # publisher that never saw the failed tick.
+    second = _registry(tmp_path)
+    try:
+        resumed = second.get("census")
+        assert resumed.poisoned is None
+        assert len(resumed.store) == 1
+        final = resumed.submit(("append", batch)).result(timeout=300)
+    finally:
+        second.close()
+
+    twin = _twin_publisher()
+    twin.publish()
+    expected = _apply_sequentially(twin, [("append", batch)])
+    assert final.version == expected.version == 1
+    _assert_same_release(final, expected)

@@ -442,12 +442,23 @@ def test_serve_rejects_malformed_hosts(capsys, tmp_path):
 
 
 def test_serve_rejects_malformed_coalesce_windows(capsys, tmp_path):
-    for bad in ("-1", "nan", "inf", "soon", ""):
+    for bad in ("-1", "nan", "inf", "1e20", "soon", ""):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--data-dir", str(tmp_path), "--coalesce-ms", bad])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "coalescing window" in err and "Traceback" not in err
+
+
+def test_serve_has_no_publication_pool_flags(capsys, tmp_path):
+    # Publication runs on each stream's host thread only; the old
+    # process-pool flags are unknown options now, not silent no-ops.
+    for flag, value in (("--publish-workers", "2"), ("--publish-timeout", "5")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--data-dir", str(tmp_path), flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
 
 
 def test_serve_rejects_data_dir_colliding_with_a_file(capsys, tmp_path):

@@ -1,10 +1,10 @@
-"""The package keeps one concurrency model.
+"""The package keeps one concurrency model: threads.
 
-In-process parallelism runs on the shared thread pool of
-:mod:`repro.knowledge.parallel`; the spawn-based publication pool in
-``repro/serve/pool.py`` is the only place allowed to create processes.  Any
-other module importing ``multiprocessing`` or reaching for
-``ProcessPoolExecutor`` / ``os.fork`` fails this test.
+Parallel work runs on the shared thread pool of
+:mod:`repro.knowledge.parallel`, and the serving daemon publishes on one
+writer thread per stream.  No module may create processes: any module
+importing ``multiprocessing`` or reaching for ``ProcessPoolExecutor`` /
+``os.fork`` fails this test.
 """
 
 import ast
@@ -13,7 +13,6 @@ from pathlib import Path
 import repro
 
 PACKAGE = Path(repro.__file__).resolve().parent
-ALLOWED = {Path("serve/pool.py")}
 
 
 def _process_machinery(tree: ast.AST) -> list[str]:
@@ -49,12 +48,10 @@ def _process_machinery(tree: ast.AST) -> list[str]:
     return found
 
 
-def test_only_the_serve_pool_creates_processes():
+def test_no_module_creates_processes():
     offenders = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         relative = path.relative_to(PACKAGE)
-        if relative in ALLOWED:
-            continue
         found = _process_machinery(ast.parse(path.read_text(), filename=str(path)))
         if found:
             offenders[str(relative)] = found
@@ -83,5 +80,3 @@ def test_the_guard_sees_every_spelling():
         "os.fork",
         "os.fork",
     ]
-    # The allow-listed module really exists (a rename must update the guard).
-    assert all((PACKAGE / path).is_file() for path in ALLOWED)
