@@ -108,10 +108,12 @@ def test_wide_schema_blocked_vs_flat_speedup():
     table = _wide_table(WIDE_ROWS)
 
     def run_flat():
-        return BatchedKernelPriorEstimator(max_cells=0).fit(table).prior_for_table(BANDWIDTHS)
+        estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=0))
+        return estimator.fit(table).prior_for_table(BANDWIDTHS)
 
     def run_blocked():
-        estimator = BatchedKernelPriorEstimator(max_cells=WIDE_MAX_CELLS).fit(table)
+        estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=WIDE_MAX_CELLS))
+        estimator.fit(table)
         return estimator, estimator.prior_for_table(BANDWIDTHS)
 
     flat_seconds, flat_priors = _best_of(run_flat)
@@ -157,7 +159,8 @@ def test_wide_schema_blocked_vs_flat_speedup():
 def test_single_bandwidth_pipeline_prior_speedup():
     table = generate_adult(PRIOR_ROWS, seed=2009)
 
-    flat_seconds, flat = _best_of(lambda: kernel_prior(table, 0.3, max_cells=0))
+    flat_config = EstimatorConfig(max_cells=0)
+    flat_seconds, flat = _best_of(lambda: kernel_prior(table, 0.3, config=flat_config))
     # What Pipeline.run() / BTPrivacy.prepare() now execute per bandwidth.
     factored_seconds, factored = _best_of(lambda: kernel_prior(table, 0.3))
 

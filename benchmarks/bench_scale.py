@@ -111,10 +111,10 @@ def _child_publish(npz_path: str, rows: int, chunk_rows: int) -> dict:
     from repro.api import Session
     from repro.data.adult import adult_schema
     from repro.data.io import open_table
-    from repro.knowledge.backend import resolve_config
+    from repro.knowledge.backend import EstimatorConfig
 
     source = open_table(npz_path, adult_schema(), chunk_rows=chunk_rows)
-    session = Session(source, config=resolve_config(None, chunk_rows=chunk_rows))
+    session = Session(source, config=EstimatorConfig(chunk_rows=chunk_rows))
     start = time.perf_counter()
     result = session.anonymize("distinct-l", params={"l": 3}, k=K, spill=True)
     publish_seconds = time.perf_counter() - start

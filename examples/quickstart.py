@@ -25,10 +25,11 @@ def main() -> None:
 
     # 2. A session caches expensive preparation (kernel prior estimation, the
     #    dominant cost) so every pipeline and sweep below shares it.  The
-    #    estimation threads across all cores by default; Session(jobs=N) (or
-    #    --jobs N on any CLI subcommand, or REPRO_JOBS) pins the thread count
-    #    and jobs=1 is the serial reference - results are bitwise identical
-    #    at any setting.
+    #    estimation threads across all cores by default; every estimation
+    #    setting goes through one EstimatorConfig, so
+    #    Session(table, config=EstimatorConfig(jobs=N)) (or --jobs N on any
+    #    CLI subcommand, or REPRO_JOBS) pins the thread count and jobs=1 is
+    #    the serial reference - results are bitwise identical at any setting.
     session = Session(table)
 
     # 3. Publish under (B,t)-privacy and audit in one fluent pipeline: the

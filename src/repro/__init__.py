@@ -112,9 +112,7 @@ from repro.knowledge import (
     BatchedKernelPriorEstimator,
     EstimatorConfig,
     FactoredPriorBackend,
-    KernelPriorEstimator,
     PriorBeliefs,
-    batched_kernel_priors,
     kernel_prior,
     mle_prior,
     overall_prior,
@@ -183,7 +181,6 @@ __all__ = [
     "IncrementalPublisher",
     "InferenceError",
     "KAnonymity",
-    "KernelPriorEstimator",
     "KnowledgeError",
     "MicrodataTable",
     "MondrianAnonymizer",
@@ -212,7 +209,6 @@ __all__ = [
     "anatomy_partition",
     "anonymize",
     "audit_skyline",
-    "batched_kernel_priors",
     "average_relative_error",
     "discernibility_metric",
     "exact_posterior",

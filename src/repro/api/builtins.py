@@ -33,7 +33,7 @@ from repro.data.distance import attribute_distance_matrix
 from repro.data.source import as_source
 from repro.data.table import MicrodataTable
 from repro.exceptions import AnonymizationError, PrivacyModelError
-from repro.knowledge.backend import DEFAULT_MAX_CELLS, EstimatorConfig
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import kernel_prior, mle_prior, overall_prior, uniform_prior
 from repro.privacy.measures import (
@@ -80,7 +80,6 @@ def build_bt(
     measure: DistanceMeasure | None = None,
     inference: str = "omega",
     smoothing_bandwidth: float = 0.5,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> BTPrivacy:
     """(B,t)-privacy: bound the knowledge gain of the Adv(B) adversary by t."""
     return BTPrivacy(
@@ -90,7 +89,6 @@ def build_bt(
         measure=measure,
         inference=inference,
         smoothing_bandwidth=smoothing_bandwidth,
-        max_cells=max_cells,
     )
 
 
@@ -102,11 +100,10 @@ def build_skyline_bt(
     t: float = 0.2,
     kernel: str = "epanechnikov",
     inference: str = "omega",
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> SkylineBTPrivacy:
     """Skyline (B,t)-privacy: enforce several (B_i, t_i) pairs at once."""
     skyline = list(points) if points is not None else [(b, t)]
-    return SkylineBTPrivacy(skyline, kernel=kernel, inference=inference, max_cells=max_cells)
+    return SkylineBTPrivacy(skyline, kernel=kernel, inference=inference)
 
 
 @register_model("distinct-l", aliases=("distinct-l-diversity",))
@@ -217,30 +214,16 @@ def estimate_kernel_prior(
     *,
     b: float | Bandwidth = 0.3,
     config: EstimatorConfig | None = None,
-    kernel: str | None = None,
-    batch_size: int | None = None,
     distance_matrices: dict[str, np.ndarray] | None = None,
-    max_cells: int | None = None,
-    jobs: int | None = None,
 ):
     """Nadaraya-Watson kernel regression prior (Section II-B, the paper's estimator).
 
     Estimation runs through the factored contraction backend of
-    :mod:`repro.knowledge.backend`; ``max_cells`` bounds its blocked
-    contraction (``0`` selects the flat reference sweep) and ``jobs`` sizes
-    its worker pool (``None`` resolves to ``REPRO_JOBS`` /
-    ``os.cpu_count()``; results are bitwise identical at any thread count).
+    :mod:`repro.knowledge.backend`, configured by ``config`` (kernel, cell
+    budget - ``0`` selects the flat reference sweep - and contraction
+    threads; results are bitwise identical at any thread count).
     """
-    return kernel_prior(
-        table,
-        b,
-        config=config,
-        kernel=kernel,
-        batch_size=batch_size,
-        distance_matrices=distance_matrices,
-        max_cells=max_cells,
-        jobs=jobs,
-    )
+    return kernel_prior(table, b, config=config, distance_matrices=distance_matrices)
 
 
 @register_prior_estimator("uniform")

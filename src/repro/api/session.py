@@ -26,7 +26,7 @@ assert that preparation really is shared.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -36,9 +36,8 @@ from repro.api.registry import MEASURES, MODELS, PRIOR_ESTIMATORS
 from repro.audit.engine import SkylineAuditEngine, SkylineAuditReport
 from repro.data.distance import attribute_distance_matrix
 from repro.data.table import MicrodataTable
-from repro.knowledge.backend import EstimatorConfig, backend_name, resolve_config
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
-from repro.knowledge.parallel import parse_jobs
 from repro.knowledge.prior import PriorBeliefs
 from repro.obs.tracing import Tracer
 from repro.privacy.disclosure import AttackResult, BackgroundKnowledgeAttack
@@ -76,12 +75,6 @@ class _PriorKey:
     estimator: str
     kernel: str | None
     bandwidth: tuple[tuple[str, float], ...] | None
-    # Estimator-backend identity: differing backend configurations (the
-    # factored/flat switch and the max_cells contraction budget) must never
-    # collide on one cache entry - their priors differ at round-off level
-    # and their costs differ wildly.  None for estimators without the knob.
-    backend: str | None = None
-    max_cells: int | None = None
 
 
 class Session:
@@ -95,24 +88,16 @@ class Session:
         from :func:`~repro.data.io.open_table`) is accepted and materialised
         through its memory-frugal codes-backed path.
     config:
-        An :class:`~repro.knowledge.backend.EstimatorConfig` carrying every
-        estimation knob (kernel, cell budget, batch size, contraction
-        threads, fit chunk size) end to end; the ``kernel``/``max_cells``/
-        ``jobs`` keywords below are back-compat overrides layered on top.
-    kernel:
-        Default kernel for prior estimation and smoothing (the paper uses
-        Epanechnikov throughout).
-    max_cells:
-        Default cell budget for the factored prior-estimation backend (see
-        :class:`~repro.knowledge.backend.FactoredPriorBackend`); part of the
-        prior cache key, overridable per :meth:`priors` call.
+        The :class:`~repro.knowledge.backend.EstimatorConfig` every prior
+        estimation, audit engine and publisher of this session uses, fixed
+        for the session's lifetime.  Its ``kernel`` is the default kernel
+        for prior estimation, smoothing and the models built by name (the
+        paper uses Epanechnikov throughout).  Only the kernel is part of the
+        prior cache key: the cell budget and thread count are the same for
+        every entry, and priors are bitwise identical at any thread count.
     jobs:
-        Worker threads for the backend's parallel contraction, handed to
-        every estimator, audit engine and publisher this session creates
-        (``None`` resolves to ``REPRO_JOBS`` / ``os.cpu_count()``).
-        Deliberately *not* part of the prior cache key: priors are bitwise
-        identical at any thread count, so differing ``jobs`` may share one
-        cache entry.
+        Shorthand for ``config.jobs`` (``replace(config, jobs=jobs)``), the
+        contraction thread count; ``None`` keeps the config's.
     """
 
     def __init__(
@@ -120,19 +105,13 @@ class Session:
         table: MicrodataTable,
         *,
         config: EstimatorConfig | None = None,
-        kernel: str | None = None,
-        max_cells: int | None = None,
         jobs: int | None = None,
     ):
         from repro.data.source import as_table
 
         self.table = as_table(table)
-        self.config = resolve_config(config, kernel=kernel, max_cells=max_cells, jobs=jobs)
-        self.default_kernel = self.config.kernel
-        self.max_cells = int(self.config.max_cells)
-        if self.config.jobs is not None:
-            parse_jobs(self.config.jobs)
-        self.jobs = self.config.jobs
+        config = config if config is not None else EstimatorConfig()
+        self.config = config if jobs is None else replace(config, jobs=jobs)
         self.stats = SessionStats()
         self._priors: dict[_PriorKey, PriorBeliefs] = {}
         self._distance_matrices: dict[str, np.ndarray] = {}
@@ -160,17 +139,13 @@ class Session:
             self._distance_matrices[attribute_name] = matrix
         return matrix
 
-    def _kernel_prior_key(
-        self, bandwidth: Bandwidth, kernel: str, max_cells: int
-    ) -> _PriorKey:
-        """The cache key of one kernel-estimated prior (backend config included)."""
+    def _kernel_prior_key(self, bandwidth: Bandwidth, kernel: str) -> _PriorKey:
+        """The cache key of one kernel-estimated prior."""
         return _PriorKey(
             table_id=self.table_id,
             estimator="kernel",
             kernel=kernel,
             bandwidth=bandwidth.items(),
-            backend=backend_name(max_cells),
-            max_cells=int(max_cells),
         )
 
     def priors(
@@ -179,30 +154,25 @@ class Session:
         *,
         estimator: str = "kernel",
         kernel: str | None = None,
-        max_cells: int | None = None,
     ) -> PriorBeliefs:
         """Prior beliefs of the ``Adv(b)`` adversary, estimated at most once.
 
         ``estimator`` names an entry of the prior-estimator registry
         (``"kernel"`` needs ``b``; the ``"uniform"``/``"overall"``/``"mle"``
-        baselines ignore it).  ``max_cells`` overrides the session's backend
-        cell budget for estimators that take it; the backend configuration is
-        part of the cache key, so differing budgets never collide.
+        baselines ignore it).  Estimators that take a ``config`` get the
+        session's, with ``kernel`` (default: the session's) swapped in.
         """
-        kernel = kernel or self.default_kernel
-        max_cells = self.max_cells if max_cells is None else int(max_cells)
+        kernel = kernel or self.config.kernel
         # Parameters the estimator ignores must not fragment the cache: the
         # uniform/overall/mle baselines are keyed independently of b/kernel.
         accepted = set(PRIOR_ESTIMATORS.keyword_parameters(estimator))
         bandwidth = self.bandwidth(b) if b is not None and "b" in accepted else None
-        takes_max_cells = "max_cells" in accepted
+        takes_config = "config" in accepted
         key = _PriorKey(
             table_id=self.table_id,
             estimator=estimator,
-            kernel=kernel if "kernel" in accepted else None,
+            kernel=kernel if takes_config else None,
             bandwidth=bandwidth.items() if bandwidth is not None else None,
-            backend=backend_name(max_cells) if takes_max_cells else None,
-            max_cells=max_cells if takes_max_cells else None,
         )
         cached = self._priors.get(key)
         if cached is not None:
@@ -215,12 +185,8 @@ class Session:
                     f"prior estimator {estimator!r} requires a bandwidth b"
                 )
             params["b"] = bandwidth
-        if "kernel" in accepted:
-            params["kernel"] = kernel
-        if takes_max_cells:
-            params["max_cells"] = max_cells
-        if "jobs" in accepted:
-            params["jobs"] = self.jobs
+        if takes_config:
+            params["config"] = replace(self.config, kernel=kernel)
         if "distance_matrices" in accepted:
             params["distance_matrices"] = {
                 name: self.distance_matrix(name)
@@ -245,7 +211,7 @@ class Session:
         kernel: str | None = None,
     ) -> DistanceMeasure:
         """A distance measure from the measure registry (built at most once)."""
-        kernel = kernel or self.default_kernel
+        kernel = kernel or self.config.kernel
         key = (name, bandwidth, kernel)
         cached = self._measures.get(key)
         if cached is not None:
@@ -264,10 +230,9 @@ class Session:
     def build_model(self, model: str | PrivacyModel, **params: Any) -> PrivacyModel:
         """Resolve a model name through the registry (instances pass through).
 
-        Models that take the estimator cell budget default to the *session's*
-        ``max_cells`` (instead of the factory default), so the budget a
-        session was configured with governs its models' prior estimation and
-        its audits alike; an explicit ``max_cells`` parameter still wins.
+        Models that take a ``kernel`` default to the *session's* kernel
+        (instead of the factory default), so the adversary a session enforces
+        is the one it audits; an explicit ``kernel`` parameter still wins.
         """
         if isinstance(model, PrivacyModel):
             if params:
@@ -276,12 +241,8 @@ class Session:
                     "not an already-constructed instance"
                 )
             return model
-        if (
-            "max_cells" not in params
-            and model in MODELS
-            and "max_cells" in MODELS.keyword_parameters(model)
-        ):
-            params["max_cells"] = self.max_cells
+        if model in MODELS and "kernel" in MODELS.keyword_parameters(model):
+            params = {"kernel": self.config.kernel, **params}
         return MODELS.build(model, **params)
 
     def prepare_model(self, model: PrivacyModel) -> PrivacyModel:
@@ -294,9 +255,7 @@ class Session:
         domain_size = self.table.sensitive_domain().size
         for component in model.components():
             if isinstance(component, BTPrivacy) and not component.has_priors:
-                priors = self.priors(
-                    component.b, kernel=component.kernel, max_cells=component.max_cells
-                )
+                priors = self.priors(component.b, kernel=component.kernel)
                 component.set_priors(priors, self.sensitive_codes(), domain_size)
                 if component.measure is None:
                     component.measure = self.measure(
@@ -340,7 +299,7 @@ class Session:
         method: str = "omega",
     ) -> AttackResult:
         """Audit a release with ``Adv(b')``, reusing cached priors and adversaries."""
-        kernel = kernel or self.default_kernel
+        kernel = kernel or self.config.kernel
         key = (float(b_prime), kernel, method)
         adversary = self._attacks.get(key)
         if adversary is None:
@@ -374,12 +333,12 @@ class Session:
         and enter the session cache, so a later ``session.attack(b_prime=B_i)``
         is a cache hit.
         """
-        kernel = kernel or self.default_kernel
+        kernel = kernel or self.config.kernel
         points = [(self.bandwidth(b), float(t)) for b, t in skyline]
         priors: list[PriorBeliefs | None] = []
         keys: list[_PriorKey] = []
         for bandwidth, _ in points:
-            key = self._kernel_prior_key(bandwidth, kernel, self.max_cells)
+            key = self._kernel_prior_key(bandwidth, kernel)
             keys.append(key)
             cached = self._priors.get(key)
             if cached is not None:
@@ -389,7 +348,7 @@ class Session:
         engine = SkylineAuditEngine(
             self.table,
             points,
-            config=resolve_config(self.config, kernel=kernel),
+            config=replace(self.config, kernel=kernel),
             method=method,
             measure=self.measure("smoothed-js", kernel=kernel),
             priors=priors,
@@ -423,7 +382,6 @@ class Session:
         split_strategy: str = "widest",
         refine_factor: float = 1.5,
         compact_drift: float = 0.5,
-        max_cells: int | None = None,
         store_dir: str | None = None,
         tracer: Tracer | None = None,
     ) -> "IncrementalPublisher":
@@ -440,8 +398,8 @@ class Session:
         private to the stream.
 
         ``skyline`` defaults to the ``(b, t)`` pairs of the model's (B,t)
-        components, mirroring :meth:`Pipeline.audit_skyline`; ``max_cells``
-        defaults to the session's backend cell budget.  ``store_dir`` makes
+        components, mirroring :meth:`Pipeline.audit_skyline`; the publisher
+        estimates under the session's config.  ``store_dir`` makes
         the publisher's :class:`~repro.stream.ReleaseStore` disk-backed, so
         :meth:`~repro.stream.IncrementalPublisher.resume` can later continue
         the stream from the directory.  ``tracer`` hands the publisher a
@@ -456,7 +414,7 @@ class Session:
             requirement,
             skyline=skyline,
             k=k,
-            config=resolve_config(self.config, max_cells=max_cells),
+            config=self.config,
             method=method,
             split_strategy=split_strategy,
             refine_factor=refine_factor,

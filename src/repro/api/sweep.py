@@ -21,7 +21,6 @@ contraction, skyline audits) runs on the session's ``jobs`` threads.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -59,11 +58,6 @@ class SweepSpec:
             return str(self.model)
         accepted = set(MODELS.parameters(self.model))
         shown = {name: value for name, value in self.params.items() if name in accepted}
-        # The estimator cell budget is backend plumbing, not model identity:
-        # only label it when it differs from the factory default.
-        budget = inspect.signature(MODELS.get(self.model)).parameters.get("max_cells")
-        if budget is not None and shown.get("max_cells") == budget.default:
-            shown.pop("max_cells", None)
         inner = ", ".join(f"{name}={value!r}" for name, value in sorted(shown.items()))
         text = f"{self.model}({inner})" if inner else self.model
         return f"{text}+k={self.k}" if self.k is not None else text
@@ -199,9 +193,9 @@ def _execute_spec(session: Session, spec: SweepSpec, on_error: str) -> SweepRow:
     label = spec.resolved_label()
     try:
         if isinstance(spec.model, str):
-            # Session-built models default to the session's estimator cell
-            # budget; an explicit max_cells param still wins.
-            params = {"max_cells": session.max_cells, **spec.params}
+            # Session-built models default to the session's kernel; an
+            # explicit kernel param still wins.
+            params = {"kernel": session.config.kernel, **spec.params}
             model = MODELS.build_filtered(spec.model, params)
         else:
             model = spec.model

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.data.table import MicrodataTable
 from repro.exceptions import AuditError
-from repro.knowledge.backend import EstimatorConfig, resolve_config
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.parallel import resolve_jobs, run_tasks
 from repro.knowledge.prior import BatchedKernelPriorEstimator, PriorBeliefs
@@ -182,29 +182,21 @@ class SkylineAuditEngine:
         ``(B_i, t_i)`` pairs; ``B_i`` is a scalar (uniform across QI
         attributes) or a full :class:`~repro.knowledge.bandwidth.Bandwidth`.
     config:
-        An :class:`~repro.knowledge.backend.EstimatorConfig` carrying the
-        estimation knobs (kernel, cell budget, contraction threads, batch and
-        fit chunk sizes) end to end; the ``kernel``/``max_cells``/``jobs``
-        keywords below are back-compat overrides layered on top of it.
-    kernel:
-        Kernel for prior estimation (default Epanechnikov, as in the paper).
+        The :class:`~repro.knowledge.backend.EstimatorConfig` of the prior
+        estimation (kernel - Epanechnikov by default, as in the paper - cell
+        budget, fit chunk size) and of the per-adversary posterior passes,
+        which share its ``jobs`` threads with the estimation backend
+        (``None`` resolves to ``REPRO_JOBS`` / ``os.cpu_count()``; priors
+        and risks are bitwise identical at any thread count).
     method:
         Posterior inference, ``"omega"`` (default) or ``"exact"``.
     measure:
-        Distance measure; defaults to the paper's smoothed-JS measure.
+        Distance measure; defaults to the paper's smoothed-JS measure,
+        smoothing with the config's kernel like the (B,t) models do.
     priors:
         Optional precomputed priors aligned with ``skyline`` (``None`` entries
         are estimated).  This is how :class:`~repro.api.session.Session`
         injects its cache.
-    max_cells:
-        Cell budget for the factored estimation backend's blocked contraction
-        (see :class:`~repro.knowledge.backend.FactoredPriorBackend`; ``0``
-        selects the flat reference sweep).
-    jobs:
-        Worker threads for the estimation backend's parallel contraction and
-        the per-adversary posterior passes (``None`` resolves to
-        ``REPRO_JOBS`` / ``os.cpu_count()``; priors and risks are bitwise
-        identical at any thread count).
 
     One engine may audit many releases (each :meth:`audit` call takes its own
     ``groups``); the priors are estimated once, on first use.
@@ -216,12 +208,9 @@ class SkylineAuditEngine:
         skyline: Iterable[tuple[float | Bandwidth, float]],
         *,
         config: EstimatorConfig | None = None,
-        kernel: str | None = None,
         method: str = "omega",
         measure: DistanceMeasure | None = None,
         priors: Sequence[PriorBeliefs | None] | None = None,
-        max_cells: int | None = None,
-        jobs: int | None = None,
         distance_matrices: dict[str, np.ndarray] | None = None,
     ):
         if method not in {"omega", "exact"}:
@@ -231,13 +220,12 @@ class SkylineAuditEngine:
         self.table = as_table(table)
         table = self.table
         self.adversaries = _normalise_skyline(table, skyline)
-        self.config = resolve_config(config, kernel=kernel, max_cells=max_cells, jobs=jobs)
-        self.kernel = self.config.kernel
+        self.config = config if config is not None else EstimatorConfig()
         self.method = method
-        self.max_cells = int(self.config.max_cells)
-        self.jobs = self.config.jobs
         self._distance_matrices = distance_matrices
-        self.measure = measure if measure is not None else sensitive_distance_measure(table)
+        if measure is None:
+            measure = sensitive_distance_measure(table, kernel=self.config.kernel)
+        self.measure = measure
         priors = list(priors) if priors is not None else [None] * len(self.adversaries)
         if len(priors) != len(self.adversaries):
             raise AuditError("priors must align one-to-one with the skyline points")

@@ -50,7 +50,7 @@ from repro.data.source import as_source, as_table, write_npz
 from repro.exceptions import ReproError
 from repro.experiments import config as experiment_config
 from repro.experiments import figures as experiment_figures
-from repro.knowledge.backend import DEFAULT_MAX_CELLS, resolve_config
+from repro.knowledge.backend import DEFAULT_MAX_CELLS, EstimatorConfig
 from repro.obs.log import LOG_FORMATS, LOG_LEVELS, configure as configure_logging
 from repro.obs.tracing import Tracer
 from repro.privacy.models import PrivacyModel
@@ -417,14 +417,13 @@ def _build_model(args: argparse.Namespace) -> PrivacyModel:
     """Build the chosen model from the registry; each model picks the flags it understands."""
     return MODELS.build_filtered(
         args.model,
-        {"b": args.b, "t": args.t, "l": args.l, "k": args.k, "max_cells": args.max_cells},
+        {"b": args.b, "t": args.t, "l": args.l, "k": args.k},
     )
 
 
 def _session(table, args: argparse.Namespace) -> Session:
-    """A session carrying the CLI's estimator-backend configuration."""
-    config = resolve_config(
-        None,
+    """A session carrying the CLI's estimator configuration."""
+    config = EstimatorConfig(
         max_cells=args.max_cells,
         jobs=args.jobs,
         chunk_rows=getattr(args, "chunk_rows", None),
@@ -812,7 +811,7 @@ def _resume_stream(args: argparse.Namespace, tracer: Tracer):
         args.store_dir,
         schema=adult_schema(),
         model=_build_model(args),
-        jobs=args.jobs,
+        config=EstimatorConfig(jobs=args.jobs),
         tracer=tracer,
     )
     # A resumed publisher is governed by the store's recorded state, not by
@@ -974,7 +973,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         t=args.t or [0.2],
         l=args.l or [4.0],
         k=args.k,
-        max_cells=args.max_cells,
         audit=audit,
     )
     if audit is not None and args.threshold is None:

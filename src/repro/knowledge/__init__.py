@@ -24,9 +24,7 @@ from repro.knowledge.kernels import (
 )
 from repro.knowledge.prior import (
     BatchedKernelPriorEstimator,
-    KernelPriorEstimator,
     PriorBeliefs,
-    batched_kernel_priors,
     kernel_prior,
     mle_prior,
     overall_prior,
@@ -46,11 +44,9 @@ __all__ = [
     "DEFAULT_MAX_CELLS",
     "EstimatorConfig",
     "FactoredPriorBackend",
-    "KernelPriorEstimator",
     "PriorBeliefs",
     "cross_validation_score",
     "select_bandwidth",
-    "batched_kernel_priors",
     "biweight_kernel",
     "epanechnikov_kernel",
     "gaussian_kernel",

@@ -10,9 +10,9 @@ streaming republication all reduce to Nadaraya-Watson sums
                              \\, P(t_j)
 
 over the whole table.  Evaluated naively this is an ``O(n^2 d)`` sweep *per
-bandwidth*.  This module holds the one shared backend that every estimator
-view (:class:`~repro.knowledge.prior.KernelPriorEstimator`,
-:class:`~repro.knowledge.prior.BatchedKernelPriorEstimator`) delegates to:
+bandwidth*.  This module holds the one shared backend that the estimator
+(:class:`~repro.knowledge.prior.BatchedKernelPriorEstimator`) delegates to,
+configured by one :class:`EstimatorConfig`:
 
 **Factored storage.**  The *solo* attribute (the largest single domain) is
 split off from the *rest* of the quasi-identifiers.  The observed rest
@@ -70,7 +70,7 @@ flat reference to floating-point round-off while wide schemas keep the
 factored speedup.  A single attribute whose own observed combinations
 exceed the budget forms a singleton block (its kernel matrix exists anyway
 at ``|D_i|^2``).  The flat sweep survives only as the ``max_cells == 0``
-equivalence reference - plus an absolute memory guard (``max_count_cells``)
+equivalence reference - plus an absolute memory guard (:data:`MAX_COUNT_CELLS`)
 for pathological schemas whose count tensor itself would not fit, where
 slow-but-bounded beats an out-of-memory abort.
 
@@ -117,8 +117,9 @@ block-budget guards.
 
 from __future__ import annotations
 
+import numbers
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,8 +133,15 @@ from repro.knowledge.parallel import parse_jobs, resolve_jobs, run_tasks
 from repro.obs.tracing import current_tracer
 
 DEFAULT_MAX_CELLS = 64_000_000
-DEFAULT_BATCH_SIZE = 256
-DEFAULT_MAX_COUNT_CELLS = 128_000_000
+# Query rows per vectorised batch of the flat reference sweep.
+FLAT_BATCH_SIZE = 256
+# Hard memory guard on the count tensor (and the per-bandwidth contracted
+# tensor of the same shape): fits whose ``solo x combos x m`` storage would
+# exceed this many float64 cells (~1 GB) fall back to the flat sweep, which
+# is slow but memory-bounded.  Independent of ``max_cells``, so tiny
+# contraction budgets still take the blocked factored path.  Read at call
+# time, so tests can lower it.
+MAX_COUNT_CELLS = 128_000_000
 # Retired (exactly-zero) rest slots tolerated before a removal-heavy stream
 # refits into a compact layout; see the module docstring.
 _MAX_RETIRED_FRACTION = 0.25
@@ -143,21 +151,20 @@ _MIN_RETIRED_SLOTS = 16
 _SUPPORT_PASS_PAIRS = 1 << 20
 
 
-def backend_name(max_cells: int) -> str:
-    """The backend a ``max_cells`` budget selects: ``"flat"`` only for ``0``.
-
-    The single definition of backend identity - prior caches key on it.
-    """
-    return "flat" if max_cells == 0 else "factored"
+def _is_count(value: object) -> bool:
+    """Whether ``value`` is an integer (booleans and integral floats are not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """The one estimator configuration shared by every kernel-prior consumer.
 
-    Sessions, the skyline audit engine, the incremental publisher and the CLI
-    all parameterise prior estimation through this object (or its fields), so
-    there is a single definition of what a "kernel estimator" is.
+    Sessions, the skyline audit engine, the incremental publisher, the
+    estimator and the CLI all take prior-estimation settings as this one
+    object, so there is a single definition of what a "kernel estimator" is.
+    The adversary ``Adv(B)`` is fixed by ``kernel`` and the bandwidth; the
+    other fields only change how the priors are computed.
 
     Parameters
     ----------
@@ -169,20 +176,12 @@ class EstimatorConfig:
         stay below this many float64 cells.  It deliberately does **not**
         bound the factored count tensor, which scales linearly with the
         data (``solo domain x observed rest combinations x m``) - shrinking
-        the budget makes the blocks and tiles smaller, never the storage.
+        the budget makes the blocks and tiles smaller, never the storage
+        (that has its own absolute guard, :data:`MAX_COUNT_CELLS`).
         A block whose support is sparse never allocates ``c_b x c_b``
         cells at all.  ``0`` selects the flat
         ``O(n^2 d)`` reference sweep instead (kept only for small-size
         equivalence checks).
-    batch_size:
-        Query rows per vectorised batch of the flat reference sweep.
-    max_count_cells:
-        Hard memory guard on the count tensor (and the per-bandwidth
-        contracted tensor of the same shape): fits whose ``solo x combos x
-        m`` storage would exceed this many float64 cells fall back to the
-        flat sweep, which is slow but memory-bounded.  An absolute ceiling
-        (~1 GB by default), independent of ``max_cells`` so tiny contraction
-        budgets still take the blocked factored path.
     jobs:
         Worker threads for the parallel contraction.  ``None`` (the default)
         resolves to the ``REPRO_JOBS`` environment variable when set, else
@@ -199,42 +198,22 @@ class EstimatorConfig:
 
     kernel: str = "epanechnikov"
     max_cells: int = DEFAULT_MAX_CELLS
-    batch_size: int = DEFAULT_BATCH_SIZE
-    max_count_cells: int = DEFAULT_MAX_COUNT_CELLS
     jobs: int | None = None
     chunk_rows: int | None = None
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise KnowledgeError("batch_size must be positive")
-        if self.max_cells < 0:
-            raise KnowledgeError("max_cells must be non-negative")
-        if self.max_count_cells <= 0:
-            raise KnowledgeError("max_count_cells must be positive")
+        if not _is_count(self.max_cells) or self.max_cells < 0:
+            raise KnowledgeError(
+                f"max_cells must be a non-negative integer, got {self.max_cells!r}"
+            )
         if self.jobs is not None:
             parse_jobs(self.jobs)
-        if self.chunk_rows is not None and self.chunk_rows < 1:
-            raise KnowledgeError("chunk_rows must be a positive number of rows")
-
-    @property
-    def backend_name(self) -> str:
-        """``"factored"`` or ``"flat"`` - what this configuration selects."""
-        return backend_name(self.max_cells)
-
-
-def resolve_config(config: EstimatorConfig | None = None, **overrides) -> EstimatorConfig:
-    """Merge legacy per-knob keyword overrides into one :class:`EstimatorConfig`.
-
-    The deprecation shim behind every consumer that grew a ``config=``
-    parameter (sessions, estimators, the audit engine, the publisher): the
-    scattered keyword knobs (``kernel=``, ``max_cells=``, ``jobs=``, ...)
-    stay accepted, and any that were actually supplied (non-``None``)
-    override the matching field of ``config`` (or of a default config).
-    Callers migrating to ``config=`` simply stop passing the keywords.
-    """
-    base = config if config is not None else EstimatorConfig()
-    supplied = {name: value for name, value in overrides.items() if value is not None}
-    return replace(base, **supplied) if supplied else base
+        if self.chunk_rows is not None and (
+            not _is_count(self.chunk_rows) or self.chunk_rows < 1
+        ):
+            raise KnowledgeError(
+                f"chunk_rows must be a positive number of rows, got {self.chunk_rows!r}"
+            )
 
 
 @dataclass
@@ -327,15 +306,15 @@ class FactoredPriorBackend:
     """Shared contraction backend for kernel prior estimation.
 
     One backend is fitted per table and serves every bandwidth: the estimator
-    classes in :mod:`repro.knowledge.prior` are thin views over it.  See the
+    of :mod:`repro.knowledge.prior` is a thin view over it.  See the
     module docstring for the factorisation, the blocking scheme and the
     incremental delta path.
 
     Parameters
     ----------
     config:
-        The :class:`EstimatorConfig` (kernel, ``max_cells`` budget, flat
-        batch size).
+        The :class:`EstimatorConfig` (kernel, ``max_cells`` budget,
+        contraction threads, fit chunk size).
     distance_matrices:
         Optional precomputed per-attribute distance matrices to share
         (matrices cached against an outgrown domain are replaced at fit).
@@ -517,7 +496,7 @@ class FactoredPriorBackend:
         # explicit equivalence-reference switch).
         if (
             self.config.max_cells == 0
-            or sizes[solo] * n_combos * m > self.config.max_count_cells
+            or sizes[solo] * n_combos * m > MAX_COUNT_CELLS
         ):
             self.mode = "flat"
             self._qi_codes = codes
@@ -1046,7 +1025,7 @@ class FactoredPriorBackend:
         fresh_uids = np.flatnonzero(slot_of_uid < 0)
         if fresh_uids.size:
             solo_size = self._count_storage.shape[0]
-            if solo_size * (n_combos + fresh_uids.size) * m > self.config.max_count_cells:
+            if solo_size * (n_combos + fresh_uids.size) * m > MAX_COUNT_CELLS:
                 return None
             slot_of_uid[fresh_uids] = n_combos + np.arange(fresh_uids.size, dtype=np.int64)
             self._grow_combos(uniq[fresh_uids])
@@ -1724,7 +1703,7 @@ class FactoredPriorBackend:
         m = table.sensitive_domain().size
         data_codes = self._qi_codes
         n_queries = query_codes.shape[0]
-        batch_size = self.config.batch_size
+        batch_size = FLAT_BATCH_SIZE
         result = np.empty((n_queries, m), dtype=np.float64)
         for start in range(0, n_queries, batch_size):
             stop = min(start + batch_size, n_queries)

@@ -17,18 +17,18 @@ All estimation is served by one shared engine - the factored count-tensor
 contraction backend of :mod:`repro.knowledge.backend` - which deduplicates
 quasi-identifier combinations, factors the kernel product into a solo
 attribute times (hierarchically blocked) rest combinations, and supports
-additive append-only updates.  The classes here are thin views over it:
+additive updates.  One estimator is a thin view over it:
+:class:`BatchedKernelPriorEstimator` fits a table once and serves any number
+of bandwidths (one ``Adv(B)`` or a whole skyline) in one pass, with optional
+incremental ``append_rows`` / ``remove_rows`` / ``update_rows`` deltas for
+full-lifecycle streaming publishers.  :func:`kernel_prior` is the one-call
+form for a single bandwidth.  Every estimation setting (kernel, cell budget,
+threads, fit chunk size) arrives as one
+:class:`~repro.knowledge.backend.EstimatorConfig`.
 
-* :class:`KernelPriorEstimator` - one bandwidth (the ``Adv(B)`` adversary of
-  a single (B,t) requirement or attack);
-* :class:`BatchedKernelPriorEstimator` - many bandwidths in one pass (the
-  skyline's estimator), with optional incremental ``append_rows`` /
-  ``remove_rows`` / ``update_rows`` deltas for full-lifecycle streaming
-  publishers.
-
-Both produce priors numerically identical (to floating-point round-off) to
-the flat ``O(n^2 d)`` reference sweep, which survives only as a small-size
-equivalence reference behind ``max_cells=0``.
+Priors match (to floating-point round-off) the flat ``O(n^2 d)`` reference
+sweep, which survives only as a small-size equivalence reference behind
+``EstimatorConfig(max_cells=0)``.
 
 Three baseline adversaries from Section II-D are also provided:
 
@@ -49,15 +49,8 @@ import numpy as np
 
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
-from repro.knowledge.backend import (
-    DEFAULT_BATCH_SIZE,
-    EstimatorConfig,
-    FactoredPriorBackend,
-    resolve_config,
-)
+from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
 from repro.knowledge.bandwidth import Bandwidth
-
-_DEFAULT_BATCH_SIZE = DEFAULT_BATCH_SIZE
 
 
 @dataclass(frozen=True)
@@ -109,134 +102,12 @@ class PriorBeliefs:
         return self.matrix[np.asarray(indices, dtype=np.int64)]
 
 
-class KernelPriorEstimator:
-    """Nadaraya-Watson product-kernel estimator for one bandwidth.
-
-    A thin single-bandwidth view over the shared
-    :class:`~repro.knowledge.backend.FactoredPriorBackend`: fitting builds
-    the factored count-tensor state once, estimation contracts it for this
-    estimator's bandwidth.  Results are numerically interchangeable with the
-    flat reference sweep (``max_cells=0``).
-
-    Parameters
-    ----------
-    bandwidth:
-        Per-attribute :class:`~repro.knowledge.bandwidth.Bandwidth`.  It must
-        cover every quasi-identifier of the table passed to :meth:`fit`.
-    config:
-        The consolidated :class:`~repro.knowledge.backend.EstimatorConfig`
-        (kernel, budgets, ``jobs``, ``chunk_rows``).  The per-knob keywords
-        below are deprecation shims layered on top of it via
-        :func:`~repro.knowledge.backend.resolve_config`.
-    kernel:
-        Name of the kernel function (default ``"epanechnikov"``, as in the
-        paper).
-    batch_size:
-        Query rows per vectorised batch of the flat reference sweep.
-    distance_matrices:
-        Optional mapping from attribute name to its precomputed ``|D_i| x
-        |D_i|`` normalised distance matrix, shared between estimators.
-    max_cells:
-        Cell budget of the backend's blocked contraction (``0`` selects the
-        flat reference sweep).
-    jobs:
-        Worker threads for the backend's parallel contraction (``None``
-        resolves to ``REPRO_JOBS`` / ``os.cpu_count()``; ``1`` is the serial
-        reference path; results are bitwise identical either way).
-    """
-
-    def __init__(
-        self,
-        bandwidth: Bandwidth,
-        *,
-        config: EstimatorConfig | None = None,
-        kernel: str | None = None,
-        batch_size: int | None = None,
-        distance_matrices: dict[str, np.ndarray] | None = None,
-        max_cells: int | None = None,
-        jobs: int | None = None,
-    ):
-        self.bandwidth = bandwidth
-        self.config = resolve_config(
-            config, kernel=kernel, batch_size=batch_size, max_cells=max_cells, jobs=jobs
-        )
-        self.kernel_name = self.config.kernel
-        self.batch_size = self.config.batch_size
-        self.max_cells = self.config.max_cells
-        self._backend = FactoredPriorBackend(
-            self.config, distance_matrices=distance_matrices
-        )
-
-    @property
-    def backend(self) -> FactoredPriorBackend:
-        """The shared contraction backend this view delegates to."""
-        return self._backend
-
-    # -- fitting --------------------------------------------------------------------
-    def fit(self, table) -> "KernelPriorEstimator":
-        """Build the backend's factored state for ``table`` (table or source).
-
-        A :class:`~repro.data.source.TableSource` fits chunk by chunk,
-        bitwise identical to the resident fit (see
-        :meth:`~repro.knowledge.backend.FactoredPriorBackend.fit`).
-        """
-        names = table.schema.quasi_identifier_names
-        missing = [name for name in names if name not in self.bandwidth]
-        if missing:
-            raise KnowledgeError(
-                f"bandwidth does not cover quasi-identifier attributes {missing}"
-            )
-        self._backend.fit(table)
-        return self
-
-    # -- estimation -----------------------------------------------------------------
-    def prior_for_codes(self, query_codes: np.ndarray) -> np.ndarray:
-        """Prior distributions for query rows given as QI *code* combinations.
-
-        Parameters
-        ----------
-        query_codes:
-            ``(q, d)`` integer matrix of attribute codes (one row per query
-            point), in the same code space as the fitted table.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(q, m)`` row-stochastic matrix of prior beliefs.  Queries whose
-            kernel weights are all zero (possible with compact-support kernels
-            far away from any data) fall back to the overall sensitive
-            distribution, which is the least-informative consistent belief.
-        """
-        return self._backend.matrix_for_codes(query_codes, self.bandwidth)
-
-    def prior_for_table(self, table: MicrodataTable | None = None) -> PriorBeliefs:
-        """Prior beliefs for every tuple of ``table`` (default: the fitted table)."""
-        fitted = self._backend.table
-        if fitted is None:
-            raise KnowledgeError("estimator is not fitted; call fit(table) first")
-        if table is None or table is fitted:
-            matrix = self._backend.matrices([self.bandwidth])[0]
-        else:
-            # Re-encode the target's QI values against the fitted table's domains.
-            codes = np.column_stack(
-                [
-                    fitted.domain(name).encode(table.column(name).tolist())
-                    for name in fitted.quasi_identifier_names
-                ]
-            )
-            matrix = self._backend.matrix_for_codes(codes, self.bandwidth)
-        return PriorBeliefs(
-            matrix=matrix,
-            sensitive_values=tuple(fitted.sensitive_domain().values.tolist()),
-            description=f"kernel={self.kernel_name}, {self.bandwidth.describe()}",
-        )
-
-
 class BatchedKernelPriorEstimator:
-    """Kernel priors for *many* bandwidths in one pass (the skyline's estimator).
+    """The Nadaraya-Watson kernel prior estimator, for any number of bandwidths.
 
-    Auditing a release against a skyline ``{(B_1, t_1), ..., (B_p, t_p)}``
-    needs one prior belief function per adversary.  This view shares one
+    One ``Adv(B)`` needs one prior belief function; auditing a release
+    against a skyline ``{(B_1, t_1), ..., (B_p, t_p)}`` needs one per
+    adversary.  This view shares one
     :class:`~repro.knowledge.backend.FactoredPriorBackend` fit across every
     bandwidth: distance matrices, QI deduplication and the count tensor are
     computed once, each bandwidth only pays its tiny kernel matrices and the
@@ -256,52 +127,31 @@ class BatchedKernelPriorEstimator:
     Parameters
     ----------
     config:
-        The consolidated :class:`~repro.knowledge.backend.EstimatorConfig`;
-        the per-knob keywords below are deprecation shims layered on top of
-        it via :func:`~repro.knowledge.backend.resolve_config`.
-    kernel:
-        Kernel function name (default ``"epanechnikov"``, as in the paper).
-    batch_size:
-        Query rows per vectorised batch of the flat reference sweep.
+        The :class:`~repro.knowledge.backend.EstimatorConfig` (kernel, cell
+        budget, contraction threads, fit chunk size); ``None`` is the
+        default configuration.
     distance_matrices:
         Optional precomputed per-attribute distance matrices to share.
-    max_cells:
-        Cell budget for the backend's blocked contraction (``0`` selects the
-        flat reference sweep); see
-        :class:`~repro.knowledge.backend.FactoredPriorBackend`.
     incremental:
         Cache the per-bandwidth contraction state so :meth:`append_rows`
         updates it in place (costs memory proportional to the contracted
         tensor per distinct bandwidth; off by default).
-    jobs:
-        Worker threads for the backend's parallel contraction (``None``
-        resolves to ``REPRO_JOBS`` / ``os.cpu_count()``; ``1`` is the serial
-        reference path; results are bitwise identical either way).
     """
 
     def __init__(
         self,
-        *,
         config: EstimatorConfig | None = None,
-        kernel: str | None = None,
-        batch_size: int | None = None,
+        *,
         distance_matrices: dict[str, np.ndarray] | None = None,
-        max_cells: int | None = None,
         incremental: bool = False,
-        jobs: int | None = None,
     ):
-        self.config = resolve_config(
-            config, kernel=kernel, batch_size=batch_size, max_cells=max_cells, jobs=jobs
-        )
-        self.kernel_name = self.config.kernel
-        self.batch_size = self.config.batch_size
-        self.max_cells = self.config.max_cells
         self.incremental = bool(incremental)
         self._backend = FactoredPriorBackend(
-            self.config,
+            config,
             distance_matrices=distance_matrices,
             incremental=incremental,
         )
+        self.config = self._backend.config
 
     @property
     def backend(self) -> FactoredPriorBackend:
@@ -359,16 +209,26 @@ class BatchedKernelPriorEstimator:
         return self._backend.update_rows(table, positions)
 
     # -- estimation -----------------------------------------------------------------
+    def prior_for_codes(self, query_codes: np.ndarray, b: float | Bandwidth) -> np.ndarray:
+        """Priors of ``Adv(b)`` for query rows given as QI *code* combinations.
+
+        ``query_codes`` is a ``(q, d)`` integer matrix in the fitted table's
+        code space; the queries need not occur in the table.  Returns the
+        ``(q, m)`` row-stochastic prior matrix.  Queries whose kernel weights
+        are all zero (possible with compact-support kernels far away from
+        any data) fall back to the overall sensitive distribution, the
+        least-informative consistent belief.
+        """
+        return self._backend.matrix_for_codes(query_codes, b)
+
     def prior_for_table(
         self, bandwidths: Sequence[float | Bandwidth]
     ) -> list[PriorBeliefs]:
         """Prior beliefs of every ``Adv(B_i)`` on the fitted table, one pass.
 
         Returns one :class:`PriorBeliefs` per entry of ``bandwidths``, in
-        order; numerically interchangeable with fitting a
-        :class:`KernelPriorEstimator` per bandwidth.  Identical bandwidths
-        (common in ``|skyline| > 1`` grids) are computed once and share one
-        matrix object.
+        order.  Identical bandwidths (common in ``|skyline| > 1`` grids) are
+        computed once and share one matrix object.
         """
         table = self._backend.table
         if table is None:
@@ -380,31 +240,10 @@ class BatchedKernelPriorEstimator:
             PriorBeliefs(
                 matrix=matrix,
                 sensitive_values=sensitive_values,
-                description=f"kernel={self.kernel_name}, {bandwidth.describe()}",
+                description=f"kernel={self.config.kernel}, {bandwidth.describe()}",
             )
             for bandwidth, matrix in zip(resolved, matrices)
         ]
-
-
-def batched_kernel_priors(
-    table,
-    bandwidths: Sequence[float | Bandwidth],
-    *,
-    config: EstimatorConfig | None = None,
-    kernel: str | None = None,
-    distance_matrices: dict[str, np.ndarray] | None = None,
-    max_cells: int | None = None,
-    jobs: int | None = None,
-) -> list[PriorBeliefs]:
-    """One-call helper: priors for several adversaries sharing the kernel work."""
-    estimator = BatchedKernelPriorEstimator(
-        config=config,
-        kernel=kernel,
-        distance_matrices=distance_matrices,
-        max_cells=max_cells,
-        jobs=jobs,
-    )
-    return estimator.fit(table).prior_for_table(bandwidths)
 
 
 def kernel_prior(
@@ -412,35 +251,19 @@ def kernel_prior(
     b: float | Bandwidth,
     *,
     config: EstimatorConfig | None = None,
-    kernel: str | None = None,
-    batch_size: int | None = None,
     distance_matrices: dict[str, np.ndarray] | None = None,
-    max_cells: int | None = None,
-    jobs: int | None = None,
 ) -> PriorBeliefs:
-    """One-call helper: fit a kernel estimator on ``table`` and return its priors.
+    """One-call helper: the priors of ``Adv(b)`` on ``table``.
 
     ``table`` is a :class:`~repro.data.table.MicrodataTable` or a chunked
     :class:`~repro.data.source.TableSource`.  ``b`` may be a scalar (applied
     uniformly to every QI attribute, the ``B' = (b', ..., b')`` adversary of
     Section V) or a full :class:`~repro.knowledge.bandwidth.Bandwidth`.
-    Estimation runs through the factored contraction backend;
-    ``max_cells=0`` selects the flat reference sweep.
+    ``config`` carries the estimation settings
+    (``EstimatorConfig(max_cells=0)`` selects the flat reference sweep).
     """
-    if isinstance(b, Bandwidth):
-        bandwidth = b
-    else:
-        bandwidth = Bandwidth.uniform(table.schema.quasi_identifier_names, float(b))
-    estimator = KernelPriorEstimator(
-        bandwidth,
-        config=config,
-        kernel=kernel,
-        batch_size=batch_size,
-        distance_matrices=distance_matrices,
-        max_cells=max_cells,
-        jobs=jobs,
-    )
-    return estimator.fit(table).prior_for_table()
+    estimator = BatchedKernelPriorEstimator(config, distance_matrices=distance_matrices)
+    return estimator.fit(table).prior_for_table([b])[0]
 
 
 def uniform_prior(table: MicrodataTable) -> PriorBeliefs:

@@ -27,8 +27,9 @@ import numpy as np
 
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
-from repro.knowledge.prior import KernelPriorEstimator
+from repro.knowledge.prior import BatchedKernelPriorEstimator
 
 _EPSILON = 1e-12
 
@@ -72,20 +73,21 @@ def cross_validation_score(
     folds = np.array_split(permutation, n_folds)
     sensitive_codes = table.sensitive_codes()
 
+    config = EstimatorConfig(kernel=kernel)
     total = 0.0
     count = 0
     for fold in folds:
         held_out = np.sort(fold)
         training = np.sort(np.setdiff1d(permutation, fold))
         training_table = table.select(training)
-        estimator = KernelPriorEstimator(bandwidth, kernel=kernel).fit(training_table)
+        estimator = BatchedKernelPriorEstimator(config).fit(training_table)
         held_out_codes = np.column_stack(
             [
                 training_table.domain(name).encode(table.column(name)[held_out].tolist())
                 for name in table.quasi_identifier_names
             ]
         )
-        priors = estimator.prior_for_codes(held_out_codes)
+        priors = estimator.prior_for_codes(held_out_codes, bandwidth)
         probabilities = priors[np.arange(held_out.size), sensitive_codes[held_out]]
         total += float(np.log(np.maximum(probabilities, _EPSILON)).sum())
         count += held_out.size

@@ -25,6 +25,7 @@ import numpy as np
 from repro.data.table import MicrodataTable
 from repro.exceptions import PrivacyModelError
 from repro.inference.omega import layout_groups, posterior_tiles
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.prior import PriorBeliefs, kernel_prior
 from repro.obs.tracing import current_tracer
 from repro.privacy.measures import DistanceMeasure, sensitive_distance_measure
@@ -220,7 +221,9 @@ class BackgroundKnowledgeAttack:
         self.kernel = kernel
         self.method = method
         self.measure = measure if measure is not None else sensitive_distance_measure(table)
-        self.priors = priors if priors is not None else kernel_prior(table, self.b_prime, kernel=kernel)
+        if priors is None:
+            priors = kernel_prior(table, self.b_prime, config=EstimatorConfig(kernel=kernel))
+        self.priors = priors
 
     def attack(self, groups: list[np.ndarray], threshold: float) -> AttackResult:
         """Attack a release given as a list of group index arrays."""

@@ -26,7 +26,7 @@ import numpy as np
 from repro.data.distance import attribute_distance_matrix
 from repro.data.table import MicrodataTable
 from repro.exceptions import PrivacyModelError
-from repro.knowledge.backend import DEFAULT_MAX_CELLS
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import PriorBeliefs, kernel_prior
 from repro.privacy.disclosure import member_risks
@@ -332,10 +332,11 @@ class BTPrivacy(PrivacyModel):
         measure over the sensitive attribute's distance matrix.
     inference:
         ``"omega"`` or ``"exact"``.
-    max_cells:
-        Cell budget of the factored prior-estimation backend (see
-        :class:`~repro.knowledge.backend.FactoredPriorBackend`; ``0`` selects
-        the flat reference sweep).
+
+    A standalone :meth:`prepare` estimates the priors with the default
+    :class:`~repro.knowledge.backend.EstimatorConfig` for ``kernel``;
+    sessions and publishers inject priors estimated under their own
+    configuration instead (:meth:`set_priors`).
     """
 
     name = "(B,t)-privacy"
@@ -349,7 +350,6 @@ class BTPrivacy(PrivacyModel):
         measure: DistanceMeasure | None = None,
         inference: str = "omega",
         smoothing_bandwidth: float = 0.5,
-        max_cells: int = DEFAULT_MAX_CELLS,
     ):
         if not 0.0 <= t <= 1.0:
             raise PrivacyModelError("t must lie in [0, 1]")
@@ -359,7 +359,6 @@ class BTPrivacy(PrivacyModel):
         self.t = float(t)
         self.kernel = kernel
         self.inference = inference
-        self.max_cells = int(max_cells)
         self.smoothing_bandwidth = float(smoothing_bandwidth)
         self.measure = measure
         self._priors: PriorBeliefs | None = None
@@ -381,7 +380,7 @@ class BTPrivacy(PrivacyModel):
             # estimation across several models); only estimate when absent.
             # Estimation runs through the factored contraction backend.
             self._priors = kernel_prior(
-                table, self.b, kernel=self.kernel, max_cells=self.max_cells
+                table, self.b, config=EstimatorConfig(kernel=self.kernel)
             )
         self._sensitive_codes = table.sensitive_codes()
         self._domain_size = table.sensitive_domain().size

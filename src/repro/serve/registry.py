@@ -58,7 +58,7 @@ from repro.data.adult import adult_schema
 from repro.data.schema import Schema
 from repro.data.table import MicrodataTable
 from repro.exceptions import ReproError, StreamError
-from repro.knowledge.backend import DEFAULT_MAX_CELLS
+from repro.knowledge.backend import DEFAULT_MAX_CELLS, EstimatorConfig
 from repro.knowledge.parallel import parse_jobs
 from repro.serve.errors import ApiError, BadRequest, Conflict, NotFound, TooManyRequests
 from repro.serve.metrics import StreamMetrics
@@ -120,9 +120,22 @@ def build_stream_model(config: Mapping[str, Any]):
             "t": config["t"],
             "l": config["l"],
             "k": config["k"],
-            "max_cells": config["max_cells"],
         },
     )
+
+
+def _config_integer(value: Any, message: str) -> int:
+    """An integer stream-config value: an int, an integral float or an integer string.
+
+    Booleans and fractional numbers are refused, not truncated: ``true``
+    would otherwise read as ``1`` and ``3.7`` as ``3``.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise BadRequest(message)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadRequest(message) from None
 
 
 class _Submission:
@@ -542,14 +555,12 @@ class StreamRegistry:
             except (TypeError, ValueError):
                 raise BadRequest(f"stream config {key!r} must be a number") from None
         if resolved["k"] is not None:
-            try:
-                resolved["k"] = int(resolved["k"])
-            except (TypeError, ValueError):
-                raise BadRequest("stream config 'k' must be an integer or null") from None
-        try:
-            resolved["max_cells"] = int(resolved["max_cells"])
-        except (TypeError, ValueError):
-            raise BadRequest("stream config 'max_cells' must be an integer") from None
+            resolved["k"] = _config_integer(
+                resolved["k"], "stream config 'k' must be an integer or null"
+            )
+        resolved["max_cells"] = _config_integer(
+            resolved["max_cells"], "stream config 'max_cells' must be an integer"
+        )
         if resolved["skyline"] is not None:
             try:
                 resolved["skyline"] = [
@@ -614,8 +625,7 @@ class StreamRegistry:
                 split_strategy=resolved["split_strategy"],
                 refine_factor=resolved["refine_factor"],
                 compact_drift=resolved["compact_drift"],
-                max_cells=resolved["max_cells"],
-                jobs=self.jobs,
+                config=EstimatorConfig(max_cells=resolved["max_cells"], jobs=self.jobs),
                 store_path=shard,
                 version_cache=self.version_cache,
             )
@@ -649,7 +659,7 @@ class StreamRegistry:
             shard,
             schema=self.schema,
             model=build_stream_model(config),
-            jobs=self.jobs,
+            config=EstimatorConfig(jobs=self.jobs),
             version_cache=self.version_cache,
         )
         return self._register(name, publisher, config)

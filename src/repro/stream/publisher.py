@@ -85,7 +85,7 @@ from repro.anonymize.partition import AnonymizedRelease
 from repro.audit.engine import SkylineAuditEngine, SkylineAuditReport
 from repro.data.table import MicrodataTable
 from repro.exceptions import AnonymizationError, DataError, StreamError
-from repro.knowledge.backend import EstimatorConfig, resolve_config
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import BatchedKernelPriorEstimator, PriorBeliefs
 from repro.obs.tracing import Tracer
@@ -151,14 +151,15 @@ class IncrementalPublisher:
     k:
         Optional k-anonymity requirement conjoined with ``model`` (as the
         paper does against identity disclosure).
-    kernel / method / split_strategy / max_cells:
-        Passed through to the prior estimator, the audit engine and Mondrian.
-    jobs:
-        Worker threads for the estimation backend's parallel contraction
-        (``None`` resolves to ``REPRO_JOBS`` / ``os.cpu_count()``).  A
-        runtime knob, deliberately *not* persisted in the stream state:
-        resuming a shard at a different thread count produces bitwise
-        identical versions.
+    config:
+        The :class:`~repro.knowledge.backend.EstimatorConfig` of the prior
+        estimator and the audit engine.  Its ``kernel`` and ``max_cells``
+        are persisted in the stream state; ``jobs`` (``None`` resolves to
+        ``REPRO_JOBS`` / ``os.cpu_count()``) is a runtime knob, deliberately
+        *not* persisted: resuming a shard at a different thread count
+        produces bitwise identical versions.
+    method / split_strategy:
+        Passed through to the audit engine and Mondrian.
     refine_factor:
         Utility/throughput dial for grown groups.  A group that satisfies the
         requirement after an append re-enters the (expensive) split search
@@ -179,7 +180,8 @@ class IncrementalPublisher:
         audits stay incremental), resetting the drift.  ``float("inf")``
         disables compaction.
     measure:
-        Audit distance measure (defaults to the paper's smoothed-JS measure).
+        Audit distance measure (defaults to the paper's smoothed-JS measure,
+        smoothing with the config's kernel like the (B,t) models do).
     distance_matrices:
         Optional precomputed attribute distance matrices to share (e.g. from a
         :class:`~repro.api.session.Session`).
@@ -213,11 +215,8 @@ class IncrementalPublisher:
         skyline: Iterable[tuple[float | Bandwidth, float]] | None = None,
         k: int | None = None,
         config: EstimatorConfig | None = None,
-        kernel: str | None = None,
         method: str = "omega",
         split_strategy: str = "widest",
-        max_cells: int | None = None,
-        jobs: int | None = None,
         refine_factor: float = 1.5,
         compact_drift: float = 0.5,
         measure: DistanceMeasure | None = None,
@@ -236,13 +235,8 @@ class IncrementalPublisher:
         self.compact_drift = float(compact_drift)
         self._table = table
         self.model = model
-        # One EstimatorConfig carries every estimation knob end to end; the
-        # kernel/max_cells/jobs keywords are back-compat overrides on top.
-        self.config = resolve_config(config, kernel=kernel, max_cells=max_cells, jobs=jobs)
-        self.kernel = self.config.kernel
+        self.config = config if config is not None else EstimatorConfig()
         self.method = method
-        self.max_cells = int(self.config.max_cells)
-        self.jobs = self.config.jobs
         self._k = k
         self._requirement: PrivacyModel = (
             CompositeModel([KAnonymity(k), model]) if k is not None else model
@@ -370,7 +364,6 @@ class IncrementalPublisher:
         config: EstimatorConfig | None = None,
         measure: DistanceMeasure | None = None,
         distance_matrices: dict[str, np.ndarray] | None = None,
-        jobs: int | None = None,
         version_cache: VersionCache | None = None,
         tracer: Tracer | None = None,
     ) -> "IncrementalPublisher":
@@ -384,7 +377,9 @@ class IncrementalPublisher:
         split tree and accumulated compaction drift, and freshly refit
         priors; subsequent :meth:`append` / :meth:`delete` / :meth:`update`
         calls continue the stream where it stopped, producing versions
-        identical to an uninterrupted publisher.
+        identical to an uninterrupted publisher.  ``config`` supplies the
+        runtime estimation settings (``jobs``, ``chunk_rows``); the stored
+        ``kernel`` and ``max_cells`` replace its own.
         """
         store = ReleaseStore(path=path, schema=schema, version_cache=version_cache)
         if not len(store):
@@ -405,12 +400,13 @@ class IncrementalPublisher:
                 model,
                 skyline=skyline,
                 k=state["k"],
-                config=config,
-                kernel=state["kernel"],
+                config=dataclasses.replace(
+                    config if config is not None else EstimatorConfig(),
+                    kernel=state["kernel"],
+                    max_cells=int(state["max_cells"]),
+                ),
                 method=state["method"],
                 split_strategy=state["split_strategy"],
-                max_cells=int(state["max_cells"]),
-                jobs=jobs,
                 refine_factor=float(state["refine_factor"]),
                 compact_drift=float(state["compact_drift"]),
                 measure=measure,
@@ -519,7 +515,7 @@ class IncrementalPublisher:
     def _fit_priors(self, table: MicrodataTable) -> dict[tuple, PriorBeliefs]:
         """Fit the priors on ``table`` from scratch and hand them to every consumer."""
         if self._measure is None and self._points:
-            self._measure = sensitive_distance_measure(table)
+            self._measure = sensitive_distance_measure(table, kernel=self.config.kernel)
         self._estimator.fit(table)
         prior_map = self._priors_by_bandwidth()
         codes = table.sensitive_codes()
@@ -621,10 +617,10 @@ class IncrementalPublisher:
             "model": self._requirement.describe(),
             "skyline": [[list(b.items()), t] for b, t in self._points],
             "k": self._k,
-            "kernel": self.kernel,
+            "kernel": self.config.kernel,
             "method": self.method,
             "split_strategy": self.split_strategy,
-            "max_cells": self.max_cells,
+            "max_cells": self.config.max_cells,
             "refine_factor": self.refine_factor,
             "compact_drift": self.compact_drift,
             "drift_rows": self._drift_rows,
@@ -637,9 +633,8 @@ class IncrementalPublisher:
         return SkylineAuditEngine(
             table,
             self._points,
-            kernel=self.kernel,
+            config=EstimatorConfig(kernel=self.config.kernel, jobs=self.config.jobs),
             method=self.method,
-            jobs=self.jobs,
             measure=self._measure,
             priors=[prior_map[bandwidth.items()] for bandwidth, _ in self._points],
         )

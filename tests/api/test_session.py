@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api.session import Session
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.privacy.models import BTPrivacy, CompositeModel, KAnonymity, SkylineBTPrivacy
 
@@ -39,28 +40,40 @@ def test_scalar_and_uniform_bandwidth_share_a_cache_entry(tiny_adult):
 
 
 def test_differing_max_cells_never_collide_in_the_cache(tiny_adult):
-    """Backend config is part of the prior cache key (regression: it wasn't)."""
-    session = Session(tiny_adult)
-    factored = session.priors(0.3, max_cells=64_000_000)
-    flat = session.priors(0.3, max_cells=0)
-    assert session.stats.prior_estimations == 2
-    assert session.stats.prior_cache_hits == 0
+    """Each session caches the priors of its own backend configuration."""
+    factored_session = Session(tiny_adult)
+    flat_session = Session(tiny_adult, config=EstimatorConfig(max_cells=0))
+    factored = factored_session.priors(0.3)
+    flat = flat_session.priors(0.3)
+    for session in (factored_session, flat_session):
+        assert session.stats.prior_estimations == 1
+        assert session.stats.prior_cache_hits == 0
     # Both configs stay individually cached ...
-    assert session.priors(0.3, max_cells=64_000_000) is factored
-    assert session.priors(0.3, max_cells=0) is flat
-    assert session.stats.prior_estimations == 2
-    assert session.stats.prior_cache_hits == 2
+    assert factored_session.priors(0.3) is factored
+    assert flat_session.priors(0.3) is flat
+    for session in (factored_session, flat_session):
+        assert session.stats.prior_estimations == 1
+        assert session.stats.prior_cache_hits == 1
     # ... and agree numerically (the blocked contraction is exact).
     np.testing.assert_allclose(factored.matrix, flat.matrix, atol=1e-12, rtol=0)
 
 
-def test_session_default_max_cells_keys_the_cache(tiny_adult):
-    session = Session(tiny_adult, max_cells=1_000)
-    session.priors(0.3)
-    session.priors(0.3, max_cells=1_000)  # explicit == session default: a hit
-    session.priors(0.3, max_cells=2_000)  # different budget: a separate entry
-    assert session.stats.prior_estimations == 2
+def test_session_kernel_governs_models_built_by_name(tiny_adult):
+    """A Gaussian session enforces and audits one Gaussian Adv(B), not two kernels."""
+    session = Session(tiny_adult, config=EstimatorConfig(kernel="gaussian"))
+    assert session.build_model("bt", b=0.3, t=0.2).kernel == "gaussian"
+    assert session.build_model("bt", b=0.3, t=0.2, kernel="uniform").kernel == "uniform"
+    result = session.anonymize("bt", params={"b": 0.3, "t": 0.25}, k=3)
+    report = session.audit_skyline(result.release.groups, [(0.3, 0.25)])
+    assert session.stats.prior_estimations == 1
     assert session.stats.prior_cache_hits == 1
+    assert report.entries[0].attack.vulnerable_tuples == 0
+
+
+def test_session_jobs_shorthand_sets_the_config_threads(tiny_adult):
+    assert Session(tiny_adult, jobs=1).config == EstimatorConfig(jobs=1)
+    session = Session(tiny_adult, config=EstimatorConfig(kernel="uniform"), jobs=2)
+    assert session.config == EstimatorConfig(kernel="uniform", jobs=2)
 
 
 def test_session_priors_match_direct_estimation(tiny_adult):
@@ -171,6 +184,15 @@ def test_session_stream_defaults_skyline_to_bt_model(tiny_adult):
     }
 
 
+def test_session_stream_enforces_and_audits_the_session_kernel(tiny_adult):
+    session = Session(tiny_adult, config=EstimatorConfig(kernel="gaussian", max_cells=5_000))
+    publisher = session.stream("bt", params={"b": 0.3, "t": 0.3}, k=4)
+    assert publisher.config == session.config
+    (component,) = [c for c in publisher.model.components() if isinstance(c, BTPrivacy)]
+    assert component.kernel == "gaussian"
+    assert publisher.latest.satisfied
+
+
 def test_session_accepts_a_table_source(tiny_adult):
     from repro.data.source import InMemoryTableSource
 
@@ -182,28 +204,3 @@ def test_session_accepts_a_table_source(tiny_adult):
     assert all(
         np.array_equal(x, y) for x, y in zip(a.release.groups, b.release.groups)
     )
-
-
-def test_estimator_config_and_legacy_kwargs_agree(tiny_adult):
-    from repro.knowledge.backend import EstimatorConfig
-
-    config = EstimatorConfig(kernel="gaussian", max_cells=500, jobs=1)
-    configured = Session(tiny_adult, config=config)
-    legacy = Session(tiny_adult, kernel="gaussian", max_cells=500, jobs=1)
-    assert configured.config == legacy.config
-    assert configured.default_kernel == legacy.default_kernel == "gaussian"
-    assert configured.max_cells == legacy.max_cells == 500
-    a = configured.priors(0.3)
-    b = legacy.priors(0.3)
-    assert a.matrix.tobytes() == b.matrix.tobytes()
-
-
-def test_legacy_kwargs_override_the_config(tiny_adult):
-    from repro.knowledge.backend import EstimatorConfig
-
-    session = Session(
-        tiny_adult, config=EstimatorConfig(max_cells=50, kernel="uniform"),
-        max_cells=70,
-    )
-    assert session.max_cells == 70  # explicit kwarg wins over the config
-    assert session.default_kernel == "uniform"  # untouched knobs survive

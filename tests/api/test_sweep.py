@@ -5,6 +5,7 @@ import pytest
 from repro.api.session import Session
 from repro.api.sweep import SweepSpec, expand_grid
 from repro.exceptions import PipelineError
+from repro.knowledge.backend import EstimatorConfig
 
 
 def test_expand_grid_cartesian_product():
@@ -40,6 +41,21 @@ def test_sweep_heterogeneous_models_share_cache(tiny_adult):
     rendered = outcome.render()
     assert "label" in rendered and "vulnerable_tuples" in rendered
     assert len(rendered.splitlines()) == 2 + len(outcome.rows)
+
+
+def test_sweep_models_use_the_session_kernel(tiny_adult):
+    """Grid rows built by name enforce the session's Adv(B), the one it audits."""
+    session = Session(tiny_adult, config=EstimatorConfig(kernel="gaussian"))
+    outcome = session.sweep(
+        expand_grid(
+            model="bt", b=0.3, t=[0.2, 0.25], k=3,
+            audit={"b_prime": 0.3, "threshold": 0.25},
+        )
+    )
+    assert all(row.ok for row in outcome.rows)
+    # One Gaussian estimation serves both rows' models and both audits.
+    assert outcome.stats["prior_estimations"] == 1
+    assert all(row.label.startswith("bt(b=0.3, t=") for row in outcome.rows)
 
 
 def test_sweep_accepts_mappings_and_labels(tiny_adult):

@@ -6,6 +6,7 @@ import pytest
 from repro.anonymize.anonymizer import anonymize
 from repro.audit import SkylineAuditEngine, audit_skyline
 from repro.exceptions import AuditError
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import kernel_prior
 from repro.privacy.disclosure import BackgroundKnowledgeAttack, attack_result
@@ -69,8 +70,9 @@ def test_thread_counts_are_bitwise_identical(audit_table, release, jobs):
     the same priors; ``audit`` and ``audit_incremental`` must both match it
     exactly at every thread count.
     """
-    engine = SkylineAuditEngine(audit_table, SKYLINE, jobs=jobs)
-    serial_priors = SkylineAuditEngine(audit_table, SKYLINE, jobs=1).priors
+    serial_config = EstimatorConfig(jobs=1)
+    engine = SkylineAuditEngine(audit_table, SKYLINE, config=EstimatorConfig(jobs=jobs))
+    serial_priors = SkylineAuditEngine(audit_table, SKYLINE, config=serial_config).priors
     codes = audit_table.sensitive_codes()
     loop = [
         attack_result(
@@ -82,7 +84,9 @@ def test_thread_counts_are_bitwise_identical(audit_table, release, jobs):
     full = engine.audit(release.groups)
     # Re-audit against a stale report: every third row dirty, so some groups
     # are copied from the previous report and the rest recomputed.
-    stale = SkylineAuditEngine(audit_table, SKYLINE[::-1], jobs=1).audit(release.groups)
+    stale = SkylineAuditEngine(audit_table, SKYLINE[::-1], config=serial_config).audit(
+        release.groups
+    )
     dirty = np.zeros(audit_table.n_rows, dtype=bool)
     dirty[::3] = True
     incremental = engine.audit_incremental(
@@ -91,7 +95,7 @@ def test_thread_counts_are_bitwise_identical(audit_table, release, jobs):
         previous_report=stale,
         dirty_rows=[dirty] * len(SKYLINE),
     )
-    serial = SkylineAuditEngine(audit_table, SKYLINE, jobs=1).audit_incremental(
+    serial = SkylineAuditEngine(audit_table, SKYLINE, config=serial_config).audit_incremental(
         release.groups,
         previous_groups=release.groups,
         previous_report=stale,

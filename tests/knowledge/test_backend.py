@@ -14,6 +14,7 @@ import pytest
 from repro.data.schema import Schema, categorical_qi, numeric_qi, sensitive
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
+from repro.knowledge import backend as backend_module
 from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.kernels import kernel_names
@@ -62,7 +63,8 @@ def per_attribute_bandwidth(wide_table):
 
 
 def _flat_reference(table, bandwidth, kernel="epanechnikov"):
-    return kernel_prior(table, bandwidth, kernel=kernel, max_cells=0).matrix
+    config = EstimatorConfig(kernel=kernel, max_cells=0)
+    return kernel_prior(table, bandwidth, config=config).matrix
 
 
 def test_wide_schema_blows_single_joint_budget(wide_table):
@@ -79,7 +81,8 @@ def test_wide_schema_blows_single_joint_budget(wide_table):
 def test_blocked_matches_flat_reference_every_kernel(
     wide_table, per_attribute_bandwidth, kernel
 ):
-    estimator = BatchedKernelPriorEstimator(kernel=kernel, max_cells=600).fit(wide_table)
+    estimator = BatchedKernelPriorEstimator(EstimatorConfig(kernel=kernel, max_cells=600))
+    estimator.fit(wide_table)
     assert estimator.mode == "factored"
     assert estimator.backend.n_blocks >= 2
     blocked = estimator.prior_for_table([per_attribute_bandwidth, 0.3])
@@ -93,7 +96,8 @@ def test_tiny_budgets_force_1_2_and_3_block_splits(wide_table, per_attribute_ban
     reference = _flat_reference(wide_table, per_attribute_bandwidth)
     seen_blocks = []
     for max_cells in (64_000_000, 20_000, 1_000, 100, 10, 1):
-        estimator = BatchedKernelPriorEstimator(max_cells=max_cells).fit(wide_table)
+        estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=max_cells))
+        estimator.fit(wide_table)
         assert estimator.mode == "factored"
         seen_blocks.append(estimator.backend.n_blocks)
         matrix = estimator.prior_for_table([per_attribute_bandwidth])[0].matrix
@@ -122,14 +126,14 @@ def test_blocked_incremental_append_matches_scratch(per_attribute_bandwidth):
     """append_rows equivalence under the blocked mode (the streaming contract)."""
     full = _wide_table(n_rows=300)
     tables = [full.select(np.arange(stop)) for stop in (200, 240, 270, 300)]
-    estimator = BatchedKernelPriorEstimator(incremental=True, max_cells=400)
+    estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=400), incremental=True)
     estimator.fit(tables[0])
     assert estimator.backend.n_blocks >= 3
     estimator.prior_for_table([per_attribute_bandwidth, 0.3])  # populate the caches
     for grown in tables[1:]:
         assert estimator.append_rows(grown) == "incremental"
         updated = estimator.prior_for_table([per_attribute_bandwidth, 0.3])
-        scratch = BatchedKernelPriorEstimator(max_cells=400).fit(grown)
+        scratch = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=400)).fit(grown)
         for a, b in zip(updated, scratch.prior_for_table([per_attribute_bandwidth, 0.3])):
             np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12, rtol=0)
         flat = _flat_reference(grown, per_attribute_bandwidth)
@@ -138,7 +142,7 @@ def test_blocked_incremental_append_matches_scratch(per_attribute_bandwidth):
 
 def test_blocked_incremental_keeps_far_priors_bitwise_unchanged():
     seed_table = _wide_table(n_rows=220)
-    estimator = BatchedKernelPriorEstimator(incremental=True, max_cells=400)
+    estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=400), incremental=True)
     estimator.fit(seed_table)
     before = estimator.prior_for_table([0.1])[0].matrix
     # Append twins of the first rows with a *different* sensitive value: at
@@ -153,7 +157,7 @@ def test_blocked_incremental_keeps_far_priors_bitwise_unchanged():
     after = estimator.prior_for_table([0.1])[0].matrix
     unchanged = (after[:220] == before).all(axis=1)
     assert 0 < unchanged.sum() < 220
-    scratch = BatchedKernelPriorEstimator(max_cells=400).fit(grown)
+    scratch = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=400)).fit(grown)
     np.testing.assert_allclose(
         after, scratch.prior_for_table([0.1])[0].matrix, atol=1e-12, rtol=0
     )
@@ -176,22 +180,26 @@ def test_prior_for_codes_matches_flat_reference(wide_table, per_attribute_bandwi
 
 
 def test_estimator_config_validation():
-    with pytest.raises(KnowledgeError, match="batch_size"):
-        EstimatorConfig(batch_size=0)
     with pytest.raises(KnowledgeError, match="max_cells"):
         EstimatorConfig(max_cells=-1)
-    with pytest.raises(KnowledgeError, match="max_count_cells"):
-        EstimatorConfig(max_count_cells=0)
-    assert EstimatorConfig(max_cells=0).backend_name == "flat"
-    assert EstimatorConfig().backend_name == "factored"
+    # Integer settings are validated, not truncated.
+    for bad in (0.5, 64e6, True):
+        with pytest.raises(KnowledgeError, match="max_cells"):
+            EstimatorConfig(max_cells=bad)
+    for bad in (0, 1.5, True):
+        with pytest.raises(KnowledgeError, match="chunk_rows"):
+            EstimatorConfig(chunk_rows=bad)
+    assert EstimatorConfig(max_cells=np.int64(400), chunk_rows=np.int64(7)).max_cells == 400
 
 
-def test_count_tensor_memory_guard_falls_back_to_flat(wide_table, per_attribute_bandwidth):
+def test_count_tensor_memory_guard_falls_back_to_flat(
+    wide_table, per_attribute_bandwidth, monkeypatch
+):
     """Pathological count tensors trip the absolute guard (bounded memory wins)."""
-    guarded = FactoredPriorBackend(
-        EstimatorConfig(max_cells=400, max_count_cells=100)
-    ).fit(wide_table)
+    monkeypatch.setattr(backend_module, "MAX_COUNT_CELLS", 100)
+    guarded = FactoredPriorBackend(EstimatorConfig(max_cells=400)).fit(wide_table)
     assert guarded.mode == "flat"
+    monkeypatch.undo()
     # The guard is independent of max_cells: a tiny contraction budget with a
     # roomy count guard still takes the blocked factored path.
     blocked = FactoredPriorBackend(EstimatorConfig(max_cells=400)).fit(wide_table)
@@ -235,7 +243,7 @@ def test_append_growth_past_block_budget_reblocks():
     )
 
 
-def test_append_growth_past_count_guard_refits():
+def test_append_growth_past_count_guard_refits(monkeypatch):
     full = _wide_table(n_rows=300)
     seed_table = full.select(np.arange(200))
     m = full.sensitive_domain().size
@@ -244,8 +252,9 @@ def test_append_growth_past_count_guard_refits():
     probe = FactoredPriorBackend(EstimatorConfig(max_cells=400)).fit(seed_table)
     assert probe.mode == "factored"
     threshold = probe._count_storage.shape[0] * probe._n_combos * m
+    monkeypatch.setattr(backend_module, "MAX_COUNT_CELLS", threshold)
     backend = FactoredPriorBackend(
-        EstimatorConfig(max_cells=400, max_count_cells=threshold), incremental=True
+        EstimatorConfig(max_cells=400), incremental=True
     ).fit(seed_table)
     assert backend.mode == "factored"
     assert backend.append_rows(full) == "refit"

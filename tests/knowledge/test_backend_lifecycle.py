@@ -15,6 +15,7 @@ from repro.data.adult import generate_adult
 from repro.data.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import BatchedKernelPriorEstimator
 
@@ -42,7 +43,8 @@ def _dense_table(n=400, seed=3):
 
 
 def _scratch(table, bandwidths, **options):
-    return BatchedKernelPriorEstimator(**options).fit(table).prior_for_table(bandwidths)
+    estimator = BatchedKernelPriorEstimator(EstimatorConfig(**options))
+    return estimator.fit(table).prior_for_table(bandwidths)
 
 
 def _max_difference(maintained, reference):
@@ -64,7 +66,9 @@ def _replace(table, positions, donor_positions, sensitive_only=False):
 @pytest.mark.parametrize("kernel", ["epanechnikov", "triangular", "uniform"])
 def test_remove_rows_matches_scratch_fit(kernel):
     table = _dense_table()
-    estimator = BatchedKernelPriorEstimator(kernel=kernel, incremental=True).fit(table)
+    estimator = BatchedKernelPriorEstimator(
+        EstimatorConfig(kernel=kernel), incremental=True
+    ).fit(table)
     estimator.prior_for_table(BANDWIDTHS)  # populate the contraction caches
     rng = np.random.default_rng(11)
     removed = np.sort(rng.choice(table.n_rows, size=35, replace=False))
@@ -199,7 +203,9 @@ def test_update_with_unseen_rest_combination_grows_slots():
 
 def test_flat_reference_mode_refits():
     table = _dense_table(seed=25)
-    estimator = BatchedKernelPriorEstimator(max_cells=0, incremental=True).fit(table)
+    estimator = BatchedKernelPriorEstimator(
+        EstimatorConfig(max_cells=0), incremental=True
+    ).fit(table)
     removed = np.asarray([0, 5, 9])
     shrunk = table.select(np.setdiff1d(np.arange(table.n_rows), removed))
     assert estimator.remove_rows(shrunk, removed) == "refit"

@@ -66,7 +66,7 @@ def _wide_table(n=300, seed=41, qi=11):
 
 
 def _priors(table, bandwidths, **options):
-    estimator = BatchedKernelPriorEstimator(**options).fit(table)
+    estimator = BatchedKernelPriorEstimator(EstimatorConfig(**options)).fit(table)
     return [beliefs.matrix for beliefs in estimator.prior_for_table(bandwidths)]
 
 
@@ -101,7 +101,7 @@ def test_per_attribute_bandwidths_bitwise_match_serial():
 def test_wide_blocked_schema_threaded_matches_serial_and_flat(kernel):
     table = _wide_table()
     threaded = BatchedKernelPriorEstimator(
-        kernel=kernel, max_cells=256, jobs=JOBS
+        EstimatorConfig(kernel=kernel, max_cells=256, jobs=JOBS)
     ).fit(table)
     assert threaded.backend.n_blocks > 1  # the budget forces a real split
     serial = _priors(table, BANDWIDTHS, kernel=kernel, max_cells=256, jobs=1)
@@ -118,8 +118,9 @@ def test_wide_blocked_schema_threaded_matches_serial_and_flat(kernel):
 @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])
 def test_matrix_for_codes_unseen_combos_bitwise_match_serial(kernel):
     table = _dense_table(seed=9)
-    threaded = BatchedKernelPriorEstimator(kernel=kernel, jobs=JOBS).fit(table).backend
-    serial = BatchedKernelPriorEstimator(kernel=kernel, jobs=1).fit(table).backend
+    threaded = BatchedKernelPriorEstimator(EstimatorConfig(kernel=kernel, jobs=JOBS))
+    serial = BatchedKernelPriorEstimator(EstimatorConfig(kernel=kernel, jobs=1))
+    threaded, serial = threaded.fit(table).backend, serial.fit(table).backend
     sizes = table.qi_code_matrix().max(axis=0) + 1
     # The full code grid: includes combinations absent from the table.
     grids = np.meshgrid(*[np.arange(size) for size in sizes], indexing="ij")
@@ -143,7 +144,9 @@ def test_incremental_lifecycle_threaded_matches_serial():
     table = _dense_table(seed=11)
     extra = _dense_table(n=80, seed=12)
     estimators = {
-        jobs: BatchedKernelPriorEstimator(incremental=True, jobs=jobs).fit(table)
+        jobs: BatchedKernelPriorEstimator(
+            EstimatorConfig(jobs=jobs), incremental=True
+        ).fit(table)
         for jobs in (1, JOBS)
     }
     for estimator in estimators.values():
@@ -213,7 +216,7 @@ def test_growth_aware_layout_groups_correlated_attributes():
     any pairing with X3 realizes ~90 combos; the growth-aware layout must
     put the correlated pair in one block under a budget that only fits it."""
     table = _skewed_table()
-    estimator = BatchedKernelPriorEstimator(max_cells=150).fit(table)
+    estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=150)).fit(table)
     blocks = estimator.backend.blocks
     assert any({"X1", "X2"} <= set(block) for block in blocks)
     assert all("X3" not in block or len(block) == 1 for block in blocks)
@@ -246,7 +249,7 @@ def test_jobs_validation():
         with pytest.raises(KnowledgeError):
             EstimatorConfig(jobs=bad)
     with pytest.raises(KnowledgeError):
-        BatchedKernelPriorEstimator(jobs=0)
+        BatchedKernelPriorEstimator(EstimatorConfig(jobs=0))
     assert parse_jobs(3) == 3
     assert parse_jobs("5") == 5
     assert resolve_jobs(2) == 2
@@ -259,7 +262,8 @@ def test_jobs_env_default(monkeypatch):
     estimator = BatchedKernelPriorEstimator().fit(_dense_table(n=50, seed=17))
     assert estimator.backend.jobs == 3
     # An explicit count always beats the environment.
-    explicit = BatchedKernelPriorEstimator(jobs=2).fit(_dense_table(n=50, seed=17))
+    explicit = BatchedKernelPriorEstimator(EstimatorConfig(jobs=2))
+    explicit.fit(_dense_table(n=50, seed=17))
     assert explicit.backend.jobs == 2
     monkeypatch.setenv(JOBS_ENV, "zero-cores")
     with pytest.raises(KnowledgeError):

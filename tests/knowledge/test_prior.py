@@ -6,9 +6,10 @@ import pytest
 from repro.data.schema import Schema, categorical_qi, numeric_qi, sensitive
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import (
-    KernelPriorEstimator,
+    BatchedKernelPriorEstimator,
     PriorBeliefs,
     kernel_prior,
     mle_prior,
@@ -63,7 +64,7 @@ def test_small_bandwidth_sharpens_toward_true_value(toy_table):
 
 def test_large_bandwidth_with_uniform_kernel_recovers_overall(toy_table):
     """Section II-D: bandwidth = domain range + uniform kernel = t-closeness adversary."""
-    priors = kernel_prior(toy_table, 1.0, kernel="uniform")
+    priors = kernel_prior(toy_table, 1.0, config=EstimatorConfig(kernel="uniform"))
     overall = toy_table.sensitive_distribution()
     assert np.allclose(priors.matrix, overall, atol=1e-12)
 
@@ -87,33 +88,23 @@ def test_priors_always_average_to_overall_distribution(small_adult):
 
 
 def test_estimator_requires_fit(small_adult):
-    estimator = KernelPriorEstimator(Bandwidth.uniform(small_adult.quasi_identifier_names, 0.3))
+    estimator = BatchedKernelPriorEstimator()
     with pytest.raises(KnowledgeError):
-        estimator.prior_for_table()
+        estimator.prior_for_table(
+            [Bandwidth.uniform(small_adult.quasi_identifier_names, 0.3)]
+        )
 
 
 def test_estimator_requires_full_bandwidth_coverage(small_adult):
-    estimator = KernelPriorEstimator(Bandwidth({"Age": 0.3}))
     with pytest.raises(KnowledgeError) as excinfo:
-        estimator.fit(small_adult)
+        kernel_prior(small_adult, Bandwidth({"Age": 0.3}))
     assert "Workclass" in str(excinfo.value)
 
 
-def test_bad_batch_size_rejected():
-    with pytest.raises(KnowledgeError):
-        KernelPriorEstimator(Bandwidth({"Age": 0.3}), batch_size=0)
-
-
-def test_batch_size_does_not_change_result(toy_table):
-    big = kernel_prior(toy_table, 0.3, batch_size=1000)
-    small = kernel_prior(toy_table, 0.3, batch_size=1)
-    assert np.allclose(big.matrix, small.matrix)
-
-
 def test_query_codes_shape_validation(toy_table):
-    estimator = KernelPriorEstimator(Bandwidth({"Age": 0.3})).fit(toy_table)
+    estimator = BatchedKernelPriorEstimator().fit(toy_table)
     with pytest.raises(KnowledgeError):
-        estimator.prior_for_codes(np.zeros((2, 3), dtype=np.int64))
+        estimator.prior_for_codes(np.zeros((2, 3), dtype=np.int64), Bandwidth({"Age": 0.3}))
 
 
 def test_per_attribute_bandwidth(small_adult):
@@ -122,18 +113,6 @@ def test_per_attribute_bandwidth(small_adult):
     bandwidth = Bandwidth.split(list(names[:3]), 0.2, list(names[3:]), 0.5)
     priors = kernel_prior(small_adult, bandwidth)
     assert np.allclose(priors.matrix.sum(axis=1), 1.0)
-
-
-def test_prior_for_other_table(small_adult):
-    """Priors can be evaluated for tuples of a different table over the same domains."""
-    estimator = KernelPriorEstimator(
-        Bandwidth.uniform(small_adult.quasi_identifier_names, 0.3)
-    ).fit(small_adult)
-    subset = small_adult.select(np.arange(50))
-    beliefs = estimator.prior_for_table(subset)
-    full = estimator.prior_for_table()
-    assert beliefs.matrix.shape[0] == 50
-    assert np.allclose(beliefs.matrix, full.matrix[:50])
 
 
 def test_uniform_prior_is_inconsistent_ignorant_adversary(small_adult):

@@ -1,16 +1,12 @@
-"""Batched-vs-legacy equivalence for the multi-bandwidth kernel estimator."""
+"""Multi-bandwidth passes of the kernel estimator vs one-call estimates."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import KnowledgeError
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
-from repro.knowledge.prior import (
-    BatchedKernelPriorEstimator,
-    KernelPriorEstimator,
-    batched_kernel_priors,
-    kernel_prior,
-)
+from repro.knowledge.prior import BatchedKernelPriorEstimator, kernel_prior
 
 BANDWIDTHS = (0.1, 0.3, 0.5)
 
@@ -38,7 +34,7 @@ def test_factored_matches_legacy_per_bandwidth(factored, tiny_adult_module):
 
 
 def test_flat_fallback_matches_legacy(tiny_adult_module):
-    estimator = BatchedKernelPriorEstimator(max_cells=0).fit(tiny_adult_module)
+    estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=0)).fit(tiny_adult_module)
     assert estimator.mode == "flat"
     batched = estimator.prior_for_table(BANDWIDTHS)
     for b, priors in zip(BANDWIDTHS, batched):
@@ -48,8 +44,10 @@ def test_flat_fallback_matches_legacy(tiny_adult_module):
 
 @pytest.mark.parametrize("kernel", ["gaussian", "triangular", "uniform"])
 def test_other_kernels_match(tiny_adult_module, kernel):
-    batched = batched_kernel_priors(tiny_adult_module, [0.3], kernel=kernel)[0]
-    reference = kernel_prior(tiny_adult_module, 0.3, kernel=kernel)
+    config = EstimatorConfig(kernel=kernel)
+    estimator = BatchedKernelPriorEstimator(config).fit(tiny_adult_module)
+    batched = estimator.prior_for_table(BANDWIDTHS)[1]
+    reference = kernel_prior(tiny_adult_module, BANDWIDTHS[1], config=config)
     np.testing.assert_allclose(batched.matrix, reference.matrix, atol=1e-9)
 
 
@@ -57,10 +55,20 @@ def test_per_attribute_bandwidth_matches(factored, tiny_adult_module):
     names = list(tiny_adult_module.quasi_identifier_names)
     bandwidth = Bandwidth.split(names[:2], 0.15, names[2:], 0.45)
     batched = factored.prior_for_table([bandwidth])[0]
-    legacy = (
-        KernelPriorEstimator(bandwidth).fit(tiny_adult_module).prior_for_table()
-    )
+    legacy = kernel_prior(tiny_adult_module, bandwidth)
     np.testing.assert_allclose(batched.matrix, legacy.matrix, atol=1e-9)
+
+
+def test_prior_for_codes_matches_the_fitted_rows(factored, tiny_adult_module):
+    """Querying the fitted table's own QI codes reproduces its per-row priors."""
+    codes = tiny_adult_module.qi_code_matrix()[:40]
+    for b in BANDWIDTHS:
+        np.testing.assert_allclose(
+            factored.prior_for_codes(codes, b),
+            factored.prior_for_table([b])[0].matrix[:40],
+            atol=1e-12,
+            rtol=0,
+        )
 
 
 def test_duplicate_bandwidths_share_one_computation(factored):

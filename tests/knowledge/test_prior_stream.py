@@ -7,7 +7,8 @@ from repro.data.adult import generate_adult
 from repro.data.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
-from repro.knowledge.prior import BatchedKernelPriorEstimator
+from repro.knowledge.backend import EstimatorConfig
+from repro.knowledge.prior import BatchedKernelPriorEstimator, kernel_prior
 
 BANDWIDTHS = [0.1, 0.3, 0.5]
 
@@ -75,7 +76,8 @@ def test_append_rows_with_new_domain_values_refits():
 def test_append_rows_flat_reference_mode_refits():
     """The flat reference (max_cells=0) has no incremental state: it refits."""
     tables = _grown_tables(total_rows=700, seed_rows=600, step=100)
-    estimator = BatchedKernelPriorEstimator(incremental=True, max_cells=0).fit(tables[0])
+    flat = EstimatorConfig(max_cells=0)
+    estimator = BatchedKernelPriorEstimator(flat, incremental=True).fit(tables[0])
     assert estimator.mode == "flat"
     assert estimator.append_rows(tables[1]) == "refit"
     np.testing.assert_allclose(
@@ -104,7 +106,7 @@ def test_append_rows_single_qi_table_stays_factored():
     assert estimator.append_rows(grown) == "incremental"
     np.testing.assert_allclose(
         estimator.prior_for_table([0.3])[0].matrix,
-        BatchedKernelPriorEstimator(max_cells=0).fit(grown).prior_for_table([0.3])[0].matrix,
+        kernel_prior(grown, 0.3, config=EstimatorConfig(max_cells=0)).matrix,
         atol=1e-12,
         rtol=0,
     )

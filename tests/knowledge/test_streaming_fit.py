@@ -76,9 +76,9 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 def test_chunked_fit_matches_resident_fit_bitwise_every_kernel(
     table, npz_source, kernel
 ):
-    resident = kernel_prior(table, 0.3, kernel=kernel).matrix
+    resident = kernel_prior(table, 0.3, config=EstimatorConfig(kernel=kernel)).matrix
     chunked = kernel_prior(
-        npz_source, 0.3, kernel=kernel, config=EstimatorConfig(chunk_rows=128)
+        npz_source, 0.3, config=EstimatorConfig(kernel=kernel, chunk_rows=128)
     ).matrix
     assert _bitwise_equal(chunked, resident)
 
@@ -114,7 +114,7 @@ def test_chunked_fit_matches_on_blocked_wide_schema():
 
 def test_flat_reference_accepts_sources(table, npz_source):
     """max_cells=0 (the flat sweep) accumulates the chunks and still matches."""
-    resident = kernel_prior(table, 0.3, max_cells=0).matrix
+    resident = kernel_prior(table, 0.3, config=EstimatorConfig(max_cells=0)).matrix
     chunked = kernel_prior(
         npz_source, 0.3, config=EstimatorConfig(max_cells=0, chunk_rows=100)
     ).matrix

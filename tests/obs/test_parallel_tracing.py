@@ -15,6 +15,7 @@ import numpy as np
 from repro.audit.engine import SkylineAuditEngine
 from repro.data.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.data.table import MicrodataTable
+from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.prior import BatchedKernelPriorEstimator
 from repro.obs.tracing import Span, Tracer
 
@@ -42,7 +43,7 @@ def _table(n=400, seed=3):
 
 def _traced_estimation(table, jobs, bandwidth=0.3):
     tracer = Tracer()
-    estimator = BatchedKernelPriorEstimator(jobs=jobs).fit(table)
+    estimator = BatchedKernelPriorEstimator(EstimatorConfig(jobs=jobs)).fit(table)
     with tracer.activate(), tracer.timed("run"):
         estimator.prior_for_table([bandwidth])
     root = tracer.take_root()
@@ -104,7 +105,7 @@ def test_concurrent_traced_estimations_do_not_interleave():
         assert covered == int(contract.attributes["queries"])
         # The two tables have different unique-query counts, so a foreign
         # tile would also break the per-tree total.
-        backend = BatchedKernelPriorEstimator(jobs=1).fit(tables[name]).backend
+        backend = BatchedKernelPriorEstimator(EstimatorConfig(jobs=1)).fit(tables[name]).backend
         assert int(contract.attributes["queries"]) == int(backend._pair_keys.size)
 
 
@@ -138,7 +139,7 @@ def _groups(table, size=8):
 
 
 def _prepared_engine(table, skyline, jobs):
-    return SkylineAuditEngine(table, skyline, jobs=jobs).prepare()
+    return SkylineAuditEngine(table, skyline, config=EstimatorConfig(jobs=jobs)).prepare()
 
 
 def _traced_audits(engine, groups, tracer=None):

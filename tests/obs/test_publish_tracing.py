@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.data.adult import generate_adult
+from repro.knowledge.backend import EstimatorConfig
 from repro.obs.tracing import Tracer
 from repro.privacy.models import BTPrivacy
 from repro.stream import IncrementalPublisher
@@ -23,7 +24,7 @@ def _publisher(tracer):
         BTPrivacy(0.3, 0.25),
         skyline=[(0.1, 0.3), (0.3, 0.25)],
         k=2,
-        max_cells=20000,
+        config=EstimatorConfig(max_cells=20000),
         tracer=tracer,
     )
 

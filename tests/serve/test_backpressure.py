@@ -16,6 +16,7 @@ import pytest
 
 from repro.data.adult import adult_schema, generate_adult
 from repro.data.table import MicrodataTable
+from repro.knowledge.backend import EstimatorConfig
 from repro.privacy.models import BTPrivacy
 from repro.serve import Response, StreamRegistry, TooManyRequests
 from repro.stream import IncrementalPublisher
@@ -111,7 +112,7 @@ def test_rejected_then_retried_batch_reaches_same_final_version(tmp_path):
         _table(ROWS[:SEED_ROWS]),
         BTPrivacy(FAST_CONFIG["b"], FAST_CONFIG["t"]),
         k=FAST_CONFIG["k"],
-        max_cells=FAST_CONFIG["max_cells"],
+        config=EstimatorConfig(max_cells=FAST_CONFIG["max_cells"]),
     )
     twin.publish()
     twin.append(batch_a)

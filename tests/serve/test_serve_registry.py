@@ -21,6 +21,7 @@ import pytest
 from repro.data.adult import adult_schema, generate_adult
 from repro.data.table import MicrodataTable
 from repro.exceptions import StreamError
+from repro.knowledge.backend import EstimatorConfig
 from repro.privacy.models import BTPrivacy
 from repro.serve import BadRequest, Conflict, NotFound, StreamRegistry
 from repro.serve.registry import CONFIG_DEFAULTS
@@ -53,7 +54,7 @@ def _twin_publisher(store_path=None):
         _table(ROWS[:SEED_ROWS]),
         BTPrivacy(FAST_CONFIG["b"], FAST_CONFIG["t"]),
         k=FAST_CONFIG["k"],
-        max_cells=FAST_CONFIG["max_cells"],
+        config=EstimatorConfig(max_cells=FAST_CONFIG["max_cells"]),
         store_path=store_path,
     )
 
@@ -127,6 +128,11 @@ def test_create_rejects_bad_names_duplicates_and_configs(tmp_path):
             registry.create("other", rows, {"model": "nope"})
         with pytest.raises(BadRequest):
             registry.create("other", rows, {"b": "many"})
+        # Integer settings are validated, not truncated: k=3.7 is not k=3,
+        # k=true is not k=1 (no k-anonymity), max_cells=2.5 is not 2.
+        for bad in ({"k": 3.7}, {"k": True}, {"max_cells": 2.5}, {"max_cells": False}):
+            with pytest.raises(BadRequest):
+                registry.create("other", rows, {**FAST_CONFIG, **bad})
         with pytest.raises(BadRequest):
             registry.create("other", [{"Age": "not a row"}], FAST_CONFIG)
         # Failed creations must not leave half-built shards behind.
@@ -141,6 +147,8 @@ def test_resolve_config_fills_defaults():
     resolved = StreamRegistry.resolve_config({"b": "0.4", "k": "3"})
     assert resolved["b"] == 0.4
     assert resolved["k"] == 3
+    assert StreamRegistry.resolve_config({"k": 3.0, "max_cells": "500"})["k"] == 3
+    assert StreamRegistry.resolve_config({"max_cells": "500"})["max_cells"] == 500
     assert resolved["model"] == CONFIG_DEFAULTS["model"]
     assert resolved["method"] == "omega"
 

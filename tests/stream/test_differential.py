@@ -30,6 +30,7 @@ import pytest
 
 from repro.audit.engine import SkylineAuditEngine
 from repro.data.adult import adult_schema, generate_adult
+from repro.knowledge.backend import EstimatorConfig
 from repro.privacy.models import BTPrivacy, DistinctLDiversity
 from repro.stream import IncrementalPublisher
 
@@ -129,9 +130,15 @@ def test_random_lifecycle_differential(tmp_path, seed, model_factory, split_stra
     )
     model = model_factory()
     main = IncrementalPublisher(
-        seed_table, model, store_path=tmp_path / "main", jobs=MAIN_JOBS, **options
+        seed_table,
+        model,
+        store_path=tmp_path / "main",
+        config=EstimatorConfig(jobs=MAIN_JOBS),
+        **options,
     )
-    twin = IncrementalPublisher(seed_table, model_factory(), jobs=TWIN_JOBS, **options)
+    twin = IncrementalPublisher(
+        seed_table, model_factory(), config=EstimatorConfig(jobs=TWIN_JOBS), **options
+    )
     resumed = IncrementalPublisher(
         seed_table, model_factory(), store_path=tmp_path / "resumed", **options
     )

@@ -18,6 +18,7 @@ import pytest
 
 from repro.data.adult import adult_schema, generate_adult
 from repro.exceptions import StreamError
+from repro.knowledge.backend import EstimatorConfig
 from repro.privacy.models import BTPrivacy, DistinctLDiversity
 from repro.stream import IncrementalPublisher, ReleaseStore
 
@@ -158,6 +159,30 @@ def test_resume_serves_historical_versions(tmp_path):
     assert v1.delta.appended_rows == 150
     assert v1.n_rows == SEED_ROWS + 150
     assert resumed.store.report_delta(1) is not None
+
+
+def test_resume_applies_the_stored_kernel_and_budget(tmp_path):
+    """The store governs kernel and max_cells; the caller's config keeps jobs."""
+    seed_table, _ = _tables(seed=31, extra=0)
+    publisher = IncrementalPublisher(
+        seed_table,
+        DistinctLDiversity(3),
+        skyline=[(0.3, 0.3)],
+        k=4,
+        config=EstimatorConfig(kernel="triangular", max_cells=20_000, jobs=1),
+        store_path=tmp_path / "store",
+    )
+    publisher.publish()
+    publisher.close()
+    resumed = IncrementalPublisher.resume(
+        tmp_path / "store",
+        schema=adult_schema(),
+        model=DistinctLDiversity(3),
+        config=EstimatorConfig(kernel="gaussian", jobs=2),
+    )
+    assert resumed.config == EstimatorConfig(kernel="triangular", max_cells=20_000, jobs=2)
+    state = resumed.store.state
+    assert (state["kernel"], state["max_cells"]) == ("triangular", 20_000)
 
 
 def test_fresh_store_dir_requires_no_schema(tmp_path):
