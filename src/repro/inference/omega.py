@@ -159,7 +159,8 @@ def posterior_tiles(
     group_of = np.repeat(np.arange(offsets.size), sizes)
     counts = np.bincount(group_of * m + code_rows, minlength=offsets.size * m)
     counts = counts.reshape(offsets.size, m).astype(np.float64)
-    prior_rows = prior_matrix[members]
+    # np.take: the same gather as fancy indexing, a good deal faster.
+    prior_rows = np.take(prior_matrix, members, axis=0)
 
     if method == "exact":
         posterior = np.empty_like(prior_rows)
@@ -172,9 +173,7 @@ def posterior_tiles(
         return
 
     column_sums = np.add.reduceat(prior_rows, offsets, axis=0)
-    present = counts > 0.0
-    positive_columns = present & (column_sums > 0.0)
-    zero_columns = present & (column_sums <= 0.0)
+    zero_columns = (counts > 0.0) & (column_sums <= 0.0)
     any_zero_column = bool(zero_columns.any())
     safe_sums = np.where(column_sums > 0.0, column_sums, 1.0)
     float_sizes = sizes.astype(np.float64)
@@ -183,16 +182,17 @@ def posterior_tiles(
         stop = min(start + TILE_ROWS, n_rows)
         rows = prior_rows[start:stop]
         group = group_of[start:stop]
-        shares = np.where(positive_columns[group], rows / safe_sums[group], 0.0)
+        # One buffer, in place.  Shares need no mask with nonnegative priors:
+        # an absent value meets ``* 0`` below, and a zero column is all-zero
+        # rows divided by 1, overwritten by the uniform fallback.
+        posterior = rows / np.take(safe_sums, group, axis=0)
         if any_zero_column:
             # Nobody's prior allows a present value: each member takes 1/k of it.
-            shares = np.where(zero_columns[group], uniform[group][:, None], shares)
-        unnormalised = shares * counts[group]
-        row_sums = unnormalised.sum(axis=1)
+            np.copyto(posterior, uniform[group][:, None], where=zero_columns[group])
+        posterior *= np.take(counts, group, axis=0)
+        row_sums = posterior.sum(axis=1)
         good = row_sums > 0.0
-        posterior = np.where(
-            good[:, None], unnormalised / np.where(good, row_sums, 1.0)[:, None], 0.0
-        )
+        posterior /= np.where(good, row_sums, 1.0)[:, None]
         if not good.all():
             # The prior excludes every present value: fall back to n_i / k.
             bad = ~good

@@ -39,6 +39,7 @@ def member_risks(
     measure: DistanceMeasure,
     *,
     method: str = "omega",
+    screen: float | None = None,
 ) -> np.ndarray:
     """The risk kernel: ``D[prior, posterior]`` of every member row of many groups.
 
@@ -52,16 +53,30 @@ def member_risks(
     same operations whatever the tiling.  Every group-risk check - the
     (B,t) model's Mondrian checks, full and incremental skyline audits,
     single-adversary attacks - runs through here.
+
+    With ``screen=t`` each tile calls ``measure.rowwise_screened`` instead:
+    a value above ``t`` is still bitwise the exact risk, a value at or below
+    it only bounds the exact risk (within ``1e-12``).  That is all a
+    ``max <= t`` verdict needs; reported risks never pass a screen.  The
+    ``privacy.risks`` span records ``exact_rows``, the rows that got the
+    exact measure.
     """
     risks = np.empty(np.shape(members)[0], dtype=np.float64)
     with current_tracer().span("privacy.risks", rows=int(risks.size)) as span:
-        tiles = 0
+        tiles = exact_rows = 0
         for start, stop, prior_rows, posterior_rows in posterior_tiles(
             prior_matrix, sensitive_codes, members, offsets, method=method
         ):
-            risks[start:stop] = measure.rowwise(prior_rows, posterior_rows)
+            if screen is None:
+                risks[start:stop] = measure.rowwise(prior_rows, posterior_rows)
+                exact_rows += stop - start
+            else:
+                risks[start:stop], exact = measure.rowwise_screened(
+                    prior_rows, posterior_rows, screen
+                )
+                exact_rows += int(np.count_nonzero(exact))
             tiles += 1
-        span.annotate(tiles=tiles)
+        span.annotate(tiles=tiles, exact_rows=exact_rows)
     return risks
 
 

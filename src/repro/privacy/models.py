@@ -366,9 +366,12 @@ class BTPrivacy(PrivacyModel):
         self._domain_size: int | None = None
         # Per-group risk memo for one partition run: Mondrian re-examines the
         # same candidate groups (and every skyline point sees the same split),
-        # so cache by the group's index bytes.  Reset whenever priors change,
-        # and bounded so long-lived prepared models cannot grow without limit.
-        self._risk_cache: dict[bytes, float] = {}
+        # so cache by the group's index bytes.  Each entry is ``(risk,
+        # exact)``: a screened verdict memoises an accepted group's bound
+        # with ``exact=False`` (see :meth:`is_satisfied_batch`).  Reset
+        # whenever priors change, and never more than ``_risk_cache_limit``
+        # entries, so long-lived prepared models cannot grow without limit.
+        self._risk_cache: dict[bytes, tuple[float, bool]] = {}
         self._risk_cache_limit = 100_000
         self.risk_evaluations = 0
         self.risk_cache_hits = 0
@@ -553,6 +556,18 @@ class BTPrivacy(PrivacyModel):
         fixed row tiles of posteriors and measure evaluations), so checking a
         whole Mondrian round's candidate halves costs a single call.  Groups
         may overlap (candidate splits are alternatives, not a partition).
+        These risks are always exact: a memo entry left by a screened
+        verdict counts as a miss and is overwritten.
+        """
+        return self._group_maxima(groups, screen=None)
+
+    def _group_maxima(self, groups: Sequence[np.ndarray], *, screen: float | None) -> np.ndarray:
+        """Each group's maximum risk, exact or (with ``screen``) screened.
+
+        A screened maximum above ``screen + 1e-12`` is exact: every row whose
+        bound stayed at or below ``screen`` is below the breaching row.  Any
+        memo entry serves a screened call; only exact ones serve an exact
+        call.
         """
         self._require_prepared()
         arrays = [np.asarray(group, dtype=np.int64) for group in groups]
@@ -563,9 +578,9 @@ class BTPrivacy(PrivacyModel):
                 raise PrivacyModelError("a group must contain at least one tuple")
             key = indices.tobytes()
             cached = self._risk_cache.get(key)
-            if cached is not None:
+            if cached is not None and (screen is not None or cached[1]):
                 self.risk_cache_hits += 1
-                risks[position] = cached
+                risks[position] = cached[0]
             else:
                 pending.append((position, indices, key))
         if not pending:
@@ -575,15 +590,19 @@ class BTPrivacy(PrivacyModel):
         offsets = np.cumsum([0] + [indices.size for _, indices, _ in pending[:-1]], dtype=np.int64)
         distances = member_risks(
             self._priors.matrix, self._sensitive_codes, members, offsets, self.measure,
-            method=self.inference,
+            method=self.inference, screen=screen,
         )
         group_max = np.maximum.reduceat(distances, offsets)
-        if len(self._risk_cache) + len(pending) > self._risk_cache_limit:
+        risks[[position for position, _, _ in pending]] = group_max
+        exact = (
+            np.ones(len(pending), dtype=bool) if screen is None else group_max > screen + 1e-12
+        )
+        # Keep the newest entries when one batch alone would overflow the memo.
+        kept = max(0, len(pending) - self._risk_cache_limit)
+        if len(self._risk_cache) + len(pending) - kept > self._risk_cache_limit:
             self._risk_cache.clear()
-        for (position, _, key), value in zip(pending, group_max):
-            risk = float(value)
-            self._risk_cache[key] = risk
-            risks[position] = risk
+        for (_, _, key), value, is_exact in zip(pending[kept:], group_max[kept:], exact[kept:]):
+            self._risk_cache[key] = (float(value), bool(is_exact))
         return risks
 
     def group_risk(self, group_indices: np.ndarray) -> float:
@@ -591,10 +610,17 @@ class BTPrivacy(PrivacyModel):
         return float(self.group_risks([group_indices])[0])
 
     def is_satisfied(self, group_indices: np.ndarray) -> bool:
-        return self.group_risk(group_indices) <= self.t + 1e-12
+        return self.is_satisfied_batch([group_indices])[0]
 
     def is_satisfied_batch(self, groups: Sequence[np.ndarray]) -> list[bool]:
-        return [bool(risk <= self.t + 1e-12) for risk in self.group_risks(groups)]
+        """The verdict ``max risk <= t`` of every group, on screened risks.
+
+        Only rows whose log-free bound exceeds ``t`` get the exact measure
+        (:meth:`~repro.privacy.measures.DistanceMeasure.rowwise_screened`);
+        the verdicts are exactly those of :meth:`group_risks`.
+        """
+        maxima = self._group_maxima(groups, screen=self.t)
+        return [bool(risk <= self.t + 1e-12) for risk in maxima]
 
     def describe(self) -> str:
         b_text = self.b.describe() if isinstance(self.b, Bandwidth) else f"b={self.b:g}"
@@ -642,8 +668,20 @@ class SkylineBTPrivacy(PrivacyModel):
         return verdicts.tolist()
 
     def group_risk(self, group_indices: np.ndarray) -> float:
-        """Maximum risk over all skyline points (normalised by each point's ``t``)."""
-        return max(point.group_risk(group_indices) / point.t for point in self.points)
+        """Maximum risk over all skyline points (normalised by each point's ``t``).
+
+        A ``t = 0`` point contributes ``0.0`` for a risk within the verdict
+        slack (``1e-12``) and ``inf`` otherwise, so ``group_risk <= 1``
+        agrees with :meth:`is_satisfied`.
+        """
+
+        def normalised(point: BTPrivacy) -> float:
+            risk = point.group_risk(group_indices)
+            if point.t == 0.0:
+                return 0.0 if risk <= 1e-12 else float("inf")
+            return risk / point.t
+
+        return max(normalised(point) for point in self.points)
 
     def describe(self) -> str:
         return "; ".join(point.describe() for point in self.points)

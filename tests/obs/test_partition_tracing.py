@@ -3,9 +3,11 @@
 Every frontier round opens one ``mondrian.round`` span recording the
 round's ``entries``, ``rows``, ``proposals`` and ``rejected`` splits; every
 risk-kernel call opens a ``privacy.risks`` span recording its member
-``rows`` and row ``tiles``.  In a traced pipeline the rounds nest under
-``anonymize`` and the (B,t) checks' kernel spans under their round; in a
-skyline audit each ``engine.adversary`` holds its own kernel span.
+``rows``, row ``tiles`` and ``exact_rows`` (the rows that got the exact
+measure: all of them in audits, few in screened Mondrian verdicts).  In a
+traced pipeline the rounds nest under ``anonymize`` and the (B,t) checks'
+kernel spans under their round; in a skyline audit each
+``engine.adversary`` holds its own kernel span.
 """
 
 import numpy as np
@@ -60,6 +62,8 @@ def test_rounds_nest_under_anonymize_and_kernel_spans_under_rounds_and_adversari
         (kernel,) = adversary.children
         assert kernel.name == "privacy.risks"
         assert kernel.attributes["rows"] == TABLE.n_rows
+        # Audits report risks, so every row gets the exact measure.
+        assert kernel.attributes["exact_rows"] == TABLE.n_rows
     assert bundle.release.n_groups > 1
 
 
@@ -86,7 +90,11 @@ def test_round_and_kernel_attributes_count_the_work(monkeypatch):
     assert kernels
     for span in kernels:
         assert span.attributes["tiles"] == -(-span.attributes["rows"] // 64)
+        assert 0 <= span.attributes["exact_rows"] <= span.attributes["rows"]
     assert max(span.attributes["tiles"] for span in kernels) > 1
+    # Verdicts are screened: only rows that could breach t get exact JS.
+    exact_rows = sum(span.attributes["exact_rows"] for span in kernels)
+    assert 0 < exact_rows < sum(span.attributes["rows"] for span in kernels)
 
 
 def test_tracing_changes_no_partition():

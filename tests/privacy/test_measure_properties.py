@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.privacy.measures import (
     JSDivergence,
     SmoothedJSDivergence,
+    _rowwise_js,
+    _topsoe_bound,
     js_divergence,
     smoothed_js_divergence,
 )
@@ -94,3 +96,63 @@ def test_rowwise_consistency(p, q):
     assert np.allclose(
         smoothed.rowwise(stacked_p, stacked_q), [smoothed(p, q), smoothed(q, p)], atol=1e-9
     )
+
+
+_SUBNORMALS = st.sampled_from([5e-324, 1e-320, 3e-310, 2.2e-308])
+
+
+@st.composite
+def _bound_pairs(draw):
+    """Row pairs of every shape the screen meets: arbitrary, disjoint supports,
+    near-equal and subnormal-laden (unnormalised vectors are fine: the bound
+    holds coordinate by coordinate)."""
+    kind = draw(st.sampled_from(["any", "disjoint", "near-equal", "subnormal"]))
+    p = draw(_distributions(6))
+    if kind == "any":
+        q = draw(_distributions(6))
+    elif kind == "disjoint":
+        split = draw(st.integers(min_value=1, max_value=5))
+        q = np.concatenate([np.zeros(split), _normalise(p[split:])])
+        p = np.concatenate([_normalise(p[:split]), np.zeros(6 - split)])
+    elif kind == "near-equal":
+        noise = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)))
+        scale = draw(st.floats(min_value=1e-15, max_value=1e-6))
+        q = _normalise(p + scale * noise)
+    else:
+        q = draw(_distributions(6))
+        for vector in (p, q):
+            spots = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+            vector[spots] = [draw(_SUBNORMALS) for _ in spots]
+    return p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(_bound_pairs(), min_size=1, max_size=8))
+def test_topsoe_bound_dominates_js(pairs):
+    """The screen's log-free bound never falls below exact JS (in bits)."""
+    p = np.vstack([pair[0] for pair in pairs])
+    q = np.vstack([pair[1] for pair in pairs])
+    for left, right in ((p, q), (q, p)):
+        exact = _rowwise_js(left, right)
+        bound = _topsoe_bound(left, right)
+        assert (exact <= bound + 1e-15).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(_bound_pairs(), min_size=1, max_size=8),
+    t=st.sampled_from([0.0, 1e-6, 0.05, 0.2, 0.5, 1.0]),
+)
+def test_screened_rows_keep_the_verdict_contract(pairs, t):
+    """A screened value above ``t`` is the exact value bitwise; one at or
+    below ``t`` only promises the exact value is within ``t + 1e-12``."""
+    p = np.vstack([pair[0] for pair in pairs])
+    q = np.vstack([pair[1] for pair in pairs])
+    ground = np.where(np.kron(np.eye(2), np.ones((3, 3))) > 0.0, 0.5, 1.0)
+    np.fill_diagonal(ground, 0.0)
+    for measure in (JSDivergence(), SmoothedJSDivergence(ground, bandwidth=0.6)):
+        exact = measure.rowwise(p, q)
+        values, flagged = measure.rowwise_screened(p, q, t)
+        assert values[flagged].tobytes() == exact[flagged].tobytes()
+        assert flagged[values > t].all()
+        assert (exact[~flagged] <= t + 1e-12).all()

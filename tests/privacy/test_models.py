@@ -6,6 +6,7 @@ import pytest
 from repro.data.schema import Schema, categorical_qi, numeric_qi, sensitive
 from repro.data.table import MicrodataTable
 from repro.exceptions import PrivacyModelError
+from repro.knowledge.prior import PriorBeliefs
 from repro.privacy.models import (
     BTPrivacy,
     CompositeModel,
@@ -214,6 +215,35 @@ def test_bt_risk_cache_is_bounded(small_adult):
     for _ in range(20):
         model.group_risk(np.sort(rng.choice(small_adult.n_rows, size=4, replace=False)))
     assert len(model._risk_cache) <= 5
+
+    # One batch larger than the limit: exact risks and screened verdicts.
+    def batch():
+        return [np.sort(rng.choice(small_adult.n_rows, size=4, replace=False)) for _ in range(20)]
+
+    risks = model.group_risks(groups := batch())
+    assert len(model._risk_cache) <= 5
+    assert risks.tolist() == [model.group_risk(group) for group in groups]
+    model.is_satisfied_batch(batch())
+    assert len(model._risk_cache) <= 5
+
+
+def test_skyline_group_risk_with_a_zero_t_point(tiny_adult):
+    """A ``t = 0`` skyline point normalises to 0 or inf, agreeing with the verdict."""
+    skyline = SkylineBTPrivacy([(0.3, 0.0), (0.5, 0.2)])
+    skyline.prepare(tiny_adult)
+    groups = [np.arange(tiny_adult.n_rows), np.arange(12), np.arange(40, 45)]
+    for group in groups:
+        assert skyline.group_risk(group) == float("inf")
+        assert not skyline.is_satisfied(group)
+    # Priors that already are every posterior: the t = 0 point has zero risk.
+    zero, other = skyline.points
+    codes = tiny_adult.sensitive_codes()
+    m = tiny_adult.sensitive_domain().size
+    zero.set_priors(PriorBeliefs(np.eye(m)[codes]), codes, m)
+    for group in groups:
+        assert zero.group_risk(group) == 0.0
+        assert skyline.group_risk(group) == other.group_risk(group) / 0.2
+        assert (skyline.group_risk(group) <= 1.0) == skyline.is_satisfied(group)
 
 
 def test_update_priors_remap_keeps_clean_memos_and_flags_dirty_rows():

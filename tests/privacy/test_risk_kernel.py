@@ -237,3 +237,35 @@ def test_threaded_skyline_audit_matches_the_flat_formula(tile, monkeypatch):
         posterior = prior.copy()
         posterior[members] = flat_omega_posterior(prior[members], codes[members], offsets, sizes)
         assert entry.attack.risks.tobytes() == reference(prior, posterior).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_screened_verdicts_match_exact_verdicts(name, monkeypatch):
+    """``member_risks(screen=t)``: every group verdict ``max <= t + 1e-12``
+    is the exact one, and every value above ``t`` is bitwise the exact risk
+    of the same tiling."""
+    measure, _, _ = MEASURES[name]
+    rng = np.random.default_rng([18, len(name)])
+    screened_rows = total_rows = 0
+    for _ in range(12):
+        prior, codes, groups = _random_problem(rng)
+        members, offsets = _layout(groups)
+        for tile in TILES:
+            monkeypatch.setattr(omega, "TILE_ROWS", tile)
+            exact = member_risks(prior, codes, members, offsets, measure)
+            for t in (0.0, 0.05, 0.2, 0.5, 1.0):
+                screened = member_risks(prior, codes, members, offsets, measure, screen=t)
+                hot = screened > t
+                assert screened[hot].tobytes() == exact[hot].tobytes()
+                assert (exact[~hot] <= t + 1e-12).all()
+                screened_max = np.maximum.reduceat(screened, offsets)
+                exact_max = np.maximum.reduceat(exact, offsets)
+                np.testing.assert_array_equal(screened_max <= t + 1e-12, exact_max <= t + 1e-12)
+                rejected = exact_max > t + 1e-12
+                assert screened_max[rejected].tobytes() == exact_max[rejected].tobytes()
+                screened_rows += int((screened != exact).sum())
+                total_rows += members.size
+    if name == "hierarchical-emd":
+        assert screened_rows == 0  # measures without a bound stay exact
+    else:
+        assert 0 < screened_rows < total_rows
