@@ -329,7 +329,7 @@ class SkylineAuditEngine:
         previous_groups: Sequence[np.ndarray],
         previous_report: SkylineAuditReport,
         dirty_rows: np.ndarray | Sequence[np.ndarray],
-        previous_of: np.ndarray | None = None,
+        previous_of: np.ndarray,
     ) -> SkylineAuditReport:
         """Re-audit a release after a stream batch, touching only changed groups.
 
@@ -356,12 +356,11 @@ class SkylineAuditEngine:
             skyline adversary - marking rows whose risk may have changed.
             Rows without a previous counterpart must always be marked dirty.
         previous_of:
-            Optional int array mapping every current row to its position in
-            the previous table (``-1`` for rows with no counterpart, e.g.
-            appended rows).  Omitted, the table is assumed to have grown at
-            the end (previous indices unchanged) - the append-only case.
-            Deleting/updating publishers pass the surviving-row map so clean
-            shrunken releases still reuse their groups' risks.
+            Int array mapping every current row to its position in the
+            previous table (``-1`` for rows with no counterpart, e.g.
+            appended rows) - the one description of an append, retraction
+            or correction, so clean groups reuse their risks across all
+            three.
         """
         self.prepare()
         start = time.perf_counter()
@@ -383,15 +382,11 @@ class SkylineAuditEngine:
             if mask.shape != (n_rows,):
                 raise AuditError("each dirty-row mask must cover every current row")
         n_previous = previous_report.n_rows
-        if previous_of is None:
-            previous_of = np.arange(n_rows, dtype=np.int64)
-            previous_of[n_previous:] = -1
-        else:
-            previous_of = np.asarray(previous_of, dtype=np.int64)
-            if previous_of.shape != (n_rows,):
-                raise AuditError("previous_of must map every current row")
-            if previous_of.size and previous_of.max() >= n_previous:
-                raise AuditError("previous_of points beyond the previous report's rows")
+        previous_of = np.asarray(previous_of, dtype=np.int64)
+        if previous_of.shape != (n_rows,):
+            raise AuditError("previous_of must map every current row")
+        if previous_of.size and previous_of.max() >= n_previous:
+            raise AuditError("previous_of points beyond the previous report's rows")
         surviving = previous_of >= 0
         previous_keys = {np.asarray(g, dtype=np.int64).tobytes() for g in previous_groups}
 

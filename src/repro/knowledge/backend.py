@@ -98,14 +98,16 @@ supports in place); the dense path finds them with witness matmuls.
 additive: :meth:`FactoredPriorBackend.remove_rows` subtracts the removed
 rows' counts from ``M`` and :meth:`FactoredPriorBackend.update_rows` applies
 the paired (negative old cell, positive new cell) deltas of an in-place
-correction.  The count tensor holds small integers in float64, so these
-subtractions are *exact* - and instead of delta-accumulating the cached
-numerators (where a numerator that should become exactly zero could survive
-as a cancellation residue and poison the normalisation), every query with a
-positive kernel weight towards a touched cell is **fully recontracted** from
-the updated count tensor.  Untouched queries keep their cached numerators
-(every changed cell contributes an exact ``0.0`` to them), so maintained
-priors match a from-scratch fit of the post-batch table to floating-point
+correction.  Appends, retractions and corrections are one private step:
+removed rows leave, new rows arrive, the surviving rows keep their order.
+The count tensor holds small integers in float64, so these subtractions are
+*exact* - and instead of delta-accumulating the cached numerators (where a
+numerator that should become exactly zero could survive as a cancellation
+residue and poison the normalisation), every query with a positive kernel
+weight towards a touched cell is **fully recontracted** from the updated
+count tensor.  Untouched queries keep their cached numerators (every
+changed cell contributes an exact ``0.0`` to them), so maintained priors
+match a from-scratch fit of the post-batch table to floating-point
 round-off.  A removal that empties a rest slot *retires* it in place: the
 slot's exactly-zero counts contribute exact zeros to every contraction, so
 the layout does not shift and untouched queries stay bitwise stable.  The
@@ -149,6 +151,8 @@ _MIN_RETIRED_SLOTS = 16
 # Candidate pairs enumerated per pass while building a block support or a
 # slot-level term list, bounding their temporaries (~50 MB) at any density.
 _SUPPORT_PASS_PAIRS = 1 << 20
+# The empty row-position set of a row delta that only adds or only removes.
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 def _is_count(value: object) -> bool:
@@ -288,6 +292,29 @@ class _TermPlan:
     lookups: list
 
 
+def _spliced(
+    rows: np.ndarray, removed: np.ndarray, added: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """A per-row array carried across one row delta (see ``_fold_rows``).
+
+    The entries at ``removed`` leave, the survivors keep their order, and
+    ``values`` land at the ``added`` positions of the result.  Corrections
+    (the same positions leave and arrive) overwrite a copy, and arrivals
+    after every survivor (appends) concatenate, so neither pays more than
+    one pass over the rows.
+    """
+    if np.array_equal(removed, added):
+        spliced = rows.copy()
+        spliced[added] = values
+        return spliced
+    kept = np.delete(rows, removed) if removed.size else rows
+    if not added.size:
+        return kept
+    if added[0] == kept.size:
+        return np.concatenate([kept, values])
+    return np.insert(kept, added - np.arange(added.size), values)
+
+
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated ranges ``starts[k] : starts[k] + counts[k]``.
 
@@ -319,8 +346,8 @@ class FactoredPriorBackend:
         Optional precomputed per-attribute distance matrices to share
         (matrices cached against an outgrown domain are replaced at fit).
     incremental:
-        Cache per-bandwidth contraction state so :meth:`append_rows` updates
-        it in place (costs memory per distinct bandwidth; off by default).
+        Cache per-bandwidth contraction state so row deltas update it in
+        place (costs memory per distinct bandwidth; off by default).
     """
 
     def __init__(
@@ -535,7 +562,7 @@ class FactoredPriorBackend:
     def _fit_streaming(self, source) -> None:
         """Fit from a chunked :class:`~repro.data.source.TableSource`.
 
-        Chunks fold through :meth:`_append_rows` against a growing
+        Chunks fold through :meth:`_fold_rows` against a growing
         codes-backed table (code buffers are preallocated at the source's
         declared row count, so each fold sees a copy-free view); the final
         :meth:`_canonicalise_slots` restores the lexicographic slot layout.
@@ -576,7 +603,9 @@ class FactoredPriorBackend:
                 # A fold that trips a growth guard refits the partial table
                 # (possibly flipping to flat); remaining chunks then just
                 # accumulate codes for the final one-pass fit below.
-                self._append_rows(grown)
+                self._fold_rows(
+                    grown, _NO_ROWS, np.arange(stop - chunk.n_rows, stop, dtype=np.int64)
+                )
         if cursor != source.n_rows:
             raise KnowledgeError(
                 f"table source yielded {cursor} rows but declared {source.n_rows}"
@@ -723,63 +752,34 @@ class FactoredPriorBackend:
         self._query_solo = self._pair_keys // multiplier
         self._query_rest = self._pair_keys % multiplier
 
-    # -- appending --------------------------------------------------------------------
+    # -- row deltas -------------------------------------------------------------------
     def append_rows(self, table: MicrodataTable) -> str:
         """Grow the fitted state to ``table`` (the previous table plus appended rows).
 
         ``table`` must extend the fitted table: its first ``n`` rows are the
-        fitted rows and every attribute keeps its domain (append-only streams
-        with stable domains).  The appended rows' counts are folded into the
-        count tensor - and, in ``incremental`` mode, into every cached
-        per-bandwidth contraction - so the next estimation only recontracts
-        queries whose kernel neighbourhood actually changed.
+        fitted rows and every attribute keeps its domain.  The appended
+        rows' counts are folded into the count tensor - and, in
+        ``incremental`` mode, into every cached per-bandwidth contraction -
+        so the next estimation only recontracts queries whose kernel
+        neighbourhood actually changed.
 
         Returns ``"incremental"`` when the factored state was updated in
         place, or ``"refit"`` when a full :meth:`fit` was required (flat
-        reference mode, or changed domains).
+        reference mode, changed domains, or a breached growth guard).
         """
         with current_tracer().span("backend.append_rows", rows=table.n_rows) as span:
-            result = self._append_rows(table)
+            n_previous = self._require_fitted().n_rows
+            if table.n_rows < n_previous:
+                raise KnowledgeError(
+                    f"append_rows expects a grown table; got {table.n_rows} rows "
+                    f"after {n_previous}"
+                )
+            result = self._fold_rows(
+                table, _NO_ROWS, np.arange(n_previous, table.n_rows, dtype=np.int64)
+            )
         span.annotate(result=result)
         return result
 
-    def _append_rows(self, table: MicrodataTable) -> str:
-        fitted = self._require_fitted()
-        n_previous = fitted.n_rows
-        if table.n_rows < n_previous:
-            raise KnowledgeError(
-                f"append_rows expects a grown table; got {table.n_rows} rows after {n_previous}"
-            )
-        if self.mode != "factored" or not self._same_domains(table):
-            self.fit(table)
-            return "refit"
-        if table.n_rows == n_previous:
-            self._table = table
-            return "incremental"
-
-        m = table.sensitive_domain().size
-        codes_new = table.qi_code_matrix()[n_previous:].astype(np.int64)
-        sensitive_new = table.sensitive_codes()[n_previous:].astype(np.int64)
-        delta_solo = codes_new[:, self._solo_index]
-        rest_new = codes_new[:, self._rest_indices]
-
-        delta_rest = self._assign_fresh_slots(rest_new, m)
-        if delta_rest is None:
-            # Growth breached a guard; refit (which takes the flat path
-            # under the same count-tensor guard).
-            self.fit(table)
-            return "refit"
-        delta = self._exact_cell_deltas(
-            added_solo=delta_solo, added_slot=delta_rest, added_sensitive=sensitive_new
-        )
-        self._table = table
-        self._overall = table.sensitive_distribution()
-        self._solo_of_row = np.concatenate([self._solo_of_row, delta_solo])
-        self._slot_of_row = np.concatenate([self._slot_of_row, delta_rest])
-        self._finish_exact_update(*delta)
-        return "incremental"
-
-    # -- removing and updating --------------------------------------------------------
     def remove_rows(self, table: MicrodataTable, removed: np.ndarray) -> str:
         """Shrink the fitted state to ``table`` (the fitted table minus ``removed``).
 
@@ -810,28 +810,7 @@ class FactoredPriorBackend:
                 f"table has {table.n_rows} rows; expected "
                 f"{fitted.n_rows - removed.size} (the fitted table minus the removed rows)"
             )
-        if self.mode != "factored" or not self._same_domains(table):
-            self.fit(table)
-            return "refit"
-        sensitive = fitted.sensitive_codes().astype(np.int64)
-        delta = self._exact_cell_deltas(
-            removed_solo=self._solo_of_row[removed],
-            removed_slot=self._slot_of_row[removed],
-            removed_sensitive=sensitive[removed],
-        )
-        if self._retired_guard_breached():
-            # Too many slots emptied to exactly zero: refit into a compact
-            # layout (the emptied-slot refit valve, amortised).
-            self.fit(table)
-            return "refit"
-        keep = np.ones(fitted.n_rows, dtype=bool)
-        keep[removed] = False
-        self._table = table
-        self._overall = table.sensitive_distribution()
-        self._solo_of_row = self._solo_of_row[keep]
-        self._slot_of_row = self._slot_of_row[keep]
-        self._finish_exact_update(*delta)
-        return "incremental"
+        return self._fold_rows(table, removed, _NO_ROWS)
 
     def update_rows(self, table: MicrodataTable, positions: np.ndarray) -> str:
         """Re-point the fitted state at ``table`` after in-place row corrections.
@@ -859,81 +838,85 @@ class FactoredPriorBackend:
                 f"update_rows expects the same number of rows; got {table.n_rows} "
                 f"after {fitted.n_rows}"
             )
+        return self._fold_rows(table, positions, positions)
+
+    def _fold_rows(self, table: MicrodataTable, removed: np.ndarray, added: np.ndarray) -> str:
+        """Fold one row delta into the fitted state: the step behind every mutation.
+
+        The fitted table's rows at the sorted positions ``removed`` leave;
+        ``table``'s rows at the sorted positions ``added`` arrive; every
+        other row of ``table`` is a surviving fitted row, in fitted order.
+        An append adds a tail, a retraction only removes, and a correction
+        removes and re-adds the same positions.  Arriving rest combinations
+        take fresh slots, the count deltas apply exactly, and every cached
+        contraction refreshes.  Returns ``"incremental"``, or ``"refit"``
+        when the mode or the domains changed or a layout guard tripped.
+        """
         if self.mode != "factored" or not self._same_domains(table):
             self.fit(table)
             return "refit"
-        m = table.sensitive_domain().size
-        old_solo = self._solo_of_row[positions]
-        old_slot = self._slot_of_row[positions]
-        old_sensitive = fitted.sensitive_codes().astype(np.int64)[positions]
-        codes_new = table.qi_code_matrix()[positions].astype(np.int64)
-        new_sensitive = table.sensitive_codes()[positions].astype(np.int64)
-        new_solo = codes_new[:, self._solo_index]
-        rest_new = codes_new[:, self._rest_indices]
-
-        new_slot = self._assign_fresh_slots(rest_new, m)
-        if new_slot is None:
+        if not removed.size and not added.size:
+            self._table = table
+            return "incremental"
+        added_codes = np.column_stack(
+            [table.codes(name)[added] for name in table.quasi_identifier_names]
+        ).astype(np.int64)
+        added_solo = added_codes[:, self._solo_index]
+        added_slot = self._assign_fresh_slots(
+            added_codes[:, self._rest_indices], table.sensitive_domain().size
+        )
+        if added_slot is None:
+            # Growth breached a guard; refit (which takes the flat path
+            # under the same count-tensor guard).
             self.fit(table)
             return "refit"
         delta = self._exact_cell_deltas(
-            removed_solo=old_solo,
-            removed_slot=old_slot,
-            removed_sensitive=old_sensitive,
-            added_solo=new_solo,
-            added_slot=new_slot,
-            added_sensitive=new_sensitive,
+            (
+                self._solo_of_row[removed],
+                self._slot_of_row[removed],
+                self._table.sensitive_codes()[removed].astype(np.int64),
+            ),
+            (added_solo, added_slot, table.sensitive_codes()[added].astype(np.int64)),
         )
         if self._retired_guard_breached():
+            # Too many slots emptied to exactly zero: refit into a compact
+            # layout (the emptied-slot refit valve, amortised).
             self.fit(table)
             return "refit"
         self._table = table
         self._overall = table.sensitive_distribution()
-        self._solo_of_row = self._solo_of_row.copy()
-        self._solo_of_row[positions] = new_solo
-        self._slot_of_row = self._slot_of_row.copy()
-        self._slot_of_row[positions] = new_slot
+        self._solo_of_row = _spliced(self._solo_of_row, removed, added, added_solo)
+        self._slot_of_row = _spliced(self._slot_of_row, removed, added, added_slot)
         self._finish_exact_update(*delta)
         return "incremental"
 
     def _exact_cell_deltas(
         self,
-        *,
-        removed_solo: np.ndarray | None = None,
-        removed_slot: np.ndarray | None = None,
-        removed_sensitive: np.ndarray | None = None,
-        added_solo: np.ndarray | None = None,
-        added_slot: np.ndarray | None = None,
-        added_sensitive: np.ndarray | None = None,
+        removed: tuple[np.ndarray, np.ndarray, np.ndarray],
+        added: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply paired integer count deltas to the count storage.
 
-        Returns ``(rest_touched, cell_solo, cell_rest)`` - the touched rest
-        slots and the distinct touched (solo, slot) cells - after folding the
-        removed rows' counts out of (and the added rows' counts into) the
-        count storage.  Counts are integers in float64, so the subtraction is
+        ``removed`` and ``added`` are ``(solo, slot, sensitive)`` code arrays
+        of the leaving and arriving rows (either may be empty).  Returns
+        ``(rest_touched, cell_solo, cell_rest)`` - the touched rest slots and
+        the distinct touched (solo, slot) cells - after folding the removed
+        rows' counts out of (and the added rows' counts into) the count
+        storage.  Counts are integers in float64, so the subtraction is
         exact and an emptied slot lands on exactly ``0.0`` (a *retired* slot
         whose contributions are exact zeros everywhere).
         """
-        slot_parts = [s for s in (removed_slot, added_slot) if s is not None]
-        rest_touched = np.unique(np.concatenate(slot_parts))
-
+        rest_touched = np.unique(np.concatenate([removed[1], added[1]]))
         _, capacity, m = self._count_storage.shape
-
-        def scatter(solo: np.ndarray, slot: np.ndarray, sensitive: np.ndarray, sign: float) -> None:
+        cells = []
+        for (solo, slot, sensitive), sign in ((removed, -1.0), (added, 1.0)):
             # Unbuffered per-row adds of +-1.0 into the flat view of the
             # (contiguous) storage: exact on integer counts, and no
             # temporaries beyond the batch itself.
-            cells = (solo * capacity + slot) * m + sensitive
-            np.add.at(self._count_storage.reshape(-1), cells, sign)
+            cells_flat = (solo * capacity + slot) * m + sensitive
+            np.add.at(self._count_storage.reshape(-1), cells_flat, sign)
             np.add.at(self._slot_totals, slot, sign)
-
-        cells = []
-        if removed_slot is not None:
-            scatter(removed_solo, removed_slot, removed_sensitive, -1.0)
-            cells.append(removed_solo * self._n_combos + removed_slot)
-        if added_slot is not None:
-            scatter(added_solo, added_slot, added_sensitive, 1.0)
-            cells.append(added_solo * self._n_combos + added_slot)
+            cells.append(solo * self._n_combos + slot)
         distinct = np.unique(np.concatenate(cells))
         return rest_touched, distinct // self._n_combos, distinct % self._n_combos
 
@@ -1009,8 +992,7 @@ class FactoredPriorBackend:
     def _assign_fresh_slots(self, rest_new: np.ndarray, m: int) -> np.ndarray | None:
         """Slots for a batch of rest combinations, growing the layout as needed.
 
-        Combinations first seen in the batch take the next free slots (the
-        shared scheme of :meth:`append_rows` and :meth:`update_rows`).
+        Combinations first seen in the batch take the next free slots.
         Returns the per-row slot ids, or ``None`` when growth breaches a
         guard and the caller must refit: the count-tensor memory guard, or a
         multi-attribute block outgrowing the contraction budget (the layout
@@ -1018,6 +1000,8 @@ class FactoredPriorBackend:
         design).
         """
         n_combos = self._n_combos
+        if not rest_new.shape[0]:
+            return np.empty(0, dtype=np.int64)
         stacked = np.concatenate([self._rest_combos[:n_combos], rest_new], axis=0)
         uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
         slot_of_uid = np.full(uniq.shape[0], -1, dtype=np.int64)

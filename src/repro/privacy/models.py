@@ -69,42 +69,24 @@ class PrivacyModel:
         """
         return [self.is_satisfied(group) for group in groups]
 
-    def stream_update(self, table: MicrodataTable, n_previous: int) -> np.ndarray:
-        """Refresh state for a grown table; report which rows' verdicts may change.
-
-        The streaming publisher's invalidation hook: ``table`` extends the
-        previously prepared table by appending rows (the first ``n_previous``
-        rows are unchanged).  Implementations refresh any table-wide state and
-        return a boolean *dirty* mask over the new table - ``True`` where a
-        group containing that row must be re-checked.  The conservative
-        default re-prepares and marks every row dirty, which is always sound;
-        models whose verdicts depend only on a group's own members override it
-        to mark just the appended rows.  (:class:`BTPrivacy` is refreshed
-        through :meth:`update_priors` instead - its dirtiness is a property of
-        the re-estimated priors, which the publisher owns.)
-        """
-        self.prepare(table)
-        return np.ones(table.n_rows, dtype=bool)
-
     def stream_replace(self, table: MicrodataTable, previous_of: np.ndarray) -> np.ndarray:
-        """Refresh state after rows were removed or corrected in place.
+        """Refresh state for a mutated table; report which rows' verdicts may change.
 
-        The full-lifecycle counterpart of :meth:`stream_update`:
-        ``previous_of`` maps every row of ``table`` to its position in the
-        previously prepared table (``-1`` for rows with no previous
-        counterpart).  Implementations refresh table-wide state and return a
-        boolean dirty mask over ``table``'s rows.  The conservative default
-        re-prepares and marks everything dirty; models whose verdicts depend
-        only on a group's own members override it.  (:class:`BTPrivacy` is
-        refreshed through :meth:`update_priors` with ``previous_of``.)
+        The streaming publisher's one invalidation hook, for every append,
+        retraction and correction: ``previous_of`` maps every row of
+        ``table`` to its position in the previously prepared table (``-1``
+        for rows with no previous counterpart, e.g. appended rows).
+        Implementations refresh any table-wide state and return a boolean
+        *dirty* mask over ``table``'s rows - ``True`` where a group
+        containing that row must be re-checked.  The conservative default
+        re-prepares and marks every row dirty, which is always sound; models
+        whose verdicts depend only on a group's own members override it.
+        (:class:`BTPrivacy` is refreshed through :meth:`update_priors`
+        instead - its dirtiness is a property of the re-estimated priors,
+        which the publisher owns.)
         """
         self.prepare(table)
         return np.ones(table.n_rows, dtype=bool)
-
-    def _appended_only_dirty(self, table: MicrodataTable, n_previous: int) -> np.ndarray:
-        dirty = np.ones(table.n_rows, dtype=bool)
-        dirty[:n_previous] = False
-        return dirty
 
     def describe(self) -> str:
         """Short human-readable description of the configured requirement."""
@@ -127,11 +109,6 @@ class KAnonymity(PrivacyModel):
     def is_satisfied(self, group_indices: np.ndarray) -> bool:
         return len(group_indices) >= self.k
 
-    def stream_update(self, table: MicrodataTable, n_previous: int) -> np.ndarray:
-        # Group size only: appending rows cannot change untouched groups.
-        self.prepare(table)
-        return self._appended_only_dirty(table, n_previous)
-
     def stream_replace(self, table: MicrodataTable, previous_of: np.ndarray) -> np.ndarray:
         # Group size only: the publisher re-checks every group whose
         # *membership* changed, which is the only thing k-anonymity sees.
@@ -152,12 +129,6 @@ class _SensitiveGroupModel(PrivacyModel):
     def prepare(self, table: MicrodataTable) -> None:
         self._sensitive_codes = table.sensitive_codes()
         self._domain_size = table.sensitive_domain().size
-
-    def stream_update(self, table: MicrodataTable, n_previous: int) -> np.ndarray:
-        # Verdicts depend only on a group's own sensitive counts, and
-        # append-only growth keeps previous rows' codes unchanged.
-        self.prepare(table)
-        return self._appended_only_dirty(table, n_previous)
 
     def stream_replace(self, table: MicrodataTable, previous_of: np.ndarray) -> np.ndarray:
         # Verdicts depend only on a group's own sensitive counts: a row is
@@ -275,18 +246,10 @@ class TCloseness(_SensitiveGroupModel):
         else:
             self._emd = None
 
-    def stream_update(self, table: MicrodataTable, n_previous: int) -> np.ndarray:
-        # The reference is the *overall* sensitive distribution: when the
-        # appended rows move it, every group's distance to it may move too.
-        previous_overall = self._overall
-        self.prepare(table)
-        if previous_overall is not None and np.array_equal(previous_overall, self._overall):
-            return self._appended_only_dirty(table, n_previous)
-        return np.ones(table.n_rows, dtype=bool)
-
     def stream_replace(self, table: MicrodataTable, previous_of: np.ndarray) -> np.ndarray:
-        # Same reference sensitivity as stream_update: an unchanged overall
-        # distribution reduces dirtiness to membership/code changes.
+        # The reference is the *overall* sensitive distribution: when the
+        # mutation moves it, every group's distance to it may move too; an
+        # unchanged one reduces dirtiness to membership/code changes.
         previous_overall = self._overall
         dirty = super().stream_replace(table, previous_of)
         if previous_overall is not None and np.array_equal(previous_overall, self._overall):
@@ -407,66 +370,26 @@ class BTPrivacy(PrivacyModel):
         sensitive_codes: np.ndarray,
         domain_size: int,
         *,
-        previous_of: np.ndarray | None = None,
+        previous_of: np.ndarray,
     ) -> np.ndarray:
-        """Replace the priors of a changed table, keeping still-valid risk memos.
+        """Replace the priors of a mutated table, keeping still-valid risk memos.
 
-        This is the streaming entry point.  Without ``previous_of`` the table
-        *grew*: the new ``priors`` cover the previous rows (same order) plus
-        any appended rows.  With ``previous_of`` - an int array mapping every
-        new row to its position in the previously prepared table (``-1`` for
-        rows with no counterpart) - the table shrank or was corrected in
-        place, and risk memos are *remapped* into the new index space (a memo
-        survives when every member row survives clean).  Either way, instead
-        of dropping the whole memo - as :meth:`set_priors` does - only
-        entries containing a changed row are invalidated, so re-checking
+        This is the streaming entry point for every append, retraction and
+        correction.  ``previous_of`` maps every new row to its position in
+        the previously prepared table (``-1`` for rows with no counterpart,
+        e.g. appended rows).  Risk memos are *remapped* into the new index
+        space: a memo survives when every member row survives clean, so -
+        unlike :meth:`set_priors`, which drops the whole memo - re-checking
         untouched groups stays a memo hit.
 
         Returns a boolean mask over the *new* table: ``True`` for rows with
         no previous counterpart and for rows whose prior distribution or
         sensitive code changed (the "dirty" rows whose group risks may
-        differ).  Without previous priors this degrades to
-        :meth:`set_priors` and every row is dirty.
+        differ).  Without previous priors, or with a map that does not fit
+        them, this degrades to :meth:`set_priors` and every row is dirty.
         """
         new_codes = np.asarray(sensitive_codes, dtype=np.int64)
-        n_new = priors.matrix.shape[0]
-        if previous_of is not None:
-            return self._update_priors_remapped(
-                priors, new_codes, domain_size, np.asarray(previous_of, dtype=np.int64)
-            )
-        if (
-            self._priors is None
-            or self._priors.n_rows > n_new
-            or self._sensitive_codes is None
-            or self._domain_size != int(domain_size)
-            or not np.array_equal(self._sensitive_codes, new_codes[: self._priors.n_rows])
-        ):
-            self.set_priors(priors, new_codes, domain_size)
-            return np.ones(n_new, dtype=bool)
-        n_previous = self._priors.n_rows
-        dirty = np.ones(n_new, dtype=bool)
-        dirty[:n_previous] = (priors.matrix[:n_previous] != self._priors.matrix).any(axis=1)
-        self._priors = priors
-        self._sensitive_codes = new_codes
-        self._domain_size = int(domain_size)
-        if dirty.any():
-            stale = [
-                key
-                for key in self._risk_cache
-                if dirty[np.frombuffer(key, dtype=np.int64)].any()
-            ]
-            for key in stale:
-                del self._risk_cache[key]
-        return dirty
-
-    def _update_priors_remapped(
-        self,
-        priors: PriorBeliefs,
-        new_codes: np.ndarray,
-        domain_size: int,
-        previous_of: np.ndarray,
-    ) -> np.ndarray:
-        """The remapped (deletion/correction) arm of :meth:`update_priors`."""
+        previous_of = np.asarray(previous_of, dtype=np.int64)
         n_new = priors.matrix.shape[0]
         if (
             self._priors is None
@@ -488,8 +411,9 @@ class BTPrivacy(PrivacyModel):
         # when every member row survives clean (keys stay sorted because the
         # old -> new map is monotone on survivors).  One vectorised pass over
         # the concatenated keys decides survival; only surviving entries pay
-        # a per-entry re-encode - and none do when the map is the identity
-        # (in-place corrections), where keys cannot change.
+        # a per-entry re-encode - and none do when every previous row keeps
+        # its position (appends, in-place corrections), where keys cannot
+        # change.
         current_of = np.full(n_previous, -1, dtype=np.int64)
         current_of[survivors_previous] = surviving
         if self._risk_cache:
@@ -507,10 +431,7 @@ class BTPrivacy(PrivacyModel):
             offsets = np.zeros(len(keys), dtype=np.int64)
             np.cumsum(lengths[:-1], out=offsets[1:])
             entry_alive = np.minimum.reduceat(alive.astype(np.int8), offsets).astype(bool)
-            identity = n_new == n_previous and bool(
-                (previous_of == np.arange(n_previous)).all()
-            )
-            if identity:
+            if (current_of == np.arange(n_previous)).all():
                 self._risk_cache = {
                     key: self._risk_cache[key]
                     for key, ok in zip(keys, entry_alive)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import queue
 import re
 import shutil
@@ -136,6 +137,24 @@ def _config_integer(value: Any, message: str) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise BadRequest(message) from None
+
+
+def _config_number(value: Any, message: str) -> float:
+    """A real-valued stream-config value: a number or a numeric string.
+
+    Booleans and NaN are refused: ``true`` would otherwise read as ``1.0``
+    and NaN slips through every ordered comparison.  Infinity stays
+    accepted (``compact_drift = inf`` turns compaction off).
+    """
+    if isinstance(value, bool):
+        raise BadRequest(message)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise BadRequest(message) from None
+    if math.isnan(number):
+        raise BadRequest(message)
+    return number
 
 
 class _Submission:
@@ -550,10 +569,9 @@ class StreamRegistry:
                 f"unknown model {resolved['model']!r}; choose one of {list(MODELS.names())}"
             )
         for key in ("b", "t", "l", "refine_factor", "compact_drift"):
-            try:
-                resolved[key] = float(resolved[key])
-            except (TypeError, ValueError):
-                raise BadRequest(f"stream config {key!r} must be a number") from None
+            resolved[key] = _config_number(
+                resolved[key], f"stream config {key!r} must be a number"
+            )
         if resolved["k"] is not None:
             resolved["k"] = _config_integer(
                 resolved["k"], "stream config 'k' must be an integer or null"
@@ -562,14 +580,14 @@ class StreamRegistry:
             resolved["max_cells"], "stream config 'max_cells' must be an integer"
         )
         if resolved["skyline"] is not None:
+            message = "stream config 'skyline' must be a list of [b, t] pairs"
             try:
                 resolved["skyline"] = [
-                    [float(b), float(t)] for b, t in resolved["skyline"]
+                    [_config_number(b, message), _config_number(t, message)]
+                    for b, t in resolved["skyline"]
                 ]
             except (TypeError, ValueError):
-                raise BadRequest(
-                    "stream config 'skyline' must be a list of [b, t] pairs"
-                ) from None
+                raise BadRequest(message) from None
         if resolved["method"] not in ("omega", "exact"):
             raise BadRequest("stream config 'method' must be 'omega' or 'exact'")
         return resolved
@@ -608,7 +626,10 @@ class StreamRegistry:
             raise
         except (ReproError, TypeError, ValueError) as error:
             raise BadRequest(f"bad seed rows: {error}") from None
-        model = build_stream_model(resolved)
+        try:
+            model = build_stream_model(resolved)
+        except ReproError as error:
+            raise BadRequest(f"bad stream config: {error}") from None
         skyline = (
             [(b, t) for b, t in resolved["skyline"]]
             if resolved["skyline"] is not None

@@ -135,7 +135,13 @@ class _Mutation:
 
 
 class IncrementalPublisher:
-    """Publish an append-only microdata stream under one privacy requirement.
+    """Publish a mutating microdata stream under one privacy requirement.
+
+    Rows arrive (:meth:`append`), are retracted (:meth:`delete`) and are
+    corrected in place (:meth:`update`), one batch per version or several
+    per :meth:`publish_coalesced` tick.  Every mutation is described to the
+    layers below by one row map, ``previous_of``: each current row's
+    position in the previous table, or ``-1`` when it has none.
 
     Parameters
     ----------
@@ -227,7 +233,7 @@ class IncrementalPublisher:
     ):
         if method not in {"omega", "exact"}:
             raise StreamError("method must be 'omega' or 'exact'")
-        if refine_factor < 1.0:
+        if not refine_factor >= 1.0:
             raise StreamError("refine_factor must be at least 1.0")
         if not compact_drift > 0.0:
             raise StreamError("compact_drift must be positive (inf disables compaction)")
@@ -766,19 +772,15 @@ class IncrementalPublisher:
         table: MicrodataTable,
         previous_of: np.ndarray,
         prior_map: dict[tuple, PriorBeliefs],
-        *,
-        grown_from: int | None,
     ) -> np.ndarray:
         """Dirty-row mask of one requirement component (True = risk may change).
 
         ``previous_of`` maps every current row to its previous position
-        (``-1`` for rows with no counterpart); ``grown_from`` is the previous
-        row count when the table only grew (a pure append), else ``None``.
-        (B,t) components are refreshed with the publisher's re-estimated
-        priors, remapping their risk memos unless the table only grew; every
-        other model declares its own invalidation semantics through
-        :meth:`~repro.privacy.models.PrivacyModel.stream_update` (pure
-        appends) or :meth:`~repro.privacy.models.PrivacyModel.stream_replace`
+        (``-1`` for rows with no counterpart).  (B,t) components are
+        refreshed with the publisher's re-estimated priors, remapping their
+        risk memos; every other model declares its own invalidation
+        semantics through
+        :meth:`~repro.privacy.models.PrivacyModel.stream_replace`
         (conservative all-dirty by default).
         """
         if isinstance(component, BTPrivacy):
@@ -787,10 +789,8 @@ class IncrementalPublisher:
                 priors,
                 table.sensitive_codes(),
                 table.sensitive_domain().size,
-                previous_of=previous_of if grown_from is None else None,
+                previous_of=previous_of,
             )
-        if grown_from is not None:
-            return component.stream_update(table, grown_from)
         return component.stream_replace(table, previous_of)
 
     def _compaction_due(self) -> bool:
@@ -808,7 +808,6 @@ class IncrementalPublisher:
         the component hook, the drift accounting, and which rows leave their
         leaves and which are routed.
         """
-        appended_only = mutation.kind == "append"
         with self._publish_span(mutation.kind) as publish_span:
             publish_span.annotate(**{_COUNT_FIELDS[mutation.kind]: mutation.size})
             start = publish_span.start_s
@@ -827,7 +826,7 @@ class IncrementalPublisher:
 
             # 1. Fold the mutation into the factored prior state; find dirty rows.
             with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
-                if appended_only:
+                if mutation.kind == "append":
                     self._estimator.append_rows(table)
                 elif mutation.kind == "delete":
                     self._estimator.remove_rows(table, mutation.positions)
@@ -837,14 +836,13 @@ class IncrementalPublisher:
                 dirty_model = previous_of < 0
                 for component in self._requirement.components():
                     dirty_model |= self._component_dirty(
-                        component, table, previous_of, prior_map,
-                        grown_from=n_previous if appended_only else None,
+                        component, table, previous_of, prior_map
                     )
                 self._table = table
                 # Retracted rows shrink groups and corrected rows re-route in
                 # place: the whole batch is drift.  Appended rows only drift
                 # where they join a group without re-splitting it.
-                if not appended_only:
+                if mutation.kind != "append":
                     self._drift_rows += mutation.size
             timings["prior_seconds"] = prior_span.duration_s
 

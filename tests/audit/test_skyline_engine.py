@@ -94,12 +94,14 @@ def test_thread_counts_are_bitwise_identical(audit_table, release, jobs):
         previous_groups=release.groups,
         previous_report=stale,
         dirty_rows=[dirty] * len(SKYLINE),
+        previous_of=np.arange(audit_table.n_rows),
     )
     serial = SkylineAuditEngine(audit_table, SKYLINE, config=serial_config).audit_incremental(
         release.groups,
         previous_groups=release.groups,
         previous_report=stale,
         dirty_rows=[dirty] * len(SKYLINE),
+        previous_of=np.arange(audit_table.n_rows),
     )
     assert incremental.delta == serial.delta
     assert 0 < incremental.delta["recomputed_groups"][0] < release.n_groups
@@ -212,6 +214,7 @@ def test_audit_incremental_matches_full_audit():
         previous_groups=previous_release.groups,
         previous_report=previous_report,
         dirty_rows=masks,
+        previous_of=np.where(np.arange(full.n_rows) < 600, np.arange(full.n_rows), -1),
     )
     reference = SkylineAuditEngine(full, SKYLINE).audit(grown_groups)
     assert incremental.delta is not None
@@ -239,6 +242,7 @@ def test_audit_incremental_validates_inputs():
             previous_groups=release.groups,
             previous_report=report,
             dirty_rows=[np.ones(table.n_rows, dtype=bool)],  # wrong arity
+            previous_of=np.arange(table.n_rows),
         )
     with pytest.raises(AuditError, match="cover"):
         engine.audit_incremental(
@@ -246,4 +250,21 @@ def test_audit_incremental_validates_inputs():
             previous_groups=release.groups,
             previous_report=report,
             dirty_rows=np.ones(10, dtype=bool),
+            previous_of=np.arange(table.n_rows),
+        )
+    with pytest.raises(AuditError, match="map every current row"):
+        engine.audit_incremental(
+            release.groups,
+            previous_groups=release.groups,
+            previous_report=report,
+            dirty_rows=np.ones(table.n_rows, dtype=bool),
+            previous_of=np.arange(10),
+        )
+    with pytest.raises(AuditError, match="beyond"):
+        engine.audit_incremental(
+            release.groups,
+            previous_groups=release.groups,
+            previous_report=report,
+            dirty_rows=np.ones(table.n_rows, dtype=bool),
+            previous_of=np.arange(table.n_rows) + 1,
         )

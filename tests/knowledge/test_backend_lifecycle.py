@@ -234,3 +234,63 @@ def test_lifecycle_validation_errors():
         estimator.update_rows(table, np.asarray([-1]))
     with pytest.raises(KnowledgeError):
         estimator.update_rows(shrunk, np.asarray([0]))  # row-count mismatch
+
+
+def test_spliced_carries_per_row_arrays_across_every_delta_shape():
+    from repro.knowledge.backend import _spliced
+
+    rows = np.arange(10, 20, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+
+    def reference(removed, added, values):
+        kept = [value for i, value in enumerate(rows) if i not in set(removed)]
+        result = np.empty(len(kept) + len(added), dtype=np.int64)
+        arriving = np.zeros(result.size, dtype=bool)
+        arriving[added] = True
+        result[~arriving] = kept
+        result[added] = values
+        return result
+
+    shapes = [
+        (none, np.arange(10, 13)),  # append
+        (np.asarray([0, 4, 9]), none),  # retraction
+        (np.asarray([2, 5]), np.asarray([2, 5])),  # correction
+        (np.asarray([1, 2, 8]), np.asarray([0, 3, 9, 10])),  # net delta
+        (none, none),
+    ]
+    for removed, added in shapes:
+        values = 100 + np.arange(added.size, dtype=np.int64)
+        spliced = _spliced(rows, removed, added, values)
+        assert np.array_equal(spliced, reference(removed, added, values))
+    assert rows.tolist() == list(range(10, 20))  # never written in place
+
+
+def test_one_fold_of_a_net_delta_matches_a_scratch_fit():
+    """The private step behind append/remove/update takes any row delta:
+    retracting rows and inserting others mid-table in one fold matches a
+    from-scratch fit of the result."""
+    table = _dense_table(seed=21)
+    estimator = BatchedKernelPriorEstimator(incremental=True).fit(table)
+    estimator.prior_for_table(BANDWIDTHS)
+    rng = np.random.default_rng(23)
+    removed = np.sort(rng.choice(table.n_rows, size=25, replace=False))
+    n_new = table.n_rows - removed.size + 15
+    added = np.sort(rng.choice(n_new, size=15, replace=False))
+    donors = rng.integers(0, table.n_rows, size=15)
+    survivors = np.setdiff1d(np.arange(table.n_rows), removed)
+    arriving = np.zeros(n_new, dtype=bool)
+    arriving[added] = True
+    codes = {}
+    for name in table.schema.names:
+        column = np.empty(n_new, dtype=table.codes(name).dtype)
+        column[~arriving] = table.codes(name)[survivors]
+        column[added] = table.codes(name)[donors]
+        codes[name] = column
+    domains = {name: table.domain(name) for name in table.schema.names}
+    current = MicrodataTable.from_codes(table.schema, codes, domains)
+
+    assert estimator.backend._fold_rows(current, removed, added) == "incremental"
+    difference = _max_difference(
+        estimator.prior_for_table(BANDWIDTHS), _scratch(current, BANDWIDTHS)
+    )
+    assert difference <= 1e-12

@@ -154,7 +154,8 @@ def _traced_audits(engine, groups, tracer=None):
         dirty[::5] = True
         with tracer.timed("audit_incremental"):
             engine.audit_incremental(
-                groups, previous_groups=groups, previous_report=report, dirty_rows=dirty
+                groups, previous_groups=groups, previous_report=report, dirty_rows=dirty,
+                previous_of=np.arange(engine.table.n_rows),
             )
         roots.append(tracer.take_root())
     return roots

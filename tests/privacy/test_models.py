@@ -295,12 +295,38 @@ def test_update_priors_remap_keeps_clean_memos_and_flags_dirty_rows():
         model.group_risks([clean_group])  # rows 0, 1 keep their indices
         assert model.risk_cache_hits == hits_before + 1
 
+    # Append two rows (the append map: every previous row in place, then -1
+    # per appended row) while row 2's prior changes: the appended rows and
+    # row 2 come back dirty, the memo holding row 2 is dropped, and the
+    # clean memo survives with a byte-identical key and (risk, exact) value.
+    model = BTPrivacy(0.3, 0.5)
+    model.prepare(table)
+    model.group_risks([clean_group, doomed_group])
+    clean_key = clean_group.tobytes()
+    clean_memo = model._risk_cache[clean_key]
+    matrix = model.priors.matrix
+    changed = matrix[2][::-1].copy()
+    grown_matrix = np.vstack([matrix[:2], changed, matrix[3:], matrix[:2]])
+    grown_codes = np.concatenate([table.sensitive_codes(), table.sensitive_codes()[:2]])
+    appended = np.concatenate(
+        [np.arange(table.n_rows, dtype=np.int64), np.full(2, -1, dtype=np.int64)]
+    )
+    dirty = model.update_priors(
+        PriorBeliefs(grown_matrix), grown_codes, table.sensitive_domain().size,
+        previous_of=appended,
+    )
+    expected = np.zeros(table.n_rows + 2, dtype=bool)
+    expected[[2, table.n_rows, table.n_rows + 1]] = True
+    assert np.array_equal(dirty, expected)
+    assert list(model._risk_cache) == [clean_key]
+    assert model._risk_cache[clean_key] == clean_memo
+
 
 def test_stream_replace_masks_for_group_local_models():
     import numpy as np
 
     from repro.data.examples import table_i_patients
-    from repro.privacy.models import DistinctLDiversity, KAnonymity
+    from repro.privacy.models import PrivacyModel
 
     table = table_i_patients()
     k_model = KAnonymity(2)
@@ -323,3 +349,34 @@ def test_stream_replace_masks_for_group_local_models():
     })
     mask = l_model.stream_replace(corrected, identity)
     assert mask[0] and mask.sum() == 1
+
+    # The append map: the previous rows in order, then -1 per appended row.
+    # Group-local models mark only the appended rows; t-closeness does too
+    # while the overall distribution stays put (appending a copy of every
+    # row keeps it exactly) and marks every row once it moved; the base
+    # class marks every row either way.
+    n = table.n_rows
+    columns = {name: table.column(name) for name in table.schema.names}
+    doubled = table.extend(columns)
+    grown = table.extend({name: column[:1] for name, column in columns.items()})
+    for factory in (
+        lambda: KAnonymity(2),
+        lambda: DistinctLDiversity(2),
+        lambda: EntropyLDiversity(1.5),
+        lambda: TCloseness(0.5),
+        lambda: TCloseness(0.5, use_hierarchy=False),
+        PrivacyModel,
+    ):
+        for appended, moved in ((doubled, False), (grown, True)):
+            model = factory()
+            model.prepare(table)
+            extra = appended.n_rows - n
+            previous_of = np.concatenate(
+                [np.arange(n, dtype=np.int64), np.full(extra, -1, dtype=np.int64)]
+            )
+            mask = model.stream_replace(appended, previous_of)
+            if type(model) is PrivacyModel or (moved and isinstance(model, TCloseness)):
+                assert mask.all()
+            else:
+                assert np.array_equal(mask, previous_of < 0)
+

@@ -130,7 +130,16 @@ def test_create_rejects_bad_names_duplicates_and_configs(tmp_path):
             registry.create("other", rows, {"b": "many"})
         # Integer settings are validated, not truncated: k=3.7 is not k=3,
         # k=true is not k=1 (no k-anonymity), max_cells=2.5 is not 2.
-        for bad in ({"k": 3.7}, {"k": True}, {"max_cells": 2.5}, {"max_cells": False}):
+        # Real-valued settings refuse booleans and NaN (t=true is not t=1.0;
+        # a NaN refine_factor would silently turn refinement off), and model
+        # parameters the model itself rejects are a bad request, not a 500.
+        for bad in (
+            {"k": 3.7}, {"k": True}, {"max_cells": 2.5}, {"max_cells": False},
+            {"t": True}, {"b": False}, {"l": True}, {"compact_drift": True},
+            {"refine_factor": float("nan")}, {"t": "nan"}, {"compact_drift": float("nan")},
+            {"skyline": [[0.3, True]]}, {"skyline": [[float("nan"), 0.2]]},
+            {"t": 1.5}, {"model": "entropy-l", "l": 0.5},
+        ):
             with pytest.raises(BadRequest):
                 registry.create("other", rows, {**FAST_CONFIG, **bad})
         with pytest.raises(BadRequest):
@@ -151,6 +160,8 @@ def test_resolve_config_fills_defaults():
     assert StreamRegistry.resolve_config({"max_cells": "500"})["max_cells"] == 500
     assert resolved["model"] == CONFIG_DEFAULTS["model"]
     assert resolved["method"] == "omega"
+    # Infinity is the documented way to turn compaction off.
+    assert StreamRegistry.resolve_config({"compact_drift": "inf"})["compact_drift"] == float("inf")
 
 
 # -- coalescing ----------------------------------------------------------------------------

@@ -247,6 +247,12 @@ def test_lifecycle_validation_errors():
         IncrementalPublisher(
             seed_table, DistinctLDiversity(3), k=4, compact_drift=0.0
         )
+    # NaN fails every ordered comparison: it must not read as "refinement off".
+    for refine_factor in (0.5, float("nan")):
+        with pytest.raises(StreamError, match="refine_factor"):
+            IncrementalPublisher(
+                seed_table, DistinctLDiversity(3), k=4, refine_factor=refine_factor
+            )
 
 
 def test_delete_everything_in_steps_raises_before_empty():
