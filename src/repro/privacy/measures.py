@@ -426,6 +426,25 @@ class HierarchicalEMD(DistanceMeasure):
         return (np.abs(flows) * self._weights).sum(axis=1)
 
 
+def _smoothed_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``rows @ weights.T``, summed over the sensitive columns in a fixed order.
+
+    A BLAS product picks its kernel, and with it the summation order, by the
+    operands' shape: a 1-row product differs in the last bits from the same
+    row inside a larger one.  Here every entry is the same sequence of
+    elementwise multiply-adds whatever the number of rows, so a row's value
+    never depends on the tile it was computed in.  The result is C-ordered,
+    as the row reductions that follow need.
+    """
+    columns = np.ascontiguousarray(rows.T)
+    smoothed = np.zeros((weights.shape[0], rows.shape[0]), dtype=np.float64)
+    term = np.empty_like(smoothed)
+    for column in range(weights.shape[1]):
+        np.multiply(weights[:, column, None], columns[column], out=term)
+        smoothed += term
+    return np.ascontiguousarray(smoothed.T)
+
+
 @dataclass
 class SmoothedJSDivergence(DistanceMeasure):
     """The paper's measure: kernel smoothing over the sensitive domain, then JS.
@@ -433,8 +452,10 @@ class SmoothedJSDivergence(DistanceMeasure):
     The row-normalised smoothing weights are computed once per measure, on
     first use.  When they are exactly the identity - as at the default
     bandwidth 0.5 on a height-2 hierarchy, where every sibling sits on the
-    kernel's open support boundary - :meth:`rowwise` skips the two matmuls
-    (``p @ I == p`` bit for bit) and only renormalises.
+    kernel's open support boundary - :meth:`rowwise` skips the smoothing
+    (``p @ I == p`` bit for bit) and only renormalises.  Otherwise every row
+    is smoothed by :func:`_smoothed_rows`, so a row's distance is bitwise the
+    same whatever other rows share the call.
     """
 
     distance_matrix: np.ndarray
@@ -470,8 +491,8 @@ class SmoothedJSDivergence(DistanceMeasure):
         p_smooth = np.atleast_2d(np.asarray(p, dtype=np.float64))
         q_smooth = np.atleast_2d(np.asarray(q, dtype=np.float64))
         if not self._identity:
-            p_smooth = p_smooth @ weights.T
-            q_smooth = q_smooth @ weights.T
+            p_smooth = _smoothed_rows(p_smooth, weights)
+            q_smooth = _smoothed_rows(q_smooth, weights)
         return p_smooth, q_smooth
 
     def rowwise(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -481,8 +502,6 @@ class SmoothedJSDivergence(DistanceMeasure):
     def rowwise_screened(
         self, p: np.ndarray, q: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        # The products run on the whole tile, as in rowwise, so an exact
-        # row's value cannot depend on which rows it was screened with.
         return _screened_rowwise_js(*self._weighted_rows(p, q), t, renormalise=True)
 
 

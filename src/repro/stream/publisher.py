@@ -15,9 +15,9 @@ counts actually changed*.
 :class:`IncrementalPublisher` holds a versioned release.  Every mutation -
 an :meth:`~IncrementalPublisher.append`, :meth:`~IncrementalPublisher.delete`
 or :meth:`~IncrementalPublisher.update` batch, and each operation of a
-:meth:`~IncrementalPublisher.publish_coalesced` tick - runs through one
-step that takes the previous version and the mutation (removed positions,
-corrected positions with their replacement rows, or appended rows) and:
+:meth:`~IncrementalPublisher.publish_coalesced` tick - is described by
+its removed positions, corrected positions with their replacement rows, or
+appended rows, and publishing it:
 
 1. folds the mutation into the factored kernel-prior state as **exact**
    count-tensor deltas (additive for appends, negative for retractions,
@@ -36,15 +36,22 @@ corrected positions with their replacement rows, or appended rows) and:
    leaves that now violate the requirement (or emptied entirely) - every
    untouched subtree is reused verbatim;
 4. re-audits the release in the skyline engine's dirty-group mode, copying
-   the risks of clean surviving groups from the previous version's report
-   through the row remap.
+   the risks of clean surviving groups from the previously published
+   version's report through the row remap.
 
-The step returns an *unrecorded* version.  The single-mutation methods record
-it at once; a coalesced tick threads each step's version in as the next
-step's ``previous`` and records only the last one.  A tick's release, audit
-risks and resume state are therefore bitwise identical to publishing its
-operations one version at a time - coalescing only drops the intermediate
-versions.
+Steps 1-3 run once per operation; step 4 runs once per publication.  A
+single mutation is a tick of one operation; a
+:meth:`~IncrementalPublisher.publish_coalesced` tick advances the table,
+priors and partition through each of its operations in turn, composes their
+row maps into one map from the published release onto the tick's result,
+and audits that result once against the previously published version.  A
+group's risks depend only on its members, their sensitive codes and their
+prior rows, and the risk kernel gives a row the same bits whatever else
+shares its tile, so a risk copied from the published version is bitwise the
+one a re-computation would give.  A tick's release, audit risks and resume
+state are therefore bitwise identical to publishing its operations one
+version at a time - coalescing only drops the intermediate versions and
+their audits.
 
 Deferred maintenance - rows joining grown groups below the
 ``refine_factor`` trigger, retracted rows shrinking groups, corrected rows
@@ -72,6 +79,7 @@ version serving).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import time
@@ -89,7 +97,11 @@ from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import BatchedKernelPriorEstimator, PriorBeliefs
 from repro.obs.tracing import Tracer
-from repro.privacy.measures import DistanceMeasure, sensitive_distance_measure
+from repro.privacy.measures import (
+    DistanceMeasure,
+    SmoothedJSDivergence,
+    sensitive_distance_measure,
+)
 from repro.privacy.models import BTPrivacy, CompositeModel, KAnonymity, PrivacyModel
 from repro.stream.store import ReleaseStore, StreamDelta, StreamVersion, VersionCache
 from repro.stream.tree import PartitionTree
@@ -99,6 +111,11 @@ OPERATION_KINDS = ("append", "delete", "update")
 
 #: The :class:`~repro.stream.store.StreamDelta` row count of each kind.
 _COUNT_FIELDS = {"append": "appended_rows", "delete": "deleted_rows", "update": "updated_rows"}
+
+#: The :class:`~repro.stream.store.StreamDelta` counters a tick sums over its operations.
+_SUMMED_COUNTERS = (
+    *_COUNT_FIELDS.values(), "rechecked_leaves", "refined_leaves", "rebuilt_regions"
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,6 +149,41 @@ class _Mutation:
             keep[self.positions] = False
             return np.flatnonzero(keep)
         return np.arange(n_previous, dtype=np.int64)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Advance:
+    """What one operation did to the maintained state (it audits nothing).
+
+    ``previous_of`` maps the operation's table onto the one before it;
+    ``untouched`` holds the ids of the partition leaves it found and left
+    as they were (none after a fresh partition); ``counters`` are its
+    :class:`StreamDelta` row counts and partition counters, ``timings`` its
+    stage timings.
+    """
+
+    release: AnonymizedRelease
+    previous_of: np.ndarray
+    prior_map: dict[tuple, PriorBeliefs]
+    untouched: frozenset[int]
+    counters: dict[str, int | bool]
+    timings: dict[str, float]
+
+
+def _carried_measure(
+    measure: DistanceMeasure | None, table: MicrodataTable, domain_changed: bool
+) -> DistanceMeasure | None:
+    """``measure`` carried onto a rebuilt ``table``.
+
+    It is kept while the sensitive domain is unchanged.  A smoothed-JS
+    measure over a changed domain is rebuilt on the new domain with its own
+    bandwidth and kernel; any other measure is kept as given.
+    """
+    if domain_changed and isinstance(measure, SmoothedJSDivergence):
+        return sensitive_distance_measure(
+            table, bandwidth=measure.bandwidth, kernel=measure.kernel
+        )
+    return measure
 
 
 class IncrementalPublisher:
@@ -343,17 +395,23 @@ class IncrementalPublisher:
         skyline = "; ".join(f"({b.describe()}, t={t:g})" for b, t in self._points)
         return f"{self._requirement.describe()} | skyline [{skyline or 'none'}]"
 
-    def _unique_bandwidths(self) -> list[Bandwidth]:
+    def _unique_bandwidths(self, audit: bool) -> list[Bandwidth]:
         seen: dict[tuple, Bandwidth] = {}
         for component in self._bt_components:
             bandwidth = self._bandwidth(component.b)
             seen.setdefault(bandwidth.items(), bandwidth)
-        for bandwidth, _ in self._points:
-            seen.setdefault(bandwidth.items(), bandwidth)
+        if audit:
+            for bandwidth, _ in self._points:
+                seen.setdefault(bandwidth.items(), bandwidth)
         return list(seen.values())
 
-    def _priors_by_bandwidth(self) -> dict[tuple, PriorBeliefs]:
-        bandwidths = self._unique_bandwidths()
+    def _priors_by_bandwidth(self, audit: bool) -> dict[tuple, PriorBeliefs]:
+        """The current priors of the (B,t) components, and with ``audit`` of the skyline.
+
+        The backend computes each matrix afresh per call, so an operation
+        whose result is not audited skips the audit-only bandwidths.
+        """
+        bandwidths = self._unique_bandwidths(audit)
         if not bandwidths:
             return {}
         priors = self._estimator.prior_for_table(bandwidths)
@@ -456,7 +514,10 @@ class IncrementalPublisher:
         # Rebuild the estimation state the incremental paths maintain: a
         # fresh fit on the current table (the maintained state it replaces
         # matches a from-scratch fit to round-off).
-        publisher._fit_priors(table)
+        prior_map = publisher._fit_priors(table, audit=True)
+        publisher._audit_matrices = [
+            prior_map[bandwidth.items()].matrix for bandwidth, _ in publisher._points
+        ]
         return publisher
 
     # -- initial publication ----------------------------------------------------------
@@ -469,61 +530,39 @@ class IncrementalPublisher:
             )
         self._begin_mutation()
         with self._publish_span("full", rebuild=False) as publish_span:
-            version = self._publish_full(
-                None, self._table, rebuild=False, counts={"appended_rows": 0},
-                timings={}, start=publish_span.start_s,
+            timings: dict[str, float] = {}
+            release, prior_map = self._refit(self._table, audit=True, timings=timings)
+            report, audit_recomputed, timings["audit_seconds"] = self._audit(
+                prior_map, release, None, None
             )
-            publish_span.annotate(version=version.version, rows=self._table.n_rows)
-        return self._add_version(version)
+            timings["total_seconds"] = time.perf_counter() - publish_span.start_s
+            delta = StreamDelta(
+                appended_rows=0,
+                reused_groups=0,
+                **self._fresh_shape(release),
+                audit_recomputed_groups=audit_recomputed,
+                timings=timings,
+            )
+            publish_span.annotate(version=0, rows=self._table.n_rows)
+        return self._add_version(StreamVersion(0, release, report, delta))
 
-    def _publish_full(
-        self,
-        previous: StreamVersion | None,
-        table: MicrodataTable,
-        *,
-        rebuild: bool,
-        counts: dict[str, int],
-        timings: dict[str, float],
-        start: float,
-    ) -> StreamVersion:
-        """Fit, partition and audit ``table`` from scratch (an unrecorded version).
-
-        ``rebuild`` marks a table whose domains changed: every code-indexed
-        artefact (estimator, distance measure) is discarded first.
-        """
+    def _refit(
+        self, table: MicrodataTable, *, audit: bool, timings: dict[str, float]
+    ) -> tuple[AnonymizedRelease, dict[tuple, PriorBeliefs]]:
+        """Fit the priors on ``table`` and partition it from scratch (no audit)."""
         self._table = table
-        if rebuild:
-            self._estimator = BatchedKernelPriorEstimator(
-                config=self.config,
-                incremental=True,
-            )
-            self._measure = None
-            for component in self._bt_components:
-                component.measure = None
         with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
-            prior_map = self._fit_priors(table)
+            prior_map = self._fit_priors(table, audit=audit)
         timings["prior_seconds"] = prior_span.duration_s
         release, timings["partition_seconds"] = self._fresh_partition(table)
+        return release, prior_map
 
-        with self.tracer.timed("audit", adversaries=len(self._points)) as audit_span:
-            report = None
-            if self._points:
-                report = self._engine(table, prior_map).audit(release.groups)
-        timings["audit_seconds"] = audit_span.duration_s
-        return self._version(
-            previous, release, report, timings, start,
-            **counts,
-            **self._fresh_shape(release),
-            rebuild=rebuild,
-            audit_recomputed_groups=[release.n_groups] * len(self._points),
-        )
-
-    def _fit_priors(self, table: MicrodataTable) -> dict[tuple, PriorBeliefs]:
+    def _fit_priors(self, table: MicrodataTable, *, audit: bool) -> dict[tuple, PriorBeliefs]:
         """Fit the priors on ``table`` from scratch and hand them to every consumer."""
         if self._measure is None and self._points:
             self._measure = sensitive_distance_measure(table, kernel=self.config.kernel)
         self._estimator.fit(table)
-        prior_map = self._priors_by_bandwidth()
+        prior_map = self._priors_by_bandwidth(audit)
         codes = table.sensitive_codes()
         domain_size = table.sensitive_domain().size
         for component in self._bt_components:
@@ -531,9 +570,6 @@ class IncrementalPublisher:
                 prior_map[self._bandwidth(component.b).items()], codes, domain_size
             )
         self._requirement.prepare(table)
-        self._audit_matrices = [
-            prior_map[bandwidth.items()].matrix for bandwidth, _ in self._points
-        ]
         return prior_map
 
     def _fresh_partition(
@@ -553,9 +589,8 @@ class IncrementalPublisher:
 
     @staticmethod
     def _fresh_shape(release: AnonymizedRelease) -> dict[str, int]:
-        """The reuse counters of a version whose partition was cut from scratch."""
+        """The partition counters of a version whose partition was cut from scratch."""
         return {
-            "reused_groups": 0,
             "rechecked_leaves": release.n_groups,
             "refined_leaves": 0,
             "rebuilt_regions": 1,
@@ -566,24 +601,6 @@ class IncrementalPublisher:
         groups = [leaf.indices for leaf in self._tree.leaves()]
         return AnonymizedRelease(
             table, groups, method=f"stream[{self._requirement.describe()}]"
-        )
-
-    @staticmethod
-    def _version(
-        previous: StreamVersion | None,
-        release: AnonymizedRelease,
-        report: SkylineAuditReport | None,
-        timings: dict[str, float],
-        start: float,
-        **delta: Any,
-    ) -> StreamVersion:
-        """The unrecorded version following ``previous``, stamped with its total time."""
-        timings["total_seconds"] = time.perf_counter() - start
-        return StreamVersion(
-            version=0 if previous is None else previous.version + 1,
-            release=release,
-            report=report,
-            delta=StreamDelta(timings=timings, **delta),
         )
 
     def _add_version(self, version: StreamVersion) -> StreamVersion:
@@ -797,91 +814,88 @@ class IncrementalPublisher:
         """Whether accumulated drift warrants a full-refine compaction."""
         return self._drift_rows >= self.compact_drift * self._table.n_rows
 
-    def _step(self, previous: StreamVersion, mutation: _Mutation) -> StreamVersion:
-        """Publish ``mutation`` on top of ``previous`` as an unrecorded version.
+    def _step(self, mutation: _Mutation, *, audit: bool) -> _Advance:
+        """Advance the table, the priors and the partition by ``mutation``.
 
         The one pipeline behind every append, delete, update and coalesced
-        tick: build the mutated table (a domain change takes the full-rebuild
-        path), fold the mutation into the prior state, find the dirty rows,
-        then either compact or maintain the partition locally, and re-audit
-        the dirty groups.  The kinds differ only in data: the backend delta,
-        the component hook, the drift accounting, and which rows leave their
-        leaves and which are routed.
+        tick operation: build the mutated table (a domain change takes the
+        full-rebuild path), fold the mutation into the prior state, find the
+        dirty rows, then either compact or maintain the partition locally.
+        The kinds differ only in data: the backend delta, the component
+        hook, the drift accounting, and which rows leave their leaves and
+        which are routed.  Nothing is audited here; with ``audit`` the
+        skyline's priors are computed too, for the publication's one audit.
         """
-        with self._publish_span(mutation.kind) as publish_span:
-            publish_span.annotate(**{_COUNT_FIELDS[mutation.kind]: mutation.size})
-            start = publish_span.start_s
-            with self.tracer.timed("table") as table_span:
-                n_previous = self._table.n_rows
-                previous_of = mutation.previous_of(n_previous)
-                table, rebuild = self._mutated_table(mutation, previous_of)
-            timings = {"table_seconds": table_span.duration_s}
-            if rebuild:
-                version = self._publish_full(
-                    previous, table, rebuild=True, counts=mutation.counts,
-                    timings=timings, start=start,
-                )
-                publish_span.annotate(version=version.version)
-                return version
+        with self.tracer.timed("table") as table_span:
+            previous_table = self._table
+            previous_of = mutation.previous_of(previous_table.n_rows)
+            table, rebuild = self._mutated_table(mutation, previous_of)
+        timings = {"table_seconds": table_span.duration_s}
+        if rebuild:
+            # Codes shift: every code-indexed artefact is discarded, and each
+            # distance measure is carried onto the new sensitive domain.
+            self._estimator = BatchedKernelPriorEstimator(config=self.config, incremental=True)
+            domain_changed = not np.array_equal(
+                previous_table.sensitive_domain().values, table.sensitive_domain().values
+            )
+            self._measure = _carried_measure(self._measure, table, domain_changed)
+            for component in self._bt_components:
+                component.measure = _carried_measure(component.measure, table, domain_changed)
+            release, prior_map = self._refit(table, audit=audit, timings=timings)
+            counters = dict(mutation.counts, **self._fresh_shape(release), rebuild=True)
+            return _Advance(release, previous_of, prior_map, frozenset(), counters, timings)
 
-            # 1. Fold the mutation into the factored prior state; find dirty rows.
-            with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
-                if mutation.kind == "append":
-                    self._estimator.append_rows(table)
-                elif mutation.kind == "delete":
-                    self._estimator.remove_rows(table, mutation.positions)
-                else:
-                    self._estimator.update_rows(table, mutation.positions)
-                prior_map = self._priors_by_bandwidth()
-                dirty_model = previous_of < 0
-                for component in self._requirement.components():
-                    dirty_model |= self._component_dirty(
-                        component, table, previous_of, prior_map
-                    )
-                self._table = table
-                # Retracted rows shrink groups and corrected rows re-route in
-                # place: the whole batch is drift.  Appended rows only drift
-                # where they join a group without re-splitting it.
-                if mutation.kind != "append":
-                    self._drift_rows += mutation.size
-            timings["prior_seconds"] = prior_span.duration_s
-
-            # 2-3. A full-refine compaction once drift is due, else local surgery.
-            if self._compaction_due():
-                release, timings["partition_seconds"] = self._fresh_partition(
-                    table, compacted=True
-                )
-                shape = dict(self._fresh_shape(release), compacted=True)
+        # 1. Fold the mutation into the factored prior state; find dirty rows.
+        with self.tracer.timed("prior", rows=table.n_rows) as prior_span:
+            if mutation.kind == "append":
+                self._estimator.append_rows(table)
+            elif mutation.kind == "delete":
+                self._estimator.remove_rows(table, mutation.positions)
             else:
-                release, shape = self._maintain_partition(
-                    table, mutation, n_previous, previous_of, dirty_model, timings
+                self._estimator.update_rows(table, mutation.positions)
+            prior_map = self._priors_by_bandwidth(audit)
+            dirty_model = previous_of < 0
+            for component in self._requirement.components():
+                dirty_model |= self._component_dirty(
+                    component, table, previous_of, prior_map
                 )
+            self._table = table
+            # Retracted rows shrink groups and corrected rows re-route in
+            # place: the whole batch is drift.  Appended rows only drift
+            # where they join a group without re-splitting it.
+            if mutation.kind != "append":
+                self._drift_rows += mutation.size
+        timings["prior_seconds"] = prior_span.duration_s
 
-            # 4. Dirty-group re-audit: clean surviving groups keep their risks.
-            report, audit_recomputed, timings["audit_seconds"] = self._audit_step(
-                table, prior_map, release.groups, previous, previous_of
+        # 2-3. A full-refine compaction once drift is due, else local surgery.
+        if self._compaction_due():
+            release, timings["partition_seconds"] = self._fresh_partition(
+                table, compacted=True
             )
-            version = self._version(
-                previous, release, report, timings, start,
-                **mutation.counts, **shape, audit_recomputed_groups=audit_recomputed,
+            shape, untouched = dict(self._fresh_shape(release), compacted=True), frozenset()
+        else:
+            release, shape, untouched = self._maintain_partition(
+                table, mutation, previous_table.n_rows, previous_of, dirty_model, timings
             )
-            publish_span.annotate(version=version.version)
-            return version
+        counters = dict(mutation.counts, **shape)
+        return _Advance(release, previous_of, prior_map, untouched, counters, timings)
 
-    def _audit_step(
+    def _audit(
         self,
-        table: MicrodataTable,
         prior_map: dict[tuple, PriorBeliefs],
-        groups: list[np.ndarray],
-        previous: StreamVersion,
-        previous_of: np.ndarray,
+        release: AnonymizedRelease,
+        previous: StreamVersion | None,
+        previous_of: np.ndarray | None,
     ) -> tuple[SkylineAuditReport | None, list[int], float]:
-        """Dirty-group re-audit: clean surviving groups keep their risks.
+        """Audit ``release`` once; incrementally when ``previous`` is given.
 
-        A current row is dirty for an adversary when it has no previous
-        counterpart, its sensitive code changed, or its prior row for that
-        adversary changed (a bitwise comparison, so no false "clean"
-        verdicts).
+        Without ``previous`` every group is audited.  With it, clean groups
+        keep their risks from ``previous``'s report: ``previous_of`` maps
+        each current row to its position in ``previous``'s table (``-1``:
+        none).  A current row is dirty for an adversary when it has no
+        previous counterpart, its sensitive code changed, or its prior row
+        for that adversary changed against the priors ``previous`` was
+        audited under (a bitwise comparison, so no false "clean" verdicts).
         """
         with self.tracer.timed("audit", adversaries=len(self._points)) as span:
             report: SkylineAuditReport | None = None
@@ -890,33 +904,46 @@ class IncrementalPublisher:
                 priors_list = [
                     prior_map[bandwidth.items()] for bandwidth, _ in self._points
                 ]
-                surviving = previous_of >= 0
-                survivors_previous = previous_of[surviving]
-                previous_codes = previous.release.table.sensitive_codes()
-                codes = table.sensitive_codes()
-                code_changed = np.ones(table.n_rows, dtype=bool)
-                code_changed[surviving] = (
-                    codes[surviving] != previous_codes[survivors_previous]
-                )
-                masks = []
-                for previous_matrix, priors in zip(self._audit_matrices, priors_list):
-                    mask = np.ones(table.n_rows, dtype=bool)
-                    mask[surviving] = (
-                        priors.matrix[surviving] != previous_matrix[survivors_previous]
-                    ).any(axis=1)
-                    masks.append(mask | code_changed)
-                engine = self._engine(table, prior_map)
-                report = engine.audit_incremental(
-                    groups,
-                    previous_groups=previous.release.groups,
-                    previous_report=previous.report,
-                    dirty_rows=masks,
-                    previous_of=previous_of,
-                )
-                audit_recomputed = list(report.delta["recomputed_groups"])
+                engine = self._engine(self._table, prior_map)
+                if previous is None:
+                    report = engine.audit(release.groups)
+                    audit_recomputed = [release.n_groups] * len(self._points)
+                else:
+                    report = engine.audit_incremental(
+                        release.groups,
+                        previous_groups=previous.release.groups,
+                        previous_report=previous.report,
+                        dirty_rows=self._dirty_masks(priors_list, previous, previous_of),
+                        previous_of=previous_of,
+                    )
+                    audit_recomputed = list(report.delta["recomputed_groups"])
                 self._audit_matrices = [priors.matrix for priors in priors_list]
                 span.annotate(recomputed_groups=audit_recomputed)
         return report, audit_recomputed, span.duration_s
+
+    def _dirty_masks(
+        self,
+        priors_list: list[PriorBeliefs],
+        previous: StreamVersion,
+        previous_of: np.ndarray,
+    ) -> list[np.ndarray]:
+        """Per adversary, the current rows whose risk may differ from ``previous``'s."""
+        n_rows = self._table.n_rows
+        surviving = previous_of >= 0
+        survivors_previous = previous_of[surviving]
+        previous_codes = previous.release.table.sensitive_codes()
+        code_changed = np.ones(n_rows, dtype=bool)
+        code_changed[surviving] = (
+            self._table.sensitive_codes()[surviving] != previous_codes[survivors_previous]
+        )
+        masks = []
+        for previous_matrix, priors in zip(self._audit_matrices, priors_list):
+            mask = np.ones(n_rows, dtype=bool)
+            mask[surviving] = (
+                priors.matrix[surviving] != previous_matrix[survivors_previous]
+            ).any(axis=1)
+            masks.append(mask | code_changed)
+        return masks
 
     def _maintain_partition(
         self,
@@ -926,7 +953,7 @@ class IncrementalPublisher:
         previous_of: np.ndarray,
         dirty_model: np.ndarray,
         timings: dict[str, float],
-    ) -> tuple[AnonymizedRelease, dict[str, int]]:
+    ) -> tuple[AnonymizedRelease, dict[str, int], frozenset[int]]:
         """Local surgery on the maintained partition for one mutation.
 
         Removed and corrected rows leave their leaves (leaf indices are
@@ -937,7 +964,8 @@ class IncrementalPublisher:
         around violated leaves merge up and rebuild, and leaves that received
         routed rows re-split or rejoin (the ``refine_factor`` amortisation).
         Records the route/recheck/repartition stage timings and returns the
-        release with the delta's reuse counters.
+        release, the delta's partition counters and the ids of the leaves it
+        left untouched.
         """
         with self.tracer.timed("route") as route_span:
             leaves = self._tree.leaves()
@@ -1037,11 +1065,10 @@ class IncrementalPublisher:
             | {id(leaf) for leaf in rejoined}
         )
         return self._release(table), {
-            "reused_groups": sum(1 for leaf in leaves if id(leaf) not in touched),
             "rechecked_leaves": len(dirty_leaves),
             "refined_leaves": len(refine),
             "rebuilt_regions": len(rebuild_nodes),
-        }
+        }, frozenset(id(leaf) for leaf in leaves if id(leaf) not in touched)
 
     def _merge_up(self, failing: list, routed: dict[int, np.ndarray]) -> list:
         """Climb from each violated leaf to the nearest satisfiable region.
@@ -1087,10 +1114,6 @@ class IncrementalPublisher:
         return maximal
 
     # -- the public mutations ---------------------------------------------------------
-    def _publish_one(self, mutation: _Mutation) -> StreamVersion:
-        self._begin_mutation()
-        return self._add_version(self._step(self.store.latest(), mutation))
-
     def append(
         self, batch: MicrodataTable | Sequence[Mapping[str, Any]]
     ) -> StreamVersion:
@@ -1099,7 +1122,7 @@ class IncrementalPublisher:
         ``batch`` is either a :class:`~repro.data.table.MicrodataTable` with
         the stream's schema or a sequence of ``{attribute: value}`` rows.
         """
-        return self._publish_one(self._append_mutation(batch))
+        return self._publish([("append", batch)])
 
     def delete(self, rows: Sequence[int] | np.ndarray) -> StreamVersion:
         """Retract rows (positions in the current table) and publish a version.
@@ -1116,7 +1139,7 @@ class IncrementalPublisher:
         :class:`~repro.exceptions.AnonymizationError`, as a from-scratch run
         would.
         """
-        return self._publish_one(self._delete_mutation(rows))
+        return self._publish([("delete", rows)])
 
     def update(
         self,
@@ -1136,7 +1159,7 @@ class IncrementalPublisher:
         introducing values outside the current domains forces a full
         rebuild, exactly like an out-of-domain append.
         """
-        return self._publish_one(self._update_mutation(rows, batch))
+        return self._publish([("update", (rows, batch))])
 
     def publish_coalesced(
         self, operations: Sequence[tuple[str, Any]]
@@ -1146,14 +1169,17 @@ class IncrementalPublisher:
         ``operations`` is a non-empty sequence of ``("append", batch)``,
         ``("delete", rows)`` and ``("update", (rows, batch))`` tuples - the
         unit the serving daemon's per-stream worker drains from its queue per
-        tick.  Each operation runs through the same step as its single
-        mutation, with the previous step's unrecorded version as its
-        ``previous``, and only the last version is recorded: the published
-        release, audit risks and resume state are *bitwise identical* to
-        publishing the operations one version at a time; only the
-        intermediate versions are dropped.  The recorded
-        :class:`~repro.stream.store.StreamDelta` aggregates the whole tick and
-        counts the folded batches in ``coalesced_operations``.
+        tick.  Each operation advances the table, the priors and the
+        partition through the same step as its single mutation; the tick's
+        result is then audited once, against the previously published
+        version through the operations' composed row map, and recorded as
+        one version.  The published release, audit risks and resume state
+        are *bitwise identical* to publishing the operations one version at
+        a time; only the intermediate versions (and their audits) are
+        dropped.  The recorded :class:`~repro.stream.store.StreamDelta`
+        aggregates the whole tick, counts the folded batches in
+        ``coalesced_operations``, and reports its reuse counters against
+        the previously published version.
 
         Failure semantics match the sequential paths: once any operation of
         the tick has advanced the maintained state (an earlier step ran, or
@@ -1165,43 +1191,67 @@ class IncrementalPublisher:
         operations = list(operations)
         if not operations:
             raise StreamError("a coalesced tick requires at least one operation")
-        if len(operations) == 1:
-            return self._publish_one(self._mutation(*operations[0]))
-        self._require_published("coalescing mutations")
-        with self._publish_span("coalesced", operations=len(operations)) as publish_span:
-            version = self.store.latest()
-            deltas = []
-            for index, (kind, payload) in enumerate(operations):
-                mutation = self._mutation(kind, payload)
-                if index == 0:
-                    self._begin_mutation()
-                version = self._step(version, mutation)
-                deltas.append(version.delta)
-            delta = self._merge_deltas(deltas, time.perf_counter() - publish_span.start_s)
-            recorded = self._add_version(dataclasses.replace(version, delta=delta))
-            publish_span.annotate(version=recorded.version)
-            return recorded
+        return self._publish(operations)
 
-    @staticmethod
-    def _merge_deltas(deltas: list[StreamDelta], total_seconds: float) -> StreamDelta:
-        """One tick-wide delta: volumes sum, the final publication's shape wins."""
-        timings: dict[str, float] = {}
-        for delta in deltas:
-            for key, value in delta.timings.items():
-                timings[key] = timings.get(key, 0.0) + value
-        timings["total_seconds"] = total_seconds
-        last = deltas[-1]
-        return StreamDelta(
-            appended_rows=sum(delta.appended_rows for delta in deltas),
-            deleted_rows=sum(delta.deleted_rows for delta in deltas),
-            updated_rows=sum(delta.updated_rows for delta in deltas),
-            reused_groups=last.reused_groups,
-            rechecked_leaves=sum(delta.rechecked_leaves for delta in deltas),
-            refined_leaves=sum(delta.refined_leaves for delta in deltas),
-            rebuilt_regions=sum(delta.rebuilt_regions for delta in deltas),
-            rebuild=any(delta.rebuild for delta in deltas),
-            compacted=any(delta.compacted for delta in deltas),
-            coalesced_operations=len(deltas),
-            audit_recomputed_groups=list(last.audit_recomputed_groups),
-            timings=timings,
-        )
+    def _publish(self, operations: list[tuple[str, Any]]) -> StreamVersion:
+        """Advance through every operation, audit the result once, record one version.
+
+        A tick of one operation publishes under a ``publish.<kind>`` root
+        span; a longer tick under ``publish.coalesced``, with one
+        ``publish.<kind>`` child per operation and the one ``audit`` span.
+        """
+        tick = len(operations) > 1
+        if tick:
+            self._require_published("coalescing mutations")
+        mutation = self._mutation(*operations[0])
+        if tick:
+            span_kind, attributes = "coalesced", {"operations": len(operations)}
+        else:
+            span_kind = mutation.kind
+            attributes = {_COUNT_FIELDS[mutation.kind]: mutation.size}
+        with self._publish_span(span_kind, **attributes) as publish_span:
+            previous = self.store.latest()
+            self._begin_mutation()
+            counters: collections.Counter = collections.Counter()
+            timings: collections.Counter = collections.Counter()
+            # Leaves of the published partition that no operation has
+            # touched yet: the version's reused groups.
+            carried: frozenset[int] | None = None
+            # Each current row's position in the published table (-1: none).
+            previous_of = np.arange(self._table.n_rows, dtype=np.int64)
+            for index, operation in enumerate(operations):
+                if index:
+                    mutation = self._mutation(*operation)
+                operation_span = (
+                    self.tracer.timed(
+                        f"publish.{mutation.kind}",
+                        **{_COUNT_FIELDS[mutation.kind]: mutation.size},
+                    )
+                    if tick
+                    else contextlib.nullcontext()
+                )
+                with operation_span:
+                    advance = self._step(mutation, audit=index == len(operations) - 1)
+                counters.update(advance.counters)
+                timings.update(advance.timings)
+                carried = advance.untouched if carried is None else carried & advance.untouched
+                step_of = advance.previous_of
+                previous_of = np.where(step_of >= 0, previous_of[np.maximum(step_of, 0)], -1)
+
+            rebuild = counters["rebuild"] > 0
+            report, audit_recomputed, timings["audit_seconds"] = self._audit(
+                advance.prior_map, advance.release, None if rebuild else previous, previous_of
+            )
+            timings["total_seconds"] = time.perf_counter() - publish_span.start_s
+            delta = StreamDelta(
+                **{name: int(counters[name]) for name in _SUMMED_COUNTERS},
+                reused_groups=len(carried),
+                rebuild=rebuild,
+                compacted=counters["compacted"] > 0,
+                coalesced_operations=len(operations),
+                audit_recomputed_groups=audit_recomputed,
+                timings=dict(timings),
+            )
+            version = StreamVersion(previous.version + 1, advance.release, report, delta)
+            publish_span.annotate(version=version.version)
+        return self._add_version(version)

@@ -143,7 +143,19 @@ def _pid_alive(pid: int) -> bool:
 
 @dataclass
 class StreamDelta:
-    """What one batch changed, and what the incremental engine reused."""
+    """What one version changed, and what the incremental engine reused.
+
+    A version may fold several operations (a coalesced tick): row counts and
+    partition counters sum over them, and the two reuse counters are
+    relative to the *previously published* version, never to an
+    intermediate state of the tick.  ``reused_groups`` counts that
+    version's groups carried over untouched - no operation changed their
+    members or re-partitioned them - so each maps through the tick's
+    composed row map onto a previous group.  ``audit_recomputed_groups``
+    holds, per skyline adversary, the groups the version's one audit
+    recomputed rather than copied from the previous version's report (all
+    groups after a full rebuild).
+    """
 
     appended_rows: int
     reused_groups: int

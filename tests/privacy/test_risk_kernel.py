@@ -11,8 +11,8 @@ possible place; the default tile is checked too.
 The per-row risks must be bitwise equal for plain JS, for smoothed JS whose
 weights are the identity (``p @ I == p``) and for the hierarchical EMD, and
 equal to round-off (``rtol=1e-14``, ``atol=1e-15`` for risks near zero,
-where JS cancels) for smoothed JS with real smoothing, whose matmuls BLAS
-may block differently per tile shape.
+where JS cancels) for smoothed JS with real smoothing: the reference smooths
+through BLAS matmuls, the measure through a fixed-order sum.
 """
 
 import numpy as np

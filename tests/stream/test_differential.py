@@ -13,7 +13,9 @@ operations:
   reconstructed with :meth:`IncrementalPublisher.resume`.
 
 A small ``compact_drift`` makes compactions fire and one out-of-domain
-append forces a full rebuild.  The contracts:
+append forces a full rebuild.  One case audits under smoothed JS with real
+smoothing (bandwidth 0.9), which a coalesced tick's one audit relies on to
+give a row the same bits in any tile.  The contracts:
 
 * every version of ``main`` is a valid release (full row coverage, every
   group >= k and satisfying the model) whose maintained risks are within
@@ -31,6 +33,7 @@ import pytest
 from repro.audit.engine import SkylineAuditEngine
 from repro.data.adult import adult_schema, generate_adult
 from repro.knowledge.backend import EstimatorConfig
+from repro.privacy.measures import sensitive_distance_measure
 from repro.privacy.models import BTPrivacy, DistinctLDiversity
 from repro.stream import IncrementalPublisher
 
@@ -46,10 +49,13 @@ RESUME_STEP = 5
 MAIN_JOBS = 1
 TWIN_JOBS = 3
 
+# (seed, model factory, split strategy, audit smoothing bandwidth or None
+# for the default measure)
 CASES = [
-    (5, lambda: BTPrivacy(0.3, 0.25), "widest"),
-    (13, lambda: DistinctLDiversity(3), "round_robin"),
-    (31, lambda: BTPrivacy(0.3, 0.25), "round_robin"),
+    (5, lambda: BTPrivacy(0.3, 0.25), "widest", None),
+    (13, lambda: DistinctLDiversity(3), "round_robin", None),
+    (31, lambda: BTPrivacy(0.3, 0.25), "round_robin", None),
+    (17, lambda: BTPrivacy(0.3, 0.25), "widest", 0.9),
 ]
 
 
@@ -104,14 +110,22 @@ def _risks(version):
     return [entry.attack.risks for entry in version.report.entries]
 
 
-def _assert_valid_and_exact(version, model):
+def _measure(table, smoothing):
+    if smoothing is None:
+        return None
+    return sensitive_distance_measure(table, bandwidth=smoothing)
+
+
+def _assert_valid_and_exact(version, model, smoothing=None):
     release = version.release
     covered = np.concatenate(release.groups)
     assert np.array_equal(np.sort(covered), np.arange(release.table.n_rows))
     for group in release.groups:
         assert group.size >= K
         assert model.is_satisfied(group)
-    fresh = SkylineAuditEngine(release.table, SKYLINE).audit(release.groups)
+    fresh = SkylineAuditEngine(
+        release.table, SKYLINE, measure=_measure(release.table, smoothing)
+    ).audit(release.groups)
     for risks, reference in zip(_risks(version), fresh.entries):
         assert float(np.abs(risks - reference.attack.risks).max()) <= 1e-12
 
@@ -121,12 +135,18 @@ def _assert_same_groups(a, b):
     assert all(np.array_equal(x, y) for x, y in zip(a.release.groups, b.release.groups))
 
 
-@pytest.mark.parametrize("seed, model_factory, split_strategy", CASES)
-def test_random_lifecycle_differential(tmp_path, seed, model_factory, split_strategy):
+@pytest.mark.parametrize("seed, model_factory, split_strategy, smoothing", CASES)
+def test_random_lifecycle_differential(
+    tmp_path, seed, model_factory, split_strategy, smoothing
+):
     pool = generate_adult(POOL_ROWS + STEPS * 4 * 50, seed=seed)
     seed_table = pool.select(np.arange(SEED_ROWS))
     options = dict(
-        skyline=SKYLINE, k=K, split_strategy=split_strategy, compact_drift=0.1
+        skyline=SKYLINE,
+        k=K,
+        split_strategy=split_strategy,
+        compact_drift=0.1,
+        measure=_measure(seed_table, smoothing),
     )
     model = model_factory()
     main = IncrementalPublisher(
@@ -149,7 +169,7 @@ def test_random_lifecycle_differential(tmp_path, seed, model_factory, split_stra
     for step, tick in enumerate(_script(seed, pool)):
         version = _publish(main, tick)
         assert version.delta.coalesced_operations == len(tick)
-        _assert_valid_and_exact(version, model)
+        _assert_valid_and_exact(version, model, smoothing)
         compacted += version.delta.compacted
         rebuilt += version.delta.rebuild
 
@@ -164,7 +184,10 @@ def test_random_lifecycle_differential(tmp_path, seed, model_factory, split_stra
         if step == RESUME_STEP:
             resumed.close()
             resumed = IncrementalPublisher.resume(
-                tmp_path / "resumed", schema=adult_schema(), model=model_factory()
+                tmp_path / "resumed",
+                schema=adult_schema(),
+                model=model_factory(),
+                measure=_measure(resumed.table, smoothing),
             )
         continued = _publish(resumed, tick)
         assert continued.version == version.version

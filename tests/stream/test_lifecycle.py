@@ -13,7 +13,10 @@ import pytest
 
 from repro.audit.engine import SkylineAuditEngine
 from repro.data.adult import generate_adult
+from repro.data.schema import Attribute, AttributeKind, AttributeRole, Schema
+from repro.data.table import MicrodataTable
 from repro.exceptions import StreamError
+from repro.privacy.measures import SmoothedJSDivergence, sensitive_distance_measure
 from repro.privacy.models import (
     BTPrivacy,
     DistinctLDiversity,
@@ -201,6 +204,75 @@ def test_out_of_domain_update_triggers_full_rebuild():
     # The stream keeps working incrementally after the rebuild.
     follow_up = publisher.delete([0, 1, 2])
     assert not follow_up.delta.rebuild
+
+
+def _assert_audited_under(version, table, skyline, measure):
+    fresh = SkylineAuditEngine(table, skyline, measure=measure).audit(version.release.groups)
+    for entry, reference in zip(version.report.entries, fresh.entries):
+        assert float(np.abs(entry.attack.risks - reference.attack.risks).max()) <= 1e-12
+
+
+def test_rebuild_keeps_the_configured_measures():
+    """An out-of-domain QI value rebuilds codes and priors, not the measures.
+
+    The sensitive domain is unchanged, so the publisher's audit measure and
+    the model's own measure are kept as configured (they used to fall back
+    to the default bandwidth 0.5, moving published risks by up to 0.23).
+    """
+    seed_table, (batch, _) = _stream_tables(seed=53)
+    audit_measure = sensitive_distance_measure(seed_table, bandwidth=0.9)
+    model_measure = sensitive_distance_measure(seed_table, bandwidth=0.9, kernel="gaussian")
+    model = BTPrivacy(0.3, 0.25, measure=model_measure)
+    publisher = IncrementalPublisher(
+        seed_table, model, skyline=SKYLINE, k=4, measure=audit_measure
+    )
+    publisher.publish()
+    rows = batch.rows()[:10]
+    rows[0] = dict(rows[0], Age=123.0)  # outside the observed domain
+    version = publisher.append(rows)
+    assert version.delta.rebuild
+    assert model.measure is model_measure
+    _assert_audited_under(
+        version, publisher.table, SKYLINE,
+        sensitive_distance_measure(publisher.table, bandwidth=0.9),
+    )
+
+
+def test_rebuild_carries_smoothing_onto_a_grown_sensitive_domain():
+    """A new sensitive value rebuilds each smoothed-JS measure on the new
+    domain with its own bandwidth and kernel."""
+    schema = Schema(
+        [
+            Attribute("Age", AttributeKind.NUMERIC, AttributeRole.QUASI_IDENTIFIER),
+            Attribute("Disease", AttributeKind.CATEGORICAL, AttributeRole.SENSITIVE),
+        ]
+    )
+    rng = np.random.default_rng(3)
+    table = MicrodataTable.from_columns(
+        schema,
+        {
+            "Age": rng.integers(20, 60, 300).astype(float),
+            "Disease": rng.choice(["flu", "cold", "ulcer", "asthma"], 300),
+        },
+    )
+    options = {"bandwidth": 0.9, "kernel": "gaussian"}
+    model = BTPrivacy(0.3, 1.0, measure=sensitive_distance_measure(table, **options))
+    skyline = [(0.3, 0.5)]
+    publisher = IncrementalPublisher(
+        table, model, skyline=skyline, k=4,
+        measure=sensitive_distance_measure(table, **options),
+    )
+    publisher.publish()
+    version = publisher.append([{"Age": 40.0, "Disease": "measles"}])
+    assert version.delta.rebuild
+    assert publisher.table.sensitive_domain().size == 5
+    assert isinstance(model.measure, SmoothedJSDivergence)
+    assert (model.measure.bandwidth, model.measure.kernel) == (0.9, "gaussian")
+    assert model.measure.distance_matrix.shape == (5, 5)
+    _assert_audited_under(
+        version, publisher.table, skyline,
+        sensitive_distance_measure(publisher.table, **options),
+    )
 
 
 def test_updates_that_cross_split_boundaries_reroute():
