@@ -2,9 +2,10 @@
 
 The PR-gated contract of the :class:`~repro.data.source.TableSource` layer:
 an Adult-scale table published (Mondrian with a spilled value matrix) and
-skyline-audited (chunked prior fit, row-tiled posterior pass) from an ``.npz``
-file must stay under ``REPRO_BENCH_SCALE_MAX_RSS_MB`` of peak resident
-memory - at the full one-million-row size the ceiling is 8 GB - while
+skyline-audited (one prior fit over the source's code columns, row-tiled
+posterior pass) from an ``.npz`` file must stay under
+``REPRO_BENCH_SCALE_MAX_RSS_MB`` of peak resident memory - at the full
+one-million-row size the ceiling is 8 GB - while
 producing *exactly* the release the resident pipeline produces: an identical
 partition (the spilled value matrix is bitwise the resident one) and audit
 risks within ``1e-12`` of an all-in-RAM reference run.
@@ -22,8 +23,9 @@ Scale knobs:
 * ``REPRO_BENCH_SCALE_ROWS``         - table size (default 20000; the
   nightly full-scale run uses 1000000);
 * ``REPRO_BENCH_SCALE_CHUNK_ROWS``   - chunk size for ingestion and the
-  prior fit (default: rows/8 capped to [1024, 65536]; the posterior pass
-  walks the risk kernel's fixed row tiles);
+  spilled value matrix (default: rows/8 capped to [1024, 65536]; the
+  session fits its priors once over the source's code columns and the
+  posterior pass walks the risk kernel's fixed row tiles);
 * ``REPRO_BENCH_SCALE_MAX_RSS_MB``   - peak-RSS ceiling for the chunked run
   (default 8192, the tentpole's 8 GB budget; CI's tiny run pins a far
   tighter ceiling);
@@ -107,14 +109,13 @@ def _child_prepare(npz_path: str, rows: int) -> dict:
 
 
 def _child_publish(npz_path: str, rows: int, chunk_rows: int) -> dict:
-    """The measured run: chunked ingestion, spilled Mondrian, chunked prior fit."""
+    """The measured run: chunked ingestion, spilled Mondrian, one prior fit."""
     from repro.api import Session
     from repro.data.adult import adult_schema
     from repro.data.io import open_table
-    from repro.knowledge.backend import EstimatorConfig
 
     source = open_table(npz_path, adult_schema(), chunk_rows=chunk_rows)
-    session = Session(source, config=EstimatorConfig(chunk_rows=chunk_rows))
+    session = Session(source)
     start = time.perf_counter()
     result = session.anonymize("distinct-l", params={"l": 3}, k=K, spill=True)
     publish_seconds = time.perf_counter() - start

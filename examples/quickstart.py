@@ -120,9 +120,11 @@ def main() -> None:
     # 7b. Too big for RAM?  The same pipeline runs out-of-core: export the
     #     table once, then open it as a chunked TableSource - a .csv streams
     #     in two passes, a .npz is memory-mapped so the code columns are
-    #     views into the file.  A Session over a source fits the kernel
-    #     priors chunk by chunk through exact append deltas (bitwise the
-    #     resident fit) and `spill=True` keeps Mondrian's value matrix in a
+    #     views into the file.  A Session over a source holds only the
+    #     code columns (never the decoded rows), a direct
+    #     `kernel_prior(source, b)` fits chunk by chunk through exact append
+    #     deltas (bitwise the resident fit) and `spill=True` keeps Mondrian's
+    #     value matrix in a
     #     temp-file memmap.  The CLI spelling is
     #     `repro anonymize --input census.csv --chunk-rows 50000 ...`
     #     (every table-consuming subcommand takes --input/--chunk-rows);
@@ -131,12 +133,11 @@ def main() -> None:
     import tempfile as _tempfile
 
     from repro.data.io import open_table, write_csv
-    from repro.knowledge.backend import EstimatorConfig
 
     csv_path = Path(_tempfile.mkdtemp(prefix="repro-quickstart-")) / "census.csv"
     write_csv(table, csv_path)
     source = open_table(csv_path, chunk_rows=1_000)
-    chunked = Session(source, config=EstimatorConfig(chunk_rows=1_000))
+    chunked = Session(source)
     chunked_release = chunked.anonymize("bt", params={"b": 0.3, "t": 0.2},
                                         k=4, spill=True).release
     assert chunked_release.n_groups == release.n_groups

@@ -32,10 +32,16 @@ from repro.api.registry import (
 from repro.data.distance import attribute_distance_matrix
 from repro.data.source import as_source
 from repro.data.table import MicrodataTable
-from repro.exceptions import AnonymizationError, PrivacyModelError
+from repro.exceptions import AnonymizationError, KnowledgeError, PrivacyModelError
 from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
-from repro.knowledge.prior import kernel_prior, mle_prior, overall_prior, uniform_prior
+from repro.knowledge.prior import (
+    BatchedKernelPriorEstimator,
+    kernel_prior,
+    mle_prior,
+    overall_prior,
+    uniform_prior,
+)
 from repro.privacy.measures import (
     DistanceMeasure,
     EMDDistance,
@@ -214,16 +220,22 @@ def estimate_kernel_prior(
     *,
     b: float | Bandwidth = 0.3,
     config: EstimatorConfig | None = None,
-    distance_matrices: dict[str, np.ndarray] | None = None,
+    estimator: BatchedKernelPriorEstimator | None = None,
 ):
     """Nadaraya-Watson kernel regression prior (Section II-B, the paper's estimator).
 
-    Estimation runs through the factored contraction backend of
-    :mod:`repro.knowledge.backend`, configured by ``config`` (kernel, cell
-    budget - ``0`` selects the flat reference sweep - and contraction
-    threads; results are bitwise identical at any thread count).
+    ``estimator`` is a :class:`~repro.knowledge.prior.BatchedKernelPriorEstimator`
+    already fitted on ``table`` (a session passes its one fit per kernel);
+    the prior is then one contraction on it and ``config`` is not read.
+    Without one, a backend is fitted from ``config`` (kernel, cell budget -
+    ``0`` selects the flat reference sweep - and contraction threads;
+    results are bitwise identical at any thread count).
     """
-    return kernel_prior(table, b, config=config, distance_matrices=distance_matrices)
+    if estimator is None:
+        return kernel_prior(table, b, config=config)
+    if estimator.backend.table is not table:
+        raise KnowledgeError("the estimator must be fitted on the table it estimates")
+    return estimator.prior_for_table([b])[0]
 
 
 @register_prior_estimator("uniform")

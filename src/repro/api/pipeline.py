@@ -20,8 +20,9 @@ remaining utility.  :class:`Pipeline` expresses it as a chainable builder::
 Model and algorithm names resolve through the registries of
 :mod:`repro.api.registry`; a pipeline built from a :class:`Session` (or via
 ``session.pipeline()``) shares that session's preparation caches, so the
-kernel prior estimation - the dominant cost - runs at most once per
-``(bandwidth, kernel)`` no matter how many pipelines run.
+kernel fit - the dominant cost - runs at most once per kernel and each
+prior's contraction at most once per ``(bandwidth, kernel)``, no matter how
+many pipelines run.
 """
 
 from __future__ import annotations

@@ -7,10 +7,18 @@ reports it separately from the partitioning time for exactly that reason.  A
 artefact so repeated runs - parameter sweeps, figure reproductions, serving
 many release requests for one dataset - pay the cost once:
 
-* **kernel priors**, keyed by ``(table_id, estimator, kernel, bandwidth)``;
-* **attribute distance matrices** (bandwidth-independent, shared between
-  estimators with different ``b`` values);
-* **distance measures** and **audit adversaries**, keyed by their parameters.
+* **one fitted kernel estimator per kernel** (a
+  :class:`~repro.knowledge.prior.BatchedKernelPriorEstimator`, fitted on the
+  first kernel-prior miss): every kernel prior the session hands out - to
+  ``priors``, to the models ``anonymize`` builds, to ``attack``, to
+  ``audit_skyline`` and to sweep cells - is one contraction on it, so the
+  table's count tensor is built once per kernel, as in Section II-B, where
+  every ``Adv(B)`` is the same regression under different kernel weights;
+* **priors**, keyed by ``(estimator, kernel, bandwidth)`` over the
+  parameters each estimator accepts (a contraction still costs 10-50 ms on
+  50k rows, so it is memoised too);
+* **distance measures** and **audit adversaries**, keyed by the parameters
+  they accept.
 
 Typical use::
 
@@ -34,11 +42,10 @@ import numpy as np
 from repro.anonymize.anonymizer import AnonymizationResult, anonymize
 from repro.api.registry import MEASURES, MODELS, PRIOR_ESTIMATORS
 from repro.audit.engine import SkylineAuditEngine, SkylineAuditReport
-from repro.data.distance import attribute_distance_matrix
 from repro.data.table import MicrodataTable
 from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
-from repro.knowledge.prior import PriorBeliefs
+from repro.knowledge.prior import BatchedKernelPriorEstimator, PriorBeliefs
 from repro.obs.tracing import Tracer
 from repro.privacy.disclosure import AttackResult, BackgroundKnowledgeAttack
 from repro.privacy.measures import DistanceMeasure
@@ -71,7 +78,6 @@ class SessionStats(CounterSet):
 
 @dataclass(frozen=True)
 class _PriorKey:
-    table_id: int
     estimator: str
     kernel: str | None
     bandwidth: tuple[tuple[str, float], ...] | None
@@ -114,15 +120,10 @@ class Session:
         self.config = config if jobs is None else replace(config, jobs=jobs)
         self.stats = SessionStats()
         self._priors: dict[_PriorKey, PriorBeliefs] = {}
-        self._distance_matrices: dict[str, np.ndarray] = {}
+        self._estimators: dict[str, BatchedKernelPriorEstimator] = {}
         self._measures: dict[tuple, DistanceMeasure] = {}
         self._attacks: dict[tuple, BackgroundKnowledgeAttack] = {}
         self._sensitive_codes: np.ndarray | None = None
-
-    @property
-    def table_id(self) -> int:
-        """Identity of the bound table (part of every prior cache key)."""
-        return id(self.table)
 
     # -- cached preparation -----------------------------------------------------------
     def bandwidth(self, b: float | Bandwidth) -> Bandwidth:
@@ -131,22 +132,14 @@ class Session:
             return b
         return Bandwidth.uniform(self.table.quasi_identifier_names, float(b))
 
-    def distance_matrix(self, attribute_name: str) -> np.ndarray:
-        """The Section II-C distance matrix of one attribute (computed once)."""
-        matrix = self._distance_matrices.get(attribute_name)
-        if matrix is None:
-            matrix = attribute_distance_matrix(self.table.domain(attribute_name))
-            self._distance_matrices[attribute_name] = matrix
-        return matrix
-
-    def _kernel_prior_key(self, bandwidth: Bandwidth, kernel: str) -> _PriorKey:
-        """The cache key of one kernel-estimated prior."""
-        return _PriorKey(
-            table_id=self.table_id,
-            estimator="kernel",
-            kernel=kernel,
-            bandwidth=bandwidth.items(),
-        )
+    def _estimator(self, kernel: str) -> BatchedKernelPriorEstimator:
+        """The session's one fitted kernel estimator for ``kernel`` (fitted once)."""
+        estimator = self._estimators.get(kernel)
+        if estimator is None:
+            config = replace(self.config, kernel=kernel)
+            estimator = BatchedKernelPriorEstimator(config).fit(self.table)
+            self._estimators[kernel] = estimator
+        return estimator
 
     def priors(
         self,
@@ -160,7 +153,9 @@ class Session:
         ``estimator`` names an entry of the prior-estimator registry
         (``"kernel"`` needs ``b``; the ``"uniform"``/``"overall"``/``"mle"``
         baselines ignore it).  Estimators that take a ``config`` get the
-        session's, with ``kernel`` (default: the session's) swapped in.
+        session's, with ``kernel`` (default: the session's) swapped in;
+        estimators that take an ``estimator`` get the session's fitted one
+        for that kernel.
         """
         kernel = kernel or self.config.kernel
         # Parameters the estimator ignores must not fragment the cache: the
@@ -169,7 +164,6 @@ class Session:
         bandwidth = self.bandwidth(b) if b is not None and "b" in accepted else None
         takes_config = "config" in accepted
         key = _PriorKey(
-            table_id=self.table_id,
             estimator=estimator,
             kernel=kernel if takes_config else None,
             bandwidth=bandwidth.items() if bandwidth is not None else None,
@@ -187,11 +181,8 @@ class Session:
             params["b"] = bandwidth
         if takes_config:
             params["config"] = replace(self.config, kernel=kernel)
-        if "distance_matrices" in accepted:
-            params["distance_matrices"] = {
-                name: self.distance_matrix(name)
-                for name in self.table.quasi_identifier_names
-            }
+        if "estimator" in accepted:
+            params["estimator"] = self._estimator(kernel)
         priors = PRIOR_ESTIMATORS.get(estimator)(self.table, **params)
         self.stats.prior_estimations += 1
         self._priors[key] = priors
@@ -210,17 +201,22 @@ class Session:
         bandwidth: float = 0.5,
         kernel: str | None = None,
     ) -> DistanceMeasure:
-        """A distance measure from the measure registry (built at most once)."""
+        """A distance measure from the measure registry (built at most once).
+
+        Like :meth:`priors`, parameters the measure does not accept are
+        dropped before they reach the cache key, so ``measure("js")`` and
+        ``measure("js", bandwidth=0.9)`` share one entry.
+        """
         kernel = kernel or self.config.kernel
-        key = (name, bandwidth, kernel)
-        cached = self._measures.get(key)
-        if cached is not None:
-            self.stats.measure_cache_hits += 1
-            return cached
         # Measure factories take the table as their positional argument; filter
         # the keyword superset down to what this measure accepts.
         accepted = set(MEASURES.keyword_parameters(name))
         params = {k: v for k, v in {"bandwidth": bandwidth, "kernel": kernel}.items() if k in accepted}
+        key = (name, tuple(sorted(params.items())))
+        cached = self._measures.get(key)
+        if cached is not None:
+            self.stats.measure_cache_hits += 1
+            return cached
         measure = MEASURES.get(name)(self.table, **params)
         self.stats.measure_builds += 1
         self._measures[key] = measure
@@ -328,47 +324,31 @@ class Session:
         """Audit a release against a whole skyline ``{(B_i, t_i)}`` in one pass.
 
         Priors already held by the session (from anonymization or earlier
-        audits) are reused; the remaining bandwidths are estimated together by
-        one :class:`~repro.knowledge.prior.BatchedKernelPriorEstimator` pass
-        and enter the session cache, so a later ``session.attack(b_prime=B_i)``
-        is a cache hit.
+        audits) are reused; the engine contracts the remaining bandwidths in
+        one pass on the session's fitted estimator, and they enter the
+        session cache, so a later ``session.attack(b_prime=B_i)`` is a cache
+        hit.
         """
         kernel = kernel or self.config.kernel
         points = [(self.bandwidth(b), float(t)) for b, t in skyline]
-        priors: list[PriorBeliefs | None] = []
-        keys: list[_PriorKey] = []
-        for bandwidth, _ in points:
-            key = self._kernel_prior_key(bandwidth, kernel)
-            keys.append(key)
-            cached = self._priors.get(key)
-            if cached is not None:
-                self.stats.prior_cache_hits += 1
-            priors.append(cached)
-        missing = [i for i, prior in enumerate(priors) if prior is None]
+        keys = [_PriorKey("kernel", kernel, bandwidth.items()) for bandwidth, _ in points]
+        cached = [self._priors.get(key) for key in keys]
+        self.stats.prior_cache_hits += sum(prior is not None for prior in cached)
+        missing = any(prior is None for prior in cached)
         engine = SkylineAuditEngine(
             self.table,
             points,
             config=replace(self.config, kernel=kernel),
             method=method,
             measure=self.measure("smoothed-js", kernel=kernel),
-            priors=priors,
-            distance_matrices={
-                name: self.distance_matrix(name)
-                for name in self.table.quasi_identifier_names
-            },
+            priors=cached,
+            estimator=self._estimator(kernel) if missing else None,
         )
-        if missing:
-            # One batched pass over every missing bandwidth (duplicates are
-            # computed once inside the engine's estimator but cached under
-            # each key); the engine's own prepare() does the work so there is
-            # exactly one estimation path.
-            estimated = engine.priors
-            unique_keys = set()
-            for index in missing:
-                if keys[index] not in self._priors:
-                    self._priors[keys[index]] = estimated[index]
-                unique_keys.add(keys[index])
-            self.stats.prior_estimations += len(unique_keys)
+        # Duplicate missing bandwidths are contracted once and counted once.
+        for key, prior in zip(keys, engine.priors):
+            if key not in self._priors:
+                self._priors[key] = prior
+                self.stats.prior_estimations += 1
         return engine.audit(groups)
 
     def stream(
@@ -393,9 +373,9 @@ class Session:
         that republish incrementally (exact additive/negative prior deltas,
         dirty-leaf re-splits and merge-ups, delta skyline audits, periodic
         full-refine compaction once ``compact_drift`` worth of deferred
-        maintenance accumulates).  The publisher shares the session's cached
-        distance matrices; its own prior state is incremental and therefore
-        private to the stream.
+        maintenance accumulates).  The publisher's prior state is incremental
+        and therefore private to the stream: it fits its own estimator rather
+        than share the session's.
 
         ``skyline`` defaults to the ``(b, t)`` pairs of the model's (B,t)
         components, mirroring :meth:`Pipeline.audit_skyline`; the publisher
@@ -419,10 +399,6 @@ class Session:
             split_strategy=split_strategy,
             refine_factor=refine_factor,
             compact_drift=compact_drift,
-            distance_matrices={
-                name: self.distance_matrix(name)
-                for name in self.table.quasi_identifier_names
-            },
             store_path=store_dir,
             tracer=tracer,
         )

@@ -4,8 +4,8 @@ A sweep is the primitive behind every evaluation artefact of the paper - "the
 four models under para1..para4", "(B,t) for b in 0.2..0.5" - and behind any
 benchmark that compares configurations.  :func:`run_sweep` executes a list of
 :class:`SweepSpec` rows through one :class:`~repro.api.session.Session`, so
-expensive preparation (kernel priors, distance matrices, audit adversaries)
-is shared across the whole grid::
+expensive preparation (one kernel fit per kernel, the priors contracted on
+it, audit adversaries) is shared across the whole grid::
 
     session = Session(table)
     specs = expand_grid(model=["bt", "distinct-l", "t-closeness"], b=0.3, t=[0.1, 0.2], l=4, k=4)

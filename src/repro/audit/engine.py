@@ -4,10 +4,10 @@ Auditing a release against a skyline ``{(B_1, t_1), ..., (B_p, t_p)}`` with
 the per-adversary attack costs ``p`` full kernel estimations - the very cost
 Figure 4(b) shows dominating the pipeline.  The engine removes the redundancy:
 
-* **priors** for every skyline bandwidth come from one
-  :class:`~repro.knowledge.prior.BatchedKernelPriorEstimator` pass, which
-  shares all bandwidth-independent work (distance matrices, QI
-  de-duplication, the count-tensor factorisation);
+* **priors** for every skyline bandwidth are contractions on one fitted
+  :class:`~repro.knowledge.prior.BatchedKernelPriorEstimator`, which holds
+  all bandwidth-independent work (distance matrices, QI de-duplication, the
+  count-tensor factorisation) - the caller's, when it passes one;
 * **posteriors and risks** go through the same risk kernel
   (:func:`~repro.privacy.disclosure.member_risks`, via
   :func:`~repro.privacy.disclosure.attack_result`) as the single-adversary
@@ -183,8 +183,8 @@ class SkylineAuditEngine:
         attributes) or a full :class:`~repro.knowledge.bandwidth.Bandwidth`.
     config:
         The :class:`~repro.knowledge.backend.EstimatorConfig` of the prior
-        estimation (kernel - Epanechnikov by default, as in the paper - cell
-        budget, fit chunk size) and of the per-adversary posterior passes,
+        estimation (kernel - Epanechnikov by default, as in the paper - and
+        cell budget) and of the per-adversary posterior passes,
         which share its ``jobs`` threads with the estimation backend
         (``None`` resolves to ``REPRO_JOBS`` / ``os.cpu_count()``; priors
         and risks are bitwise identical at any thread count).
@@ -195,11 +195,19 @@ class SkylineAuditEngine:
         smoothing with the config's kernel like the (B,t) models do.
     priors:
         Optional precomputed priors aligned with ``skyline`` (``None`` entries
-        are estimated).  This is how :class:`~repro.api.session.Session`
-        injects its cache.
+        are estimated).  Each given prior must cover this table: an
+        ``(n_rows, m)`` matrix.
+    estimator:
+        Optional :class:`~repro.knowledge.prior.BatchedKernelPriorEstimator`
+        already fitted on this very ``table`` object with the config's
+        kernel; the missing priors are contractions on it.  Without one the
+        engine fits its own on first use.  This is how
+        :class:`~repro.api.session.Session` shares its cached priors and its
+        one fit per kernel.
 
     One engine may audit many releases (each :meth:`audit` call takes its own
-    ``groups``); the priors are estimated once, on first use.
+    ``groups``); the priors are estimated once, on first use.  A prior or an
+    estimator of another table is refused here, not at the first audit.
     """
 
     def __init__(
@@ -211,7 +219,7 @@ class SkylineAuditEngine:
         method: str = "omega",
         measure: DistanceMeasure | None = None,
         priors: Sequence[PriorBeliefs | None] | None = None,
-        distance_matrices: dict[str, np.ndarray] | None = None,
+        estimator: BatchedKernelPriorEstimator | None = None,
     ):
         if method not in {"omega", "exact"}:
             raise AuditError("method must be 'omega' or 'exact'")
@@ -222,14 +230,29 @@ class SkylineAuditEngine:
         self.adversaries = _normalise_skyline(table, skyline)
         self.config = config if config is not None else EstimatorConfig()
         self.method = method
-        self._distance_matrices = distance_matrices
         if measure is None:
             measure = sensitive_distance_measure(table, kernel=self.config.kernel)
         self.measure = measure
         priors = list(priors) if priors is not None else [None] * len(self.adversaries)
         if len(priors) != len(self.adversaries):
             raise AuditError("priors must align one-to-one with the skyline points")
+        expected = (table.n_rows, table.sensitive_domain().size)
+        for prior in priors:
+            if prior is not None and prior.matrix.shape != expected:
+                raise AuditError(
+                    f"a given prior has shape {prior.matrix.shape}, but this "
+                    f"table needs {expected} (n_rows, sensitive values)"
+                )
+        if estimator is not None:
+            if estimator.backend.table is not table:
+                raise AuditError("the estimator must be fitted on this engine's table")
+            if estimator.config.kernel != self.config.kernel:
+                raise AuditError(
+                    f"the estimator's kernel {estimator.config.kernel!r} differs "
+                    f"from the config's {self.config.kernel!r}"
+                )
         self._priors: list[PriorBeliefs | None] = priors
+        self._estimator = estimator
         self.prepare_seconds = 0.0
 
     # -- preparation -----------------------------------------------------------------
@@ -239,16 +262,15 @@ class SkylineAuditEngine:
         return all(prior is not None for prior in self._priors)
 
     def prepare(self) -> "SkylineAuditEngine":
-        """Estimate every missing prior in one batched pass (idempotent)."""
+        """Contract every missing prior in one batched pass (idempotent)."""
         missing = [i for i, prior in enumerate(self._priors) if prior is None]
         if not missing:
             return self
         start = time.perf_counter()
         with current_tracer().span("engine.prepare", adversaries=len(missing)):
-            estimator = BatchedKernelPriorEstimator(
-                config=self.config,
-                distance_matrices=self._distance_matrices,
-            ).fit(self.table)
+            estimator = self._estimator
+            if estimator is None:
+                estimator = BatchedKernelPriorEstimator(self.config).fit(self.table)
             estimated = estimator.prior_for_table(
                 [self.adversaries[i].bandwidth for i in missing]
             )

@@ -423,12 +423,7 @@ def _build_model(args: argparse.Namespace) -> PrivacyModel:
 
 def _session(table, args: argparse.Namespace) -> Session:
     """A session carrying the CLI's estimator configuration."""
-    config = EstimatorConfig(
-        max_cells=args.max_cells,
-        jobs=args.jobs,
-        chunk_rows=getattr(args, "chunk_rows", None),
-    )
-    return Session(table, config=config)
+    return Session(table, config=EstimatorConfig(max_cells=args.max_cells, jobs=args.jobs))
 
 
 def _write_release_csv(release, path: str | Path) -> None:

@@ -192,18 +192,11 @@ class EstimatorConfig:
         ``os.cpu_count()``; ``1`` selects the serial reference path.  Must be
         a positive integer when given.  Threading never changes results -
         the ``jobs=1`` and ``jobs=N`` priors are bitwise identical.
-    chunk_rows:
-        Rows per chunk when fitting from a
-        :class:`~repro.data.source.TableSource` (the out-of-core path).
-        ``None`` defers to the source's own default.  Chunked fits are
-        *bitwise identical* to the all-in-RAM fit - see
-        :meth:`FactoredPriorBackend.fit`.
     """
 
     kernel: str = "epanechnikov"
     max_cells: int = DEFAULT_MAX_CELLS
     jobs: int | None = None
-    chunk_rows: int | None = None
 
     def __post_init__(self) -> None:
         if not _is_count(self.max_cells) or self.max_cells < 0:
@@ -212,12 +205,6 @@ class EstimatorConfig:
             )
         if self.jobs is not None:
             parse_jobs(self.jobs)
-        if self.chunk_rows is not None and (
-            not _is_count(self.chunk_rows) or self.chunk_rows < 1
-        ):
-            raise KnowledgeError(
-                f"chunk_rows must be a positive number of rows, got {self.chunk_rows!r}"
-            )
 
 
 @dataclass
@@ -341,10 +328,7 @@ class FactoredPriorBackend:
     ----------
     config:
         The :class:`EstimatorConfig` (kernel, ``max_cells`` budget,
-        contraction threads, fit chunk size).
-    distance_matrices:
-        Optional precomputed per-attribute distance matrices to share
-        (matrices cached against an outgrown domain are replaced at fit).
+        contraction threads).
     incremental:
         Cache per-bandwidth contraction state so row deltas update it in
         place (costs memory per distinct bandwidth; off by default).
@@ -354,7 +338,6 @@ class FactoredPriorBackend:
         self,
         config: EstimatorConfig | None = None,
         *,
-        distance_matrices: dict[str, np.ndarray] | None = None,
         incremental: bool = False,
     ):
         self.config = config if config is not None else EstimatorConfig()
@@ -362,7 +345,7 @@ class FactoredPriorBackend:
         self._jobs = resolve_jobs(self.config.jobs)
         self._compact_support = has_compact_support(self.config.kernel)
         self.incremental = bool(incremental)
-        self._distance_matrices = dict(distance_matrices) if distance_matrices else {}
+        self._distance_matrices: dict[str, np.ndarray] = {}
         self._table: MicrodataTable | None = None
         self.mode: str | None = None
         self._overall: np.ndarray | None = None
@@ -467,7 +450,7 @@ class FactoredPriorBackend:
 
         ``table`` is a :class:`~repro.data.table.MicrodataTable` or any
         :class:`~repro.data.source.TableSource`.  A source is fitted
-        *chunk by chunk* (``config.chunk_rows`` rows at a time): the first
+        *chunk by chunk* (at the source's own chunk size): the first
         chunk takes the ordinary fit and every further chunk folds in
         through the exact append deltas, deferring nothing to approximation
         - integer counts in float64 add exactly - and a final slot
@@ -486,12 +469,11 @@ class FactoredPriorBackend:
 
     def _fit(self, table: MicrodataTable) -> None:
         qi_names = list(table.quasi_identifier_names)
-        for name in qi_names:
-            cached = self._distance_matrices.get(name)
-            if cached is None or cached.shape[0] != table.domain(name).size:
-                # Also replaces matrices cached against an outgrown domain
-                # (refitting after a stream append introduced new values).
-                self._distance_matrices[name] = attribute_distance_matrix(table.domain(name))
+        # Recomputed on every fit (|D_i|^2 cells each): a refit after a
+        # stream grew a domain needs the grown matrices.
+        self._distance_matrices = {
+            name: attribute_distance_matrix(table.domain(name)) for name in qi_names
+        }
         self._table = table
         self._overall = table.sensitive_distribution()
         self._contractions = {}
@@ -584,7 +566,7 @@ class FactoredPriorBackend:
         grown: MicrodataTable | None = None
         first = True
         cursor = 0
-        for chunk in source.iter_chunks(self.config.chunk_rows):
+        for chunk in source.iter_chunks():
             stop = cursor + chunk.n_rows
             if stop > source.n_rows:
                 raise KnowledgeError(

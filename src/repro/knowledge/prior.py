@@ -23,8 +23,7 @@ of bandwidths (one ``Adv(B)`` or a whole skyline) in one pass, with optional
 incremental ``append_rows`` / ``remove_rows`` / ``update_rows`` deltas for
 full-lifecycle streaming publishers.  :func:`kernel_prior` is the one-call
 form for a single bandwidth.  Every estimation setting (kernel, cell budget,
-threads, fit chunk size) arrives as one
-:class:`~repro.knowledge.backend.EstimatorConfig`.
+threads) arrives as one :class:`~repro.knowledge.backend.EstimatorConfig`.
 
 Priors match (to floating-point round-off) the flat ``O(n^2 d)`` reference
 sweep, which survives only as a small-size equivalence reference behind
@@ -128,10 +127,7 @@ class BatchedKernelPriorEstimator:
     ----------
     config:
         The :class:`~repro.knowledge.backend.EstimatorConfig` (kernel, cell
-        budget, contraction threads, fit chunk size); ``None`` is the
-        default configuration.
-    distance_matrices:
-        Optional precomputed per-attribute distance matrices to share.
+        budget, contraction threads); ``None`` is the default configuration.
     incremental:
         Cache the per-bandwidth contraction state so :meth:`append_rows`
         updates it in place (costs memory proportional to the contracted
@@ -142,15 +138,10 @@ class BatchedKernelPriorEstimator:
         self,
         config: EstimatorConfig | None = None,
         *,
-        distance_matrices: dict[str, np.ndarray] | None = None,
         incremental: bool = False,
     ):
         self.incremental = bool(incremental)
-        self._backend = FactoredPriorBackend(
-            config,
-            distance_matrices=distance_matrices,
-            incremental=incremental,
-        )
+        self._backend = FactoredPriorBackend(config, incremental=incremental)
         self.config = self._backend.config
 
     @property
@@ -251,7 +242,6 @@ def kernel_prior(
     b: float | Bandwidth,
     *,
     config: EstimatorConfig | None = None,
-    distance_matrices: dict[str, np.ndarray] | None = None,
 ) -> PriorBeliefs:
     """One-call helper: the priors of ``Adv(b)`` on ``table``.
 
@@ -262,8 +252,7 @@ def kernel_prior(
     ``config`` carries the estimation settings
     (``EstimatorConfig(max_cells=0)`` selects the flat reference sweep).
     """
-    estimator = BatchedKernelPriorEstimator(config, distance_matrices=distance_matrices)
-    return estimator.fit(table).prior_for_table([b])[0]
+    return BatchedKernelPriorEstimator(config).fit(table).prior_for_table([b])[0]
 
 
 def uniform_prior(table: MicrodataTable) -> PriorBeliefs:

@@ -240,9 +240,6 @@ class IncrementalPublisher:
     measure:
         Audit distance measure (defaults to the paper's smoothed-JS measure,
         smoothing with the config's kernel like the (B,t) models do).
-    distance_matrices:
-        Optional precomputed attribute distance matrices to share (e.g. from a
-        :class:`~repro.api.session.Session`).
     store_path:
         Optional directory for a disk-backed :class:`ReleaseStore`: every
         published version is persisted (JSON-lines lineage + one ``.npz``
@@ -278,7 +275,6 @@ class IncrementalPublisher:
         refine_factor: float = 1.5,
         compact_drift: float = 0.5,
         measure: DistanceMeasure | None = None,
-        distance_matrices: dict[str, np.ndarray] | None = None,
         store_path: str | Path | None = None,
         version_cache: VersionCache | None = None,
         tracer: Tracer | None = None,
@@ -315,11 +311,7 @@ class IncrementalPublisher:
         self._mondrian = MondrianAnonymizer(
             self._requirement, split_strategy=split_strategy
         )
-        self._estimator = BatchedKernelPriorEstimator(
-            config=self.config,
-            distance_matrices=distance_matrices,
-            incremental=True,
-        )
+        self._estimator = BatchedKernelPriorEstimator(config=self.config, incremental=True)
         self.split_strategy = split_strategy
         self.tracer = tracer if tracer is not None else Tracer()
         self.store = (
@@ -427,7 +419,6 @@ class IncrementalPublisher:
         model: PrivacyModel,
         config: EstimatorConfig | None = None,
         measure: DistanceMeasure | None = None,
-        distance_matrices: dict[str, np.ndarray] | None = None,
         version_cache: VersionCache | None = None,
         tracer: Tracer | None = None,
     ) -> "IncrementalPublisher":
@@ -442,7 +433,7 @@ class IncrementalPublisher:
         priors; subsequent :meth:`append` / :meth:`delete` / :meth:`update`
         calls continue the stream where it stopped, producing versions
         identical to an uninterrupted publisher.  ``config`` supplies the
-        runtime estimation settings (``jobs``, ``chunk_rows``); the stored
+        runtime estimation settings (``jobs``); the stored
         ``kernel`` and ``max_cells`` replace its own.
         """
         store = ReleaseStore(path=path, schema=schema, version_cache=version_cache)
@@ -474,7 +465,6 @@ class IncrementalPublisher:
                 refine_factor=float(state["refine_factor"]),
                 compact_drift=float(state["compact_drift"]),
                 measure=measure,
-                distance_matrices=distance_matrices,
                 tracer=tracer,
             )
             recorded_model = state["model"]

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.api.session import Session
+from repro.audit.engine import SkylineAuditEngine
 from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
+from repro.knowledge.prior import kernel_prior
+from repro.obs.tracing import Tracer
 from repro.privacy.models import BTPrivacy, CompositeModel, KAnonymity, SkylineBTPrivacy
 
 
@@ -204,3 +207,64 @@ def test_session_accepts_a_table_source(tiny_adult):
     assert all(
         np.array_equal(x, y) for x, y in zip(a.release.groups, b.release.groups)
     )
+
+
+SKYLINE = [(0.1, 0.2), (0.2, 0.2), (0.3, 0.2), (0.5, 0.2)]
+
+
+def _fits(tracer: Tracer) -> int:
+    return sum(span.name == "backend.fit" for span in tracer.take_root().walk())
+
+
+def test_one_kernel_fit_serves_every_prior_of_a_session(tiny_adult):
+    """Publish, audit a skyline and attack: one backend fit per kernel."""
+    session = Session(tiny_adult)
+    tracer = Tracer()
+    with tracer.activate(), tracer.span("round"):
+        session.priors(0.3)
+        groups = session.anonymize("bt", params={"b": 0.3, "t": 0.25}, k=3).release.groups
+        session.audit_skyline(groups, SKYLINE)
+        session.attack(groups, b_prime=0.4, threshold=0.2)
+    assert _fits(tracer) == 1
+    assert session.stats.prior_estimations == 5  # 0.3, 0.1, 0.2, 0.5, 0.4
+    with tracer.activate(), tracer.span("round"):
+        session.priors(0.3, kernel="uniform")
+        session.audit_skyline(groups, SKYLINE, kernel="uniform")
+        session.attack(groups, b_prime=0.3, threshold=0.2)  # the first kernel's
+    assert _fits(tracer) == 1
+
+
+def test_every_session_prior_is_bitwise_a_fresh_estimation(tiny_adult):
+    session = Session(tiny_adult, config=EstimatorConfig(jobs=1))
+    groups = session.anonymize("bt", params={"b": 0.3, "t": 0.25}, k=3).release.groups
+    session.audit_skyline(groups, SKYLINE)
+    session.attack(groups, b_prime=0.4, threshold=0.2)
+    session.audit_skyline(groups, [(0.25, 0.2)], kernel="gaussian")
+    handed_out = [(b, "epanechnikov") for b in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    for b, kernel in handed_out + [(0.25, "gaussian")]:
+        config = EstimatorConfig(kernel=kernel)
+        reference = kernel_prior(tiny_adult, b, config=config).matrix
+        assert np.array_equal(session.priors(b, kernel=kernel).matrix, reference)
+    assert session.stats.prior_estimations == 6  # every lookup above was a hit
+
+
+def test_an_engine_on_the_session_fit_audits_bitwise_like_its_own(tiny_adult):
+    session = Session(tiny_adult)
+    groups = session.anonymize("distinct-l", params={"l": 3}, k=3).release.groups
+    shared = session.audit_skyline(groups, SKYLINE)
+    own = SkylineAuditEngine(tiny_adult, SKYLINE).audit(groups)
+    for ours, reference in zip(shared.entries, own.entries):
+        assert np.array_equal(ours.attack.risks, reference.attack.risks)
+        assert ours.attack.vulnerable_tuples == reference.attack.vulnerable_tuples
+
+
+def test_measure_cache_ignores_parameters_the_measure_does_not_take(tiny_adult):
+    session = Session(tiny_adult)
+    js = session.measure("js")
+    assert session.measure("js", bandwidth=0.9) is js
+    assert session.measure("js", kernel="gaussian") is js
+    assert session.stats.measure_builds == 1
+    assert session.stats.measure_cache_hits == 2
+    smoothed = session.measure("smoothed-js")
+    assert session.measure("smoothed-js", bandwidth=0.9) is not smoothed
+    assert session.stats.measure_builds == 3

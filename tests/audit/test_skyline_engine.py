@@ -8,7 +8,7 @@ from repro.audit import SkylineAuditEngine, audit_skyline
 from repro.exceptions import AuditError
 from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
-from repro.knowledge.prior import kernel_prior
+from repro.knowledge.prior import BatchedKernelPriorEstimator, kernel_prior
 from repro.privacy.disclosure import BackgroundKnowledgeAttack, attack_result
 from repro.privacy.models import DistinctLDiversity
 
@@ -169,6 +169,48 @@ def test_configuration_errors(audit_table):
         SkylineAuditEngine(audit_table, SKYLINE, priors=[None])
     with pytest.raises(AuditError, match="t must lie"):
         SkylineAuditEngine(audit_table, [(0.3, 1.5)])
+
+
+def test_priors_of_another_table_are_refused_at_construction(audit_table):
+    """A misaligned prior used to surface only inside audit(), as an index error."""
+    from repro.data.adult import generate_adult
+    from repro.knowledge.prior import PriorBeliefs
+
+    n_rows, m = audit_table.n_rows, audit_table.sensitive_domain().size
+    shorter = kernel_prior(generate_adult(250, seed=13), 0.3)
+    with pytest.raises(AuditError, match=r"\(250, %d\).*\(%d, %d\)" % (m, n_rows, m)):
+        SkylineAuditEngine(audit_table, SKYLINE, priors=[None, shorter, None])
+    wider = PriorBeliefs(np.full((n_rows, m + 1), 1.0 / (m + 1)))
+    with pytest.raises(AuditError, match=r"\(%d, %d\)" % (n_rows, m + 1)):
+        SkylineAuditEngine(audit_table, SKYLINE, priors=[wider, None, None])
+
+
+def test_an_estimator_must_be_fitted_on_the_engine_table_with_its_kernel(audit_table):
+    from repro.data.adult import generate_adult
+
+    copy = generate_adult(400, seed=13)  # equal rows, another table object
+    with pytest.raises(AuditError, match="table"):
+        SkylineAuditEngine(
+            audit_table, SKYLINE, estimator=BatchedKernelPriorEstimator().fit(copy)
+        )
+    with pytest.raises(AuditError, match="'uniform'.*'epanechnikov'"):
+        SkylineAuditEngine(
+            audit_table,
+            SKYLINE,
+            estimator=BatchedKernelPriorEstimator(EstimatorConfig(kernel="uniform")).fit(
+                audit_table
+            ),
+        )
+
+
+def test_a_given_estimator_gives_the_risks_of_a_self_fitted_one(audit_table, release):
+    estimator = BatchedKernelPriorEstimator().fit(audit_table)
+    shared = SkylineAuditEngine(audit_table, SKYLINE, estimator=estimator)
+    own = SkylineAuditEngine(audit_table, SKYLINE)
+    for ours, reference in zip(
+        shared.audit(release.groups).entries, own.audit(release.groups).entries
+    ):
+        assert np.array_equal(ours.attack.risks, reference.attack.risks)
 
 
 def test_priors_accepted_as_generator(audit_table, release, loop_results):

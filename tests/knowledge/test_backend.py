@@ -186,10 +186,7 @@ def test_estimator_config_validation():
     for bad in (0.5, 64e6, True):
         with pytest.raises(KnowledgeError, match="max_cells"):
             EstimatorConfig(max_cells=bad)
-    for bad in (0, 1.5, True):
-        with pytest.raises(KnowledgeError, match="chunk_rows"):
-            EstimatorConfig(chunk_rows=bad)
-    assert EstimatorConfig(max_cells=np.int64(400), chunk_rows=np.int64(7)).max_cells == 400
+    assert EstimatorConfig(max_cells=np.int64(400)).max_cells == 400
 
 
 def test_count_tensor_memory_guard_falls_back_to_flat(

@@ -62,10 +62,15 @@ def table():
 
 
 @pytest.fixture(scope="module")
-def npz_source(table, tmp_path_factory):
+def npz_path(table, tmp_path_factory):
     path = tmp_path_factory.mktemp("scale") / "adult.npz"
     write_npz(path, table)
-    return NpzTableSource(path, adult_schema())
+    return path
+
+
+def _npz_source(path, chunk_rows: int) -> NpzTableSource:
+    """The npz table, streamed ``chunk_rows`` rows at a time."""
+    return NpzTableSource(path, adult_schema(), chunk_rows=chunk_rows)
 
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -74,21 +79,19 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("kernel", kernel_names())
 def test_chunked_fit_matches_resident_fit_bitwise_every_kernel(
-    table, npz_source, kernel
+    table, npz_path, kernel
 ):
     resident = kernel_prior(table, 0.3, config=EstimatorConfig(kernel=kernel)).matrix
     chunked = kernel_prior(
-        npz_source, 0.3, config=EstimatorConfig(kernel=kernel, chunk_rows=128)
+        _npz_source(npz_path, 128), 0.3, config=EstimatorConfig(kernel=kernel)
     ).matrix
     assert _bitwise_equal(chunked, resident)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 128, ROWS, ROWS + 50])
-def test_chunked_fit_is_chunk_size_invariant(table, npz_source, chunk_rows):
+def test_chunked_fit_is_chunk_size_invariant(table, npz_path, chunk_rows):
     resident = kernel_prior(table, 0.25).matrix
-    chunked = kernel_prior(
-        npz_source, 0.25, config=EstimatorConfig(chunk_rows=chunk_rows)
-    ).matrix
+    chunked = kernel_prior(_npz_source(npz_path, chunk_rows), 0.25).matrix
     assert _bitwise_equal(chunked, resident)
 
 
@@ -103,20 +106,18 @@ def test_chunked_fit_matches_on_blocked_wide_schema():
     assert len(resident_backend.blocks) > 1  # really the blocked regime
     resident = BatchedKernelPriorEstimator(config=config)
     resident.fit(wide)
-    chunked = BatchedKernelPriorEstimator(
-        config=EstimatorConfig(max_cells=600, chunk_rows=64)
-    )
-    chunked.fit(InMemoryTableSource(wide))
+    chunked = BatchedKernelPriorEstimator(config=config)
+    chunked.fit(InMemoryTableSource(wide, chunk_rows=64))
     a = resident.prior_for_table([bandwidth])[0].matrix
     b = chunked.prior_for_table([bandwidth])[0].matrix
     assert _bitwise_equal(b, a)
 
 
-def test_flat_reference_accepts_sources(table, npz_source):
+def test_flat_reference_accepts_sources(table, npz_path):
     """max_cells=0 (the flat sweep) accumulates the chunks and still matches."""
     resident = kernel_prior(table, 0.3, config=EstimatorConfig(max_cells=0)).matrix
     chunked = kernel_prior(
-        npz_source, 0.3, config=EstimatorConfig(max_cells=0, chunk_rows=100)
+        _npz_source(npz_path, 100), 0.3, config=EstimatorConfig(max_cells=0)
     ).matrix
     assert _bitwise_equal(chunked, resident)
 
@@ -129,9 +130,7 @@ def test_source_row_count_mismatch_raises(table):
             yield next(super().iter_chunks(chunk_rows=chunk_rows))
 
     with pytest.raises(KnowledgeError, match="declared"):
-        FactoredPriorBackend(EstimatorConfig(chunk_rows=100)).fit(
-            TruncatedSource(table)
-        )
+        FactoredPriorBackend().fit(TruncatedSource(table, chunk_rows=100))
 
 
 # -- the peak-RSS harness -------------------------------------------------------------
@@ -177,10 +176,7 @@ def _child(role: str, npz_path: str, rows: int) -> dict:
         resident_table = generate_adult(rows, seed=4)
         matrix = kernel_prior(resident_table, 0.3).matrix
     else:
-        source = NpzTableSource(npz_path, adult_schema())
-        matrix = kernel_prior(
-            source, 0.3, config=EstimatorConfig(chunk_rows=HARNESS_CHUNK)
-        ).matrix
+        matrix = kernel_prior(_npz_source(npz_path, HARNESS_CHUNK), 0.3).matrix
     return {
         "peak_rss_mb": _child_peak_rss_mb(),
         "checksum": float(matrix.sum()),

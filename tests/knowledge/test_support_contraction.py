@@ -149,8 +149,8 @@ def test_bitwise_across_jobs_and_chunked_fit(case, kernel, blocks):
     serial = _matrices(table, BANDWIDTHS, kernel=kernel, max_cells=budgets[blocks], jobs=1)
     threaded = _matrices(table, BANDWIDTHS, kernel=kernel, max_cells=budgets[blocks], jobs=3)
     chunked = FactoredPriorBackend(
-        EstimatorConfig(kernel=kernel, max_cells=budgets[blocks], chunk_rows=37)
-    ).fit(InMemoryTableSource(table)).matrices(BANDWIDTHS)
+        EstimatorConfig(kernel=kernel, max_cells=budgets[blocks])
+    ).fit(InMemoryTableSource(table, chunk_rows=37)).matrices(BANDWIDTHS)
     for reference, ours, streamed in zip(serial, threaded, chunked):
         assert np.array_equal(ours, reference)
         assert np.array_equal(streamed, reference)

@@ -7,6 +7,10 @@ module.  No function in the package may take them as a parameter of its
 own: any function declaring ``max_cells``, ``batch_size`` or
 ``max_count_cells`` fails this test.  ``EstimatorConfig``'s fields are
 class annotations, not parameters, so they pass.
+
+Precomputed ``distance_matrices`` are guarded the same way: a backend
+computes its own at fit, and code that wants to share the bandwidth-free
+work shares one fitted ``BatchedKernelPriorEstimator`` instead.
 """
 
 import ast
@@ -16,7 +20,7 @@ import repro
 import repro.knowledge
 
 PACKAGE = Path(repro.__file__).resolve().parent
-KNOBS = {"max_cells", "batch_size", "max_count_cells"}
+KNOBS = {"max_cells", "batch_size", "max_count_cells", "distance_matrices"}
 
 
 def _knob_parameters(tree: ast.AST) -> list[str]:
@@ -55,6 +59,7 @@ def test_the_guard_sees_every_spelling():
             "f = lambda max_cells: max_cells",
             "class EstimatorConfig:\n    max_cells: int = 0\n    batch_size: int = 1",
             "def g(config): return config.max_cells",
+            "def h(table, *, config=None, distance_matrices=None): pass",
         ]
     )
     assert sorted(_knob_parameters(ast.parse(source))) == [
@@ -63,6 +68,7 @@ def test_the_guard_sees_every_spelling():
         "b(batch_size)",
         "c(max_count_cells)",
         "e(max_cells)",
+        "h(distance_matrices)",
     ]
 
 
