@@ -1,13 +1,14 @@
 """Factored prior backend vs the flat reference sweep (the PR-gated bench).
 
-Two contracts of the one shared estimation backend
-(:mod:`repro.knowledge.backend`):
+Contracts of the one shared estimation backend
+(:mod:`repro.knowledge.backend`), each measured against the flat ``O(n^2 d)``
+reference function :func:`~repro.knowledge.prior.flat_kernel_prior`:
 
 * **wide schemas** - a >= 12-attribute schema whose joint rest-combination
   count exceeds ``max_cells`` must use the *hierarchical blocked
-  contraction* (not the flat ``O(n^2 d)`` sweep) and stay numerically
-  identical to the flat reference (``<= 1e-12``) while being at least
-  ``REPRO_BENCH_PRIOR_MIN_SPEEDUP`` times faster;
+  contraction* and stay numerically identical to the flat reference
+  (``<= 1e-12``) while being at least ``REPRO_BENCH_PRIOR_MIN_SPEEDUP``
+  times faster;
 * **single bandwidths** - the estimation behind every plain
   ``Pipeline.run()`` / ``BTPrivacy.prepare`` call routes through the same
   factored backend, so one-bandwidth priors on the Adult schema must beat
@@ -53,7 +54,7 @@ from repro.data.adult import generate_adult
 from repro.data.schema import Schema, categorical_qi, numeric_qi, sensitive
 from repro.data.table import MicrodataTable
 from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
-from repro.knowledge.prior import BatchedKernelPriorEstimator, kernel_prior
+from repro.knowledge.prior import BatchedKernelPriorEstimator, flat_kernel_prior, kernel_prior
 
 PRIOR_ROWS = int(os.environ.get("REPRO_BENCH_PRIOR_ROWS", "5000"))
 WIDE_ROWS = int(os.environ.get("REPRO_BENCH_PRIOR_WIDE_ROWS", "4000"))
@@ -108,8 +109,7 @@ def test_wide_schema_blocked_vs_flat_speedup():
     table = _wide_table(WIDE_ROWS)
 
     def run_flat():
-        estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=0))
-        return estimator.fit(table).prior_for_table(BANDWIDTHS)
+        return [flat_kernel_prior(table, b) for b in BANDWIDTHS]
 
     def run_blocked():
         estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=WIDE_MAX_CELLS))
@@ -119,12 +119,11 @@ def test_wide_schema_blocked_vs_flat_speedup():
     flat_seconds, flat_priors = _best_of(run_flat)
     blocked_seconds, (blocked, blocked_priors) = _best_of(run_blocked)
 
-    assert blocked.mode == "factored"
     assert blocked.backend.n_blocks >= 2, (
         "the wide schema fits a single joint; raise WIDE_ROWS or lower WIDE_MAX_CELLS"
     )
     max_difference = max(
-        float(np.abs(a.matrix - b.matrix).max())
+        float(np.abs(a.matrix - b).max())
         for a, b in zip(blocked_priors, flat_priors)
     )
     speedup = flat_seconds / blocked_seconds
@@ -159,12 +158,11 @@ def test_wide_schema_blocked_vs_flat_speedup():
 def test_single_bandwidth_pipeline_prior_speedup():
     table = generate_adult(PRIOR_ROWS, seed=2009)
 
-    flat_config = EstimatorConfig(max_cells=0)
-    flat_seconds, flat = _best_of(lambda: kernel_prior(table, 0.3, config=flat_config))
+    flat_seconds, flat = _best_of(lambda: flat_kernel_prior(table, 0.3))
     # What Pipeline.run() / BTPrivacy.prepare() now execute per bandwidth.
     factored_seconds, factored = _best_of(lambda: kernel_prior(table, 0.3))
 
-    max_difference = float(np.abs(factored.matrix - flat.matrix).max())
+    max_difference = float(np.abs(factored.matrix - flat).max())
     speedup = flat_seconds / factored_seconds
 
     print(

@@ -227,9 +227,9 @@ def estimate_kernel_prior(
     ``estimator`` is a :class:`~repro.knowledge.prior.BatchedKernelPriorEstimator`
     already fitted on ``table`` (a session passes its one fit per kernel);
     the prior is then one contraction on it and ``config`` is not read.
-    Without one, a backend is fitted from ``config`` (kernel, cell budget -
-    ``0`` selects the flat reference sweep - and contraction threads;
-    results are bitwise identical at any thread count).
+    Without one, a backend is fitted from ``config`` (kernel, cell budget
+    and contraction threads; results are bitwise identical at any thread
+    count).
     """
     if estimator is None:
         return kernel_prior(table, b, config=config)

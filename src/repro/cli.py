@@ -354,7 +354,7 @@ def _add_max_cells_argument(parser: argparse.ArgumentParser) -> None:
         "--max-cells", type=_max_cells_argument, default=DEFAULT_MAX_CELLS,
         help=(
             "cell budget for the factored prior-estimation backend's blocked "
-            f"contraction (0 = flat reference sweep; default {DEFAULT_MAX_CELLS})"
+            f"contraction (a positive integer; default {DEFAULT_MAX_CELLS})"
         ),
     )
 
@@ -598,17 +598,16 @@ def _jobs_argument(text: str) -> int:
 
 
 def _max_cells_argument(text: str) -> int:
-    """argparse ``type`` wrapper: malformed/negative budgets exit 2 like ``--skyline``."""
+    """argparse ``type`` wrapper: malformed/non-positive budgets exit 2 like ``--skyline``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"bad cell budget {text!r}; expected a non-negative integer"
+            f"bad cell budget {text!r}; expected a positive integer"
         ) from None
-    if value < 0:
+    if value < 1:
         raise argparse.ArgumentTypeError(
-            f"bad cell budget {text!r}; the budget must be non-negative "
-            "(0 selects the flat reference sweep)"
+            f"bad cell budget {text!r}; the budget must be at least 1"
         )
     return value
 

@@ -19,7 +19,13 @@ split off from the *rest* of the quasi-identifiers.  The observed rest
 combinations are deduplicated into *slots* and the table collapses into a
 count tensor ``M[a, r, s]`` = number of tuples with solo code ``a``, rest
 slot ``r`` and sensitive value ``s``.  All of this is bandwidth-independent
-and shared across every estimation.
+and shared across every estimation.  The tensor scales with the data
+(``solo domain x rest combinations x m``), so it has an absolute memory
+guard, :data:`MAX_COUNT_CELLS`: a table whose solo layout would exceed it
+takes the *no-solo* layout instead, where every quasi-identifier is a rest
+attribute and the solo is one constant code with kernel weight ``[[1.0]]``
+(the tensor then holds at most ``n x m`` cells).  A table over the guard
+even without the solo split is refused with a :class:`KnowledgeError`.
 
 **Per-bandwidth contraction.**  A bandwidth only contributes tiny
 per-attribute kernel matrices.  The numerator of every deduplicated query
@@ -69,10 +75,10 @@ contraction is algebraically identical to the single-joint contraction
 flat reference to floating-point round-off while wide schemas keep the
 factored speedup.  A single attribute whose own observed combinations
 exceed the budget forms a singleton block (its kernel matrix exists anyway
-at ``|D_i|^2``).  The flat sweep survives only as the ``max_cells == 0``
-equivalence reference - plus an absolute memory guard (:data:`MAX_COUNT_CELLS`)
-for pathological schemas whose count tensor itself would not fit, where
-slow-but-bounded beats an out-of-memory abort.
+at ``|D_i|^2``).  The flat ``O(n^2 d)`` sweep is not part of the backend: it
+survives only as the reference function
+:func:`~repro.knowledge.prior.flat_kernel_prior` that tests and benchmarks
+check the contraction against.
 
 **Parallel contraction.**  The per-block joint builds and the per-solo query
 tiles are embarrassingly parallel, and NumPy releases the GIL inside its
@@ -135,12 +141,10 @@ from repro.knowledge.parallel import parse_jobs, resolve_jobs, run_tasks
 from repro.obs.tracing import current_tracer
 
 DEFAULT_MAX_CELLS = 64_000_000
-# Query rows per vectorised batch of the flat reference sweep.
-FLAT_BATCH_SIZE = 256
 # Hard memory guard on the count tensor (and the per-bandwidth contracted
 # tensor of the same shape): fits whose ``solo x combos x m`` storage would
-# exceed this many float64 cells (~1 GB) fall back to the flat sweep, which
-# is slow but memory-bounded.  Independent of ``max_cells``, so tiny
+# exceed this many float64 cells (~1 GB) drop the solo split, and fits over
+# it even then are refused.  Independent of ``max_cells``, so tiny
 # contraction budgets still take the blocked factored path.  Read at call
 # time, so tests can lower it.
 MAX_COUNT_CELLS = 128_000_000
@@ -183,9 +187,7 @@ class EstimatorConfig:
         the budget makes the blocks and tiles smaller, never the storage
         (that has its own absolute guard, :data:`MAX_COUNT_CELLS`).
         A block whose support is sparse never allocates ``c_b x c_b``
-        cells at all.  ``0`` selects the flat
-        ``O(n^2 d)`` reference sweep instead (kept only for small-size
-        equivalence checks).
+        cells at all.  Must be a positive integer.
     jobs:
         Worker threads for the parallel contraction.  ``None`` (the default)
         resolves to the ``REPRO_JOBS`` environment variable when set, else
@@ -199,9 +201,9 @@ class EstimatorConfig:
     jobs: int | None = None
 
     def __post_init__(self) -> None:
-        if not _is_count(self.max_cells) or self.max_cells < 0:
+        if not _is_count(self.max_cells) or self.max_cells < 1:
             raise KnowledgeError(
-                f"max_cells must be a non-negative integer, got {self.max_cells!r}"
+                f"max_cells must be a positive integer, got {self.max_cells!r}"
             )
         if self.jobs is not None:
             parse_jobs(self.jobs)
@@ -347,13 +349,13 @@ class FactoredPriorBackend:
         self.incremental = bool(incremental)
         self._distance_matrices: dict[str, np.ndarray] = {}
         self._table: MicrodataTable | None = None
-        self.mode: str | None = None
         self._overall: np.ndarray | None = None
         # Factored state.  Rest combinations live in *slot* order: slots
         # 0..n_combos-1 are assigned in lexicographic order at fit time and
         # appended combinations take the next free slots, so growing the
-        # state never reshuffles the (large) per-combination arrays.
-        self._solo_index: int = 0
+        # state never reshuffles the (large) per-combination arrays.  A
+        # ``None`` solo index is the no-solo layout: one constant solo code.
+        self._solo_index: int | None = None
         self._rest_indices: list[int] = []
         self._n_combos: int = 0
         self._rest_combos: np.ndarray | None = None  # (capacity, d-1), slot order
@@ -366,11 +368,6 @@ class FactoredPriorBackend:
         self._query_solo: np.ndarray | None = None
         self._query_rest: np.ndarray | None = None  # slot ids
         self._query_inverse: np.ndarray | None = None
-        # Flat-reference state.
-        self._qi_codes: np.ndarray | None = None
-        self._one_hot: np.ndarray | None = None
-        self._flat_unique: np.ndarray | None = None
-        self._flat_inverse: np.ndarray | None = None
         # Per-bandwidth contraction caches (incremental mode only), keyed by
         # Bandwidth.items(): {"bandwidth", "path" ("support" or "dense"),
         # "joints" (block supports or dense block joints),
@@ -391,8 +388,15 @@ class FactoredPriorBackend:
 
     @property
     def n_blocks(self) -> int:
-        """Number of rest blocks (0 for single-QI tables and flat mode)."""
+        """Number of rest blocks (0 for single-QI tables)."""
         return len(self._blocks)
+
+    @property
+    def solo(self) -> str | None:
+        """The solo attribute's name (``None`` in the no-solo layout or unfitted)."""
+        if self._table is None or self._solo_index is None:
+            return None
+        return self._table.quasi_identifier_names[self._solo_index]
 
     @property
     def jobs(self) -> int:
@@ -417,7 +421,7 @@ class FactoredPriorBackend:
 
     def _tile_rows(self, n_columns: int) -> int:
         """Contraction tile height bounding the materialised joint rows."""
-        return max(1, max(1, self.config.max_cells) // max(1, n_columns))
+        return max(1, self.config.max_cells // max(1, n_columns))
 
     def resolve_bandwidth(self, b: float | Bandwidth) -> Bandwidth:
         """Normalise ``b`` to a full bandwidth covering every fitted QI attribute."""
@@ -433,6 +437,18 @@ class FactoredPriorBackend:
 
     def _bandwidth_weights(self, bandwidth: Bandwidth, name: str) -> np.ndarray:
         return self._kernel(self._distance_matrices[name], bandwidth[name])
+
+    def _solo_codes(self, codes: np.ndarray) -> np.ndarray:
+        """The solo column of a ``(rows, d)`` QI code matrix (zeros without a solo)."""
+        if self._solo_index is None:
+            return np.zeros(codes.shape[0], dtype=np.int64)
+        return codes[:, self._solo_index]
+
+    def _solo_weights(self, bandwidth: Bandwidth) -> np.ndarray:
+        """The solo attribute's kernel matrix (``[[1.0]]`` without a solo)."""
+        if self._solo_index is None:
+            return np.ones((1, 1), dtype=np.float64)
+        return self._bandwidth_weights(bandwidth, self.solo)
 
     def _same_domains(self, table: MicrodataTable) -> bool:
         fitted = self._table
@@ -464,60 +480,47 @@ class FactoredPriorBackend:
                 self._fit(table)
             else:
                 self._fit_streaming(table)
-        fit_span.annotate(mode=self.mode, blocks=len(self._blocks))
+        fit_span.annotate(solo=self.solo, blocks=len(self._blocks))
         return self
 
     def _fit(self, table: MicrodataTable) -> None:
         qi_names = list(table.quasi_identifier_names)
         # Recomputed on every fit (|D_i|^2 cells each): a refit after a
         # stream grew a domain needs the grown matrices.
-        self._distance_matrices = {
+        distance_matrices = {
             name: attribute_distance_matrix(table.domain(name)) for name in qi_names
         }
-        self._table = table
-        self._overall = table.sensitive_distribution()
-        self._contractions = {}
         codes = table.qi_code_matrix().astype(np.int64)
         sensitive = table.sensitive_codes().astype(np.int64)
         m = table.sensitive_domain().size
 
-        sizes = [self._distance_matrices[name].shape[0] for name in qi_names]
-        solo = int(np.argmax(sizes))
+        # The count tensor scales with the data, not with max_cells.  When
+        # the solo layout would break the absolute guard, every QI joins
+        # the rest and the solo is one constant code.
+        sizes = [distance_matrices[name].shape[0] for name in qi_names]
+        solo: int | None = int(np.argmax(sizes))
         rest = [i for i in range(len(qi_names)) if i != solo]
         rest_combos, slot_of_row = np.unique(codes[:, rest], axis=0, return_inverse=True)
+        solo_cells = sizes[solo] * rest_combos.shape[0] * m
+        if solo_cells > MAX_COUNT_CELLS:
+            solo_name, solo, rest = qi_names[solo], None, list(range(len(qi_names)))
+            rest_combos, slot_of_row = np.unique(codes, axis=0, return_inverse=True)
+            if rest_combos.shape[0] * m > MAX_COUNT_CELLS:
+                raise KnowledgeError(
+                    f"the count tensor would hold {solo_cells} cells with the solo "
+                    f"split on {solo_name!r} and {rest_combos.shape[0] * m} without "
+                    f"it; both exceed MAX_COUNT_CELLS = {MAX_COUNT_CELLS}"
+                )
         n_combos = rest_combos.shape[0]
 
-        # Refitting may switch modes (e.g. append growth tripping the count
-        # guard); drop the other mode's large artefacts so they cannot keep
-        # roughly a second copy of the state alive.
-        self._count_storage = None
-        self._rest_combos = None
-        self._slot_totals = None
-        self._blocks = []
+        # Drop the previous fit's large artefacts before allocating new ones.
+        self._count_storage = self._rest_combos = self._slot_totals = None
         self._solo_of_row = self._slot_of_row = None
         self._pair_keys = self._query_solo = self._query_rest = self._query_inverse = None
-        self._qi_codes = self._one_hot = None
-        self._flat_unique = self._flat_inverse = None
-
-        # The count tensor scales with the data, not with max_cells; fits
-        # whose storage would exceed the absolute guard fall back to the
-        # flat sweep (slow but memory-bounded), as does max_cells == 0 (the
-        # explicit equivalence-reference switch).
-        if (
-            self.config.max_cells == 0
-            or sizes[solo] * n_combos * m > MAX_COUNT_CELLS
-        ):
-            self.mode = "flat"
-            self._qi_codes = codes
-            one_hot = np.zeros((table.n_rows, m), dtype=np.float64)
-            one_hot[np.arange(table.n_rows), sensitive] = 1.0
-            self._one_hot = one_hot
-            self._flat_unique, self._flat_inverse = np.unique(
-                codes, axis=0, return_inverse=True
-            )
-            return
-
-        self.mode = "factored"
+        self._contractions = {}
+        self._distance_matrices = distance_matrices
+        self._table = table
+        self._overall = table.sensitive_distribution()
         self._solo_index = solo
         self._rest_indices = rest
         self._n_combos = n_combos
@@ -525,11 +528,11 @@ class FactoredPriorBackend:
         self._rest_combos = np.zeros((capacity, len(rest)), dtype=rest_combos.dtype)
         self._rest_combos[:n_combos] = rest_combos
         self._blocks = self._build_blocks(rest_combos, [qi_names[i] for i in rest], capacity)
-        self._solo_of_row = codes[:, solo]
+        self._solo_of_row = self._solo_codes(codes)
         self._slot_of_row = slot_of_row.astype(np.int64)
 
         # M[a, r, s]: tuple counts per (solo code, rest slot, sensitive value).
-        solo_size = sizes[solo]
+        solo_size = 1 if solo is None else sizes[solo]
         flat = (self._solo_of_row * n_combos + self._slot_of_row) * m + sensitive
         self._count_storage = np.zeros((solo_size, capacity, m), dtype=np.float64)
         self._count_storage[:, :n_combos, :] = (
@@ -544,27 +547,21 @@ class FactoredPriorBackend:
     def _fit_streaming(self, source) -> None:
         """Fit from a chunked :class:`~repro.data.source.TableSource`.
 
-        Chunks fold through :meth:`_fold_rows` against a growing
-        codes-backed table (code buffers are preallocated at the source's
-        declared row count, so each fold sees a copy-free view); the final
-        :meth:`_canonicalise_slots` restores the lexicographic slot layout.
-        Only the active chunk's values are ever resident.  The flat
-        reference (``max_cells == 0``, or the count-tensor guard tripping
-        mid-stream) needs the whole code matrix anyway, so it fits the
-        accumulated table in one pass at the end.
+        The first chunk takes the ordinary fit and every further chunk folds
+        through :meth:`_fold_rows` against a growing codes-backed table
+        (code buffers are preallocated at the source's declared row count,
+        so each fold sees a copy-free view).  A fold whose growth trips a
+        guard refits the partial table - into the no-solo layout when the
+        count tensor outgrew the solo split - and later chunks keep
+        folding.  The final :meth:`_canonicalise_slots` restores the
+        lexicographic slot layout.  Only the active chunk's values are ever
+        resident.
         """
-        from repro.data.source import as_table
-
-        if self.config.max_cells == 0:
-            self._fit(as_table(source))
-            return
         schema = source.schema
         domains = source.domains()
         buffers = {
             name: np.empty(source.n_rows, dtype=np.int32) for name in schema.names
         }
-        grown: MicrodataTable | None = None
-        first = True
         cursor = 0
         for chunk in source.iter_chunks():
             stop = cursor + chunk.n_rows
@@ -574,28 +571,19 @@ class FactoredPriorBackend:
                 )
             for name in schema.names:
                 buffers[name][cursor:stop] = chunk.codes(name)
-            cursor = stop
             grown = MicrodataTable.from_codes(
                 schema, {name: buffers[name][:stop] for name in schema.names}, domains
             )
-            if first:
-                first = False
+            if cursor == 0:
                 self._fit(grown)
-            elif self.mode == "factored":
-                # A fold that trips a growth guard refits the partial table
-                # (possibly flipping to flat); remaining chunks then just
-                # accumulate codes for the final one-pass fit below.
-                self._fold_rows(
-                    grown, _NO_ROWS, np.arange(stop - chunk.n_rows, stop, dtype=np.int64)
-                )
+            else:
+                self._fold_rows(grown, _NO_ROWS, np.arange(cursor, stop, dtype=np.int64))
+            cursor = stop
         if cursor != source.n_rows:
             raise KnowledgeError(
                 f"table source yielded {cursor} rows but declared {source.n_rows}"
             )
-        if self.mode == "factored":
-            self._canonicalise_slots()
-        elif self._table is not grown:
-            self._fit(grown)
+        self._canonicalise_slots()
 
     def _canonicalise_slots(self) -> None:
         """Permute arrival-ordered rest slots into the one-pass lexicographic layout.
@@ -613,7 +601,8 @@ class FactoredPriorBackend:
         """
         n_combos = self._n_combos
         combos = self._rest_combos[:n_combos]
-        order = np.lexsort(combos.T[::-1])
+        # A single-QI solo layout has no rest columns: one slot, nothing to sort.
+        order = np.lexsort(combos.T[::-1]) if combos.shape[1] else np.arange(n_combos)
         rank = np.empty(n_combos, dtype=np.int64)
         rank[order] = np.arange(n_combos, dtype=np.int64)
         canonical = combos[order]
@@ -661,13 +650,13 @@ class FactoredPriorBackend:
         block yields exactly the single block the schema-order layout built -
         unique-count monotonicity guarantees every prefix fits too.  A lone
         attribute over budget still forms a singleton block (its kernel
-        matrix exists anyway at ``|D_i|^2``), so the factored path never
-        degrades to the flat sweep.  Blocks later grow in place via
+        matrix exists anyway at ``|D_i|^2``), so any positive budget
+        blocks.  Blocks later grow in place via
         :meth:`_grow_block`; a grown multi-attribute block breaching the
         budget triggers a refit, which re-derives the layout from the grown
         combos (the existing grow/retire guards).
         """
-        budget = max(1, self.config.max_cells)
+        budget = self.config.max_cells
         n_columns = rest_combos.shape[1]
         blocks: list[_RestBlock] = []
         column_codes: list[np.ndarray] = []
@@ -746,8 +735,8 @@ class FactoredPriorBackend:
         neighbourhood actually changed.
 
         Returns ``"incremental"`` when the factored state was updated in
-        place, or ``"refit"`` when a full :meth:`fit` was required (flat
-        reference mode, changed domains, or a breached growth guard).
+        place, or ``"refit"`` when a full :meth:`fit` was required (changed
+        domains, or a breached growth guard).
         """
         with current_tracer().span("backend.append_rows", rows=table.n_rows) as span:
             n_previous = self._require_fitted().n_rows
@@ -775,9 +764,8 @@ class FactoredPriorBackend:
         why removals never delta-accumulate numerators).
 
         Returns ``"incremental"`` when the factored state was updated in
-        place, or ``"refit"`` when a full :meth:`fit` was required (flat
-        reference mode, changed domains, or retired slots accumulating past
-        the layout guard).
+        place, or ``"refit"`` when a full :meth:`fit` was required (changed
+        domains, or retired slots accumulating past the layout guard).
         """
         fitted = self._require_fitted()
         removed = np.unique(np.asarray(removed, dtype=np.int64))
@@ -805,9 +793,8 @@ class FactoredPriorBackend:
         combinations first seen in the correction take fresh slots exactly
         as appends do, under the same count-tensor and block-budget guards.
 
-        Returns ``"incremental"`` or ``"refit"`` (flat mode, changed
-        domains, retired slots past the layout guard, or a breached growth
-        guard).
+        Returns ``"incremental"`` or ``"refit"`` (changed domains, retired
+        slots past the layout guard, or a breached growth guard).
         """
         fitted = self._require_fitted()
         positions = np.unique(np.asarray(positions, dtype=np.int64))
@@ -832,9 +819,9 @@ class FactoredPriorBackend:
         removes and re-adds the same positions.  Arriving rest combinations
         take fresh slots, the count deltas apply exactly, and every cached
         contraction refreshes.  Returns ``"incremental"``, or ``"refit"``
-        when the mode or the domains changed or a layout guard tripped.
+        when the domains changed or a layout guard tripped.
         """
-        if self.mode != "factored" or not self._same_domains(table):
+        if not self._same_domains(table):
             self.fit(table)
             return "refit"
         if not removed.size and not added.size:
@@ -843,13 +830,13 @@ class FactoredPriorBackend:
         added_codes = np.column_stack(
             [table.codes(name)[added] for name in table.quasi_identifier_names]
         ).astype(np.int64)
-        added_solo = added_codes[:, self._solo_index]
+        added_solo = self._solo_codes(added_codes)
         added_slot = self._assign_fresh_slots(
             added_codes[:, self._rest_indices], table.sensitive_domain().size
         )
         if added_slot is None:
-            # Growth breached a guard; refit (which takes the flat path
-            # under the same count-tensor guard).
+            # Growth breached a guard; refit (which drops the solo split
+            # when the count tensor outgrew it).
             self.fit(table)
             return "refit"
         delta = self._exact_cell_deltas(
@@ -936,10 +923,9 @@ class FactoredPriorBackend:
         emptied lands on exactly zero (and takes the overall-distribution
         fallback) instead of surviving as a cancellation residue.
         """
-        qi_names = list(self._table.quasi_identifier_names)
         n_combos = self._n_combos
         m = self._count_storage.shape[2]
-        solo_weights = self._bandwidth_weights(cache["bandwidth"], qi_names[self._solo_index])
+        solo_weights = self._solo_weights(cache["bandwidth"])
         solo_size = solo_weights.shape[0]
         contracted = cache["contracted_storage"][:, :n_combos, :]
         counts_touched = self._count_storage[:, rest_touched, :]
@@ -997,7 +983,7 @@ class FactoredPriorBackend:
             self._grow_combos(uniq[fresh_uids])
             if any(
                 len(block.positions) > 1
-                and block.n_combos**2 > max(1, self.config.max_cells)
+                and block.n_combos**2 > self.config.max_cells
                 for block in self._blocks
             ):
                 return None
@@ -1519,9 +1505,8 @@ class FactoredPriorBackend:
         rest slots so the transient weight rows respect the cell budget)
         instead of materialising the (queries x cells) mask.
         """
-        qi_names = list(self._table.quasi_identifier_names)
         n_combos = self._n_combos
-        solo_weights = self._bandwidth_weights(bandwidth, qi_names[self._solo_index])
+        solo_weights = self._solo_weights(bandwidth)
         solo_positive = (solo_weights[:, cell_solo] > 0.0).astype(np.float32)
         witnesses = np.empty((solo_weights.shape[0], n_combos), dtype=np.float32)
         tile = self._tile_rows(max(1, cell_rest.size))
@@ -1591,9 +1576,7 @@ class FactoredPriorBackend:
 
     def _factored_matrix(self, bandwidth: Bandwidth) -> np.ndarray:
         """The per-row prior matrix of the fitted table under one bandwidth."""
-        table = self._table
-        qi_names = list(table.quasi_identifier_names)
-        m = table.sensitive_domain().size
+        m = self._table.sensitive_domain().size
         cache = self._contractions.get(bandwidth.items()) if self.incremental else None
         if cache is not None:
             numerators = cache["numerators"]
@@ -1602,8 +1585,7 @@ class FactoredPriorBackend:
             with tracer.span(
                 "backend.contract", bandwidth=dict(bandwidth.items())
             ) as contract_span:
-                solo_name = qi_names[self._solo_index]
-                solo_weights = self._bandwidth_weights(bandwidth, solo_name)
+                solo_weights = self._solo_weights(bandwidth)
                 path, joints = self._build_block_joints(bandwidth, tracer)
 
                 n_combos = self._n_combos
@@ -1658,35 +1640,6 @@ class FactoredPriorBackend:
             result[degenerate] = self._overall
         return result
 
-    # -- flat reference ---------------------------------------------------------------
-    def _flat_matrix_for_codes(
-        self, query_codes: np.ndarray, bandwidth: Bandwidth
-    ) -> np.ndarray:
-        """The reference O(n^2 d) Nadaraya-Watson sweep over raw query codes."""
-        table = self._table
-        qi_names = list(table.quasi_identifier_names)
-        weight_matrices = [self._bandwidth_weights(bandwidth, name) for name in qi_names]
-        m = table.sensitive_domain().size
-        data_codes = self._qi_codes
-        n_queries = query_codes.shape[0]
-        batch_size = FLAT_BATCH_SIZE
-        result = np.empty((n_queries, m), dtype=np.float64)
-        for start in range(0, n_queries, batch_size):
-            stop = min(start + batch_size, n_queries)
-            batch = query_codes[start:stop]
-            weights = np.ones((stop - start, data_codes.shape[0]), dtype=np.float64)
-            for attribute_index, weight_matrix in enumerate(weight_matrices):
-                weights *= weight_matrix[batch[:, attribute_index]][:, data_codes[:, attribute_index]]
-            numerators = weights @ self._one_hot
-            denominators = weights.sum(axis=1)
-            degenerate = denominators <= 0.0
-            safe = np.where(degenerate, 1.0, denominators)
-            chunk = numerators / safe[:, None]
-            if degenerate.any():
-                chunk[degenerate] = self._overall
-            result[start:stop] = chunk
-        return result
-
     # -- estimation -------------------------------------------------------------------
     def matrices(self, bandwidths: Sequence[float | Bandwidth]) -> list[np.ndarray]:
         """Per-row prior matrices of the fitted table, one per bandwidth.
@@ -1702,13 +1655,7 @@ class FactoredPriorBackend:
             key = bandwidth.items()
             matrix = computed.get(key)
             if matrix is None:
-                if self.mode == "factored":
-                    matrix = self._factored_matrix(bandwidth)
-                else:
-                    matrix = self._flat_matrix_for_codes(self._flat_unique, bandwidth)[
-                        self._flat_inverse
-                    ]
-                computed[key] = matrix
+                matrix = computed[key] = self._factored_matrix(bandwidth)
             results.append(matrix)
         return results
 
@@ -1731,13 +1678,9 @@ class FactoredPriorBackend:
                 f"{len(table.quasi_identifier_names)}"
             )
         unique_codes, inverse = np.unique(query_codes, axis=0, return_inverse=True)
-        if self.mode == "flat":
-            return self._flat_matrix_for_codes(unique_codes, bandwidth)[inverse]
-
-        qi_names = list(table.quasi_identifier_names)
         m = table.sensitive_domain().size
         n_combos = self._n_combos
-        solo_weights = self._bandwidth_weights(bandwidth, qi_names[self._solo_index])
+        solo_weights = self._solo_weights(bandwidth)
         solo_size = solo_weights.shape[0]
         contracted = (
             solo_weights @ self._count_tensor.reshape(solo_size, -1)
@@ -1773,7 +1716,7 @@ class FactoredPriorBackend:
             return rows
 
         numerators = np.empty((unique_codes.shape[0], m), dtype=np.float64)
-        query_solo = unique_codes[:, self._solo_index]
+        query_solo = self._solo_codes(unique_codes)
         order = np.argsort(query_solo, kind="stable")
         boundaries = np.flatnonzero(np.diff(query_solo[order])) + 1
         tile = self._tile_rows(n_combos)

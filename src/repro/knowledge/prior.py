@@ -25,9 +25,10 @@ full-lifecycle streaming publishers.  :func:`kernel_prior` is the one-call
 form for a single bandwidth.  Every estimation setting (kernel, cell budget,
 threads) arrives as one :class:`~repro.knowledge.backend.EstimatorConfig`.
 
-Priors match (to floating-point round-off) the flat ``O(n^2 d)`` reference
-sweep, which survives only as a small-size equivalence reference behind
-``EstimatorConfig(max_cells=0)``.
+Priors match (to floating-point round-off) the flat ``O(n^2 d)`` sweep of
+the formula above, :func:`flat_kernel_prior`, which no configuration
+reaches: it is kept only as the reference tests and benchmarks check the
+backend against.
 
 Three baseline adversaries from Section II-D are also provided:
 
@@ -46,10 +47,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.data.distance import attribute_distance_matrix
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
 from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
 from repro.knowledge.bandwidth import Bandwidth
+from repro.knowledge.kernels import get_kernel
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,6 @@ class BatchedKernelPriorEstimator:
         return self._backend
 
     @property
-    def mode(self) -> str | None:
-        """``"factored"`` or ``"flat"`` (``None`` before :meth:`fit`)."""
-        return self._backend.mode
-
-    @property
     def blocks(self) -> tuple[tuple[str, ...], ...]:
         """Attribute names of each rest block of the blocked contraction."""
         return self._backend.blocks
@@ -175,7 +173,7 @@ class BatchedKernelPriorEstimator:
 
         Returns ``"incremental"`` when the factored state was updated in
         place, or ``"refit"`` when the backend fell back to a full
-        :meth:`fit` (flat reference mode, or changed domains).
+        :meth:`fit` (changed domains, or a breached growth guard).
         """
         return self._backend.append_rows(table)
 
@@ -184,7 +182,7 @@ class BatchedKernelPriorEstimator:
 
         ``removed`` holds row positions of the fitted table.  Counts are
         subtracted from the factored state exactly; returns ``"incremental"``
-        or ``"refit"`` (flat mode, changed domains, or an emptied rest slot -
+        or ``"refit"`` (changed domains, or emptied rest slots -
         see :meth:`~repro.knowledge.backend.FactoredPriorBackend.remove_rows`).
         """
         return self._backend.remove_rows(table, removed)
@@ -249,10 +247,50 @@ def kernel_prior(
     :class:`~repro.data.source.TableSource`.  ``b`` may be a scalar (applied
     uniformly to every QI attribute, the ``B' = (b', ..., b')`` adversary of
     Section V) or a full :class:`~repro.knowledge.bandwidth.Bandwidth`.
-    ``config`` carries the estimation settings
-    (``EstimatorConfig(max_cells=0)`` selects the flat reference sweep).
+    ``config`` carries the estimation settings.
     """
     return BatchedKernelPriorEstimator(config).fit(table).prior_for_table([b])[0]
+
+
+def flat_kernel_prior(
+    table: MicrodataTable,
+    b: float | Bandwidth,
+    *,
+    kernel: str = "epanechnikov",
+    query_codes: np.ndarray | None = None,
+) -> np.ndarray:
+    """The ``O(n^2 d)`` Nadaraya-Watson sweep: the reference for every backend.
+
+    Weighs every distinct query against every table row straight from the
+    formula above, with no factorisation or blocking, and returns the
+    ``(q, m)`` prior matrix.  ``query_codes`` (QI codes in the table's code
+    space) defaults to the table's own rows; queries with no positive
+    weight take the overall distribution, as in the backend.  No
+    configuration reaches it; it exists so tests and benchmarks can check
+    :class:`BatchedKernelPriorEstimator` against the definition.
+    """
+    names = table.quasi_identifier_names
+    bandwidth = b if isinstance(b, Bandwidth) else Bandwidth.uniform(names, float(b))
+    weights_of = [
+        get_kernel(kernel)(attribute_distance_matrix(table.domain(name)), bandwidth[name])
+        for name in names
+    ]
+    data = table.qi_code_matrix().astype(np.int64)
+    queries = data if query_codes is None else np.atleast_2d(query_codes).astype(np.int64)
+    queries, inverse = np.unique(queries, axis=0, return_inverse=True)
+    one_hot = np.zeros((table.n_rows, table.sensitive_domain().size))
+    one_hot[np.arange(table.n_rows), table.sensitive_codes()] = 1.0
+    result = np.empty((queries.shape[0], one_hot.shape[1]))
+    for start in range(0, queries.shape[0], 256):
+        batch = queries[start : start + 256]
+        weights = np.ones((batch.shape[0], table.n_rows))
+        for column, attribute_weights in enumerate(weights_of):
+            weights *= attribute_weights[batch[:, column]][:, data[:, column]]
+        denominators = weights.sum(axis=1)
+        rows = (weights @ one_hot) / np.where(denominators > 0.0, denominators, 1.0)[:, None]
+        rows[denominators <= 0.0] = table.sensitive_distribution()
+        result[start : start + batch.shape[0]] = rows
+    return result[inverse]
 
 
 def uniform_prior(table: MicrodataTable) -> PriorBeliefs:

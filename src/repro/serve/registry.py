@@ -579,6 +579,8 @@ class StreamRegistry:
         resolved["max_cells"] = _config_integer(
             resolved["max_cells"], "stream config 'max_cells' must be an integer"
         )
+        if resolved["max_cells"] < 1:
+            raise BadRequest("stream config 'max_cells' must be at least 1")
         if resolved["skyline"] is not None:
             message = "stream config 'skyline' must be a list of [b, t] pairs"
             try:

@@ -92,7 +92,7 @@ from repro.anonymize.mondrian import MondrianAnonymizer
 from repro.anonymize.partition import AnonymizedRelease
 from repro.audit.engine import SkylineAuditEngine, SkylineAuditReport
 from repro.data.table import MicrodataTable
-from repro.exceptions import AnonymizationError, DataError, StreamError
+from repro.exceptions import AnonymizationError, DataError, KnowledgeError, StreamError
 from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import BatchedKernelPriorEstimator, PriorBeliefs
@@ -470,7 +470,7 @@ class IncrementalPublisher:
             recorded_model = state["model"]
             tree_payload = state["tree"]
             drift_rows = int(state["drift_rows"])
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, KnowledgeError) as error:
             raise StreamError(
                 f"corrupt release store: state.json cannot be decoded ({error})"
             ) from None

@@ -21,8 +21,7 @@ columns can be decoded - version archives stay on disk as lazy stubs and
 are decoded on first access through a byte-bounded :class:`VersionCache`
 LRU, so a store holding hundreds of million-row versions opens in
 milliseconds and serves ``lineage()`` / ``report_delta()`` straight from
-the persisted audit summaries without touching a single archive.  Legacy
-compressed archives (the pre-v2 ``col_<name>`` value format) still decode.
+the persisted audit summaries without touching a single archive.
 Corrupt or partial directories raise
 :class:`~repro.exceptions.StreamError` naming the offending file.
 """
@@ -496,10 +495,8 @@ class ReleaseStore:
     def _load_version(self, payload: dict[str, Any]) -> tuple[StreamVersion, int]:
         """Decode one persisted version; returns it with its decoded byte count.
 
-        Understands both archive formats: the current v2 layout
-        (``codes_<name>`` int32 columns, memory-mapped straight out of the
-        uncompressed archive) and the legacy compressed ``col_<name>`` value
-        layout from older stores.
+        Reads the v2 layout: ``codes_<name>`` int32 columns, memory-mapped
+        straight out of the uncompressed archive.
         """
         number = int(payload["version"])
         version_path = self._version_file(number)
@@ -520,43 +517,20 @@ class ReleaseStore:
         nbytes = 0
         try:
             domains: dict[str, AttributeDomain] = {}
-            if any(name.startswith("codes_") for name in members):
-                # v2: big members are memory-mapped, only domains are read.
-                codes: dict[str, np.ndarray] = {}
-                for attribute in self._schema:
-                    name = attribute.name
-                    codes[name] = mmap_npz_member(version_path, f"codes_{name}.npy")
-                    domain_values = read_npz_member(version_path, f"dom_{name}.npy")
-                    domains[name] = AttributeDomain(attribute, domain_values.tolist())
-                    nbytes += codes[name].nbytes + domain_values.nbytes
-                table = MicrodataTable.from_codes(self._schema, codes, domains)
-                groups_flat = mmap_npz_member(version_path, "groups.npy")
-                group_sizes = read_npz_member(version_path, "group_sizes.npy")
-                risks = (
-                    mmap_npz_member(version_path, "risks.npy")
-                    if "risks.npy" in members
-                    else None
-                )
-            else:
-                try:
-                    with np.load(version_path) as archive:
-                        arrays = {key: archive[key] for key in archive.files}
-                except (OSError, ValueError) as error:
-                    raise StreamError(
-                        f"corrupt release store: {version_path} is unreadable ({error})"
-                    ) from None
-                columns: dict[str, Any] = {}
-                for attribute in self._schema:
-                    name = attribute.name
-                    columns[name] = arrays[f"col_{name}"].tolist()
-                    domains[name] = AttributeDomain(
-                        attribute, arrays[f"dom_{name}"].tolist()
-                    )
-                    nbytes += arrays[f"col_{name}"].nbytes + arrays[f"dom_{name}"].nbytes
-                table = MicrodataTable(self._schema, columns, domains=domains)
-                groups_flat = arrays["groups"]
-                group_sizes = arrays["group_sizes"]
-                risks = arrays.get("risks")
+            # Big members are memory-mapped, only domains are read.
+            codes: dict[str, np.ndarray] = {}
+            for attribute in self._schema:
+                name = attribute.name
+                codes[name] = mmap_npz_member(version_path, f"codes_{name}.npy")
+                domain_values = read_npz_member(version_path, f"dom_{name}.npy")
+                domains[name] = AttributeDomain(attribute, domain_values.tolist())
+                nbytes += codes[name].nbytes + domain_values.nbytes
+            table = MicrodataTable.from_codes(self._schema, codes, domains)
+            groups_flat = mmap_npz_member(version_path, "groups.npy")
+            group_sizes = read_npz_member(version_path, "group_sizes.npy")
+            risks = (
+                mmap_npz_member(version_path, "risks.npy") if "risks.npy" in members else None
+            )
             nbytes += int(groups_flat.nbytes) + int(group_sizes.nbytes)
             boundaries = np.cumsum(group_sizes)[:-1]
             groups = [

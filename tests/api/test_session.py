@@ -44,21 +44,21 @@ def test_scalar_and_uniform_bandwidth_share_a_cache_entry(tiny_adult):
 
 def test_differing_max_cells_never_collide_in_the_cache(tiny_adult):
     """Each session caches the priors of its own backend configuration."""
-    factored_session = Session(tiny_adult)
-    flat_session = Session(tiny_adult, config=EstimatorConfig(max_cells=0))
-    factored = factored_session.priors(0.3)
-    flat = flat_session.priors(0.3)
-    for session in (factored_session, flat_session):
+    default_session = Session(tiny_adult)
+    blocked_session = Session(tiny_adult, config=EstimatorConfig(max_cells=1))
+    default = default_session.priors(0.3)
+    blocked = blocked_session.priors(0.3)
+    for session in (default_session, blocked_session):
         assert session.stats.prior_estimations == 1
         assert session.stats.prior_cache_hits == 0
     # Both configs stay individually cached ...
-    assert factored_session.priors(0.3) is factored
-    assert flat_session.priors(0.3) is flat
-    for session in (factored_session, flat_session):
+    assert default_session.priors(0.3) is default
+    assert blocked_session.priors(0.3) is blocked
+    for session in (default_session, blocked_session):
         assert session.stats.prior_estimations == 1
         assert session.stats.prior_cache_hits == 1
     # ... and agree numerically (the blocked contraction is exact).
-    np.testing.assert_allclose(factored.matrix, flat.matrix, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(default.matrix, blocked.matrix, atol=1e-12, rtol=0)
 
 
 def test_session_kernel_governs_models_built_by_name(tiny_adult):

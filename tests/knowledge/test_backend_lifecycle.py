@@ -15,7 +15,8 @@ from repro.data.adult import generate_adult
 from repro.data.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
-from repro.knowledge.backend import EstimatorConfig
+import repro.knowledge.backend as backend_module
+from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import BatchedKernelPriorEstimator
 
@@ -201,17 +202,19 @@ def test_update_with_unseen_rest_combination_grows_slots():
     assert difference <= 1e-12
 
 
-def test_flat_reference_mode_refits():
-    table = _dense_table(seed=25)
-    estimator = BatchedKernelPriorEstimator(
-        EstimatorConfig(max_cells=0), incremental=True
-    ).fit(table)
+def test_no_solo_layout_removes_incrementally(monkeypatch):
+    """Under a count guard below the solo layout, deltas stay incremental."""
+    table = generate_adult(300, seed=25)
+    solo_cells = FactoredPriorBackend().fit(table)._count_storage.size
+    monkeypatch.setattr(backend_module, "MAX_COUNT_CELLS", solo_cells - 1)
+    estimator = BatchedKernelPriorEstimator(incremental=True).fit(table)
+    assert estimator.backend.solo is None
+    estimator.prior_for_table(BANDWIDTHS)
     removed = np.asarray([0, 5, 9])
     shrunk = table.select(np.setdiff1d(np.arange(table.n_rows), removed))
-    assert estimator.remove_rows(shrunk, removed) == "refit"
+    assert estimator.remove_rows(shrunk, removed) == "incremental"
     difference = _max_difference(
-        estimator.prior_for_table(BANDWIDTHS),
-        _scratch(shrunk, BANDWIDTHS, max_cells=0),
+        estimator.prior_for_table(BANDWIDTHS), _scratch(shrunk, BANDWIDTHS)
     )
     assert difference <= 1e-12
 

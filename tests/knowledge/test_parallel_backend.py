@@ -23,7 +23,7 @@ from repro.knowledge.parallel import (
     resolve_jobs,
     run_tasks,
 )
-from repro.knowledge.prior import BatchedKernelPriorEstimator
+from repro.knowledge.prior import BatchedKernelPriorEstimator, flat_kernel_prior
 
 KERNELS = ["epanechnikov", "uniform", "triangular", "biweight", "gaussian"]
 BANDWIDTHS = [0.1, 0.3, 0.5]
@@ -108,7 +108,7 @@ def test_wide_blocked_schema_threaded_matches_serial_and_flat(kernel):
     _assert_bitwise(
         [beliefs.matrix for beliefs in threaded.prior_for_table(BANDWIDTHS)], serial
     )
-    flat = _priors(table, BANDWIDTHS, kernel=kernel, max_cells=0)
+    flat = [flat_kernel_prior(table, b, kernel=kernel) for b in BANDWIDTHS]
     difference = max(
         float(np.abs(a - b).max()) for a, b in zip(serial, flat)
     )
@@ -222,7 +222,7 @@ def test_growth_aware_layout_groups_correlated_attributes():
     assert all("X3" not in block or len(block) == 1 for block in blocks)
     # The layout choice never changes the estimate: compare to the flat sweep.
     blocked = _priors(table, BANDWIDTHS, max_cells=150)
-    flat = _priors(table, BANDWIDTHS, max_cells=0)
+    flat = [flat_kernel_prior(table, b) for b in BANDWIDTHS]
     assert max(
         float(np.abs(a - b).max()) for a, b in zip(blocked, flat)
     ) <= 1e-12

@@ -6,7 +6,11 @@ import pytest
 from repro.exceptions import KnowledgeError
 from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.bandwidth import Bandwidth
-from repro.knowledge.prior import BatchedKernelPriorEstimator, kernel_prior
+from repro.knowledge.prior import (
+    BatchedKernelPriorEstimator,
+    flat_kernel_prior,
+    kernel_prior,
+)
 
 BANDWIDTHS = (0.1, 0.3, 0.5)
 
@@ -14,7 +18,7 @@ BANDWIDTHS = (0.1, 0.3, 0.5)
 @pytest.fixture(scope="module")
 def factored(tiny_adult_module):
     estimator = BatchedKernelPriorEstimator().fit(tiny_adult_module)
-    assert estimator.mode == "factored"
+    assert estimator.backend.solo is not None
     return estimator
 
 
@@ -33,13 +37,11 @@ def test_factored_matches_legacy_per_bandwidth(factored, tiny_adult_module):
         assert priors.description == reference.description
 
 
-def test_flat_fallback_matches_legacy(tiny_adult_module):
-    estimator = BatchedKernelPriorEstimator(EstimatorConfig(max_cells=0)).fit(tiny_adult_module)
-    assert estimator.mode == "flat"
-    batched = estimator.prior_for_table(BANDWIDTHS)
+def test_factored_matches_flat_reference(factored, tiny_adult_module):
+    batched = factored.prior_for_table(BANDWIDTHS)
     for b, priors in zip(BANDWIDTHS, batched):
-        reference = kernel_prior(tiny_adult_module, b)
-        np.testing.assert_allclose(priors.matrix, reference.matrix, atol=1e-12)
+        reference = flat_kernel_prior(tiny_adult_module, b)
+        np.testing.assert_allclose(priors.matrix, reference, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("kernel", ["gaussian", "triangular", "uniform"])

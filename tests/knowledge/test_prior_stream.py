@@ -7,8 +7,7 @@ from repro.data.adult import generate_adult
 from repro.data.schema import Attribute, AttributeKind, AttributeRole, Schema
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
-from repro.knowledge.backend import EstimatorConfig
-from repro.knowledge.prior import BatchedKernelPriorEstimator, kernel_prior
+from repro.knowledge.prior import BatchedKernelPriorEstimator, flat_kernel_prior
 
 BANDWIDTHS = [0.1, 0.3, 0.5]
 
@@ -27,7 +26,7 @@ def test_append_rows_matches_scratch_fit(incremental):
     estimator = BatchedKernelPriorEstimator(incremental=incremental)
     estimator.fit(tables[0])
     estimator.prior_for_table(BANDWIDTHS)  # populate any caches
-    assert estimator.mode == "factored"
+    assert estimator.backend.solo is not None
     for grown in tables[1:]:
         mode = estimator.append_rows(grown)
         assert mode == "incremental"
@@ -73,23 +72,8 @@ def test_append_rows_with_new_domain_values_refits():
     )
 
 
-def test_append_rows_flat_reference_mode_refits():
-    """The flat reference (max_cells=0) has no incremental state: it refits."""
-    tables = _grown_tables(total_rows=700, seed_rows=600, step=100)
-    flat = EstimatorConfig(max_cells=0)
-    estimator = BatchedKernelPriorEstimator(flat, incremental=True).fit(tables[0])
-    assert estimator.mode == "flat"
-    assert estimator.append_rows(tables[1]) == "refit"
-    np.testing.assert_allclose(
-        estimator.prior_for_table([0.3])[0].matrix,
-        BatchedKernelPriorEstimator().fit(tables[1]).prior_for_table([0.3])[0].matrix,
-        atol=1e-12,
-        rtol=0,
-    )
-
-
 def test_append_rows_single_qi_table_stays_factored():
-    """A lone quasi-identifier no longer forces the flat sweep (zero rest blocks)."""
+    """A lone quasi-identifier is the solo attribute, with zero rest blocks."""
     schema = Schema(
         [
             Attribute("Age", AttributeKind.NUMERIC, AttributeRole.QUASI_IDENTIFIER),
@@ -100,13 +84,13 @@ def test_append_rows_single_qi_table_stays_factored():
         schema, {"Age": [30.0, 40.0, 50.0], "Disease": ["a", "b", "a"]}
     )
     estimator = BatchedKernelPriorEstimator(incremental=True).fit(table)
-    assert estimator.mode == "factored"
+    assert estimator.backend.solo == "Age"
     assert estimator.blocks == ()
     grown = table.extend({"Age": [40.0], "Disease": ["b"]})
     assert estimator.append_rows(grown) == "incremental"
     np.testing.assert_allclose(
         estimator.prior_for_table([0.3])[0].matrix,
-        kernel_prior(grown, 0.3, config=EstimatorConfig(max_cells=0)).matrix,
+        flat_kernel_prior(grown, 0.3),
         atol=1e-12,
         rtol=0,
     )

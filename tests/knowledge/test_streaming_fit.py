@@ -28,6 +28,7 @@ from repro.data.schema import Schema, categorical_qi, numeric_qi, sensitive
 from repro.data.source import InMemoryTableSource, NpzTableSource, write_npz
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
+import repro.knowledge.backend as backend_module
 from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.kernels import kernel_names
@@ -113,13 +114,19 @@ def test_chunked_fit_matches_on_blocked_wide_schema():
     assert _bitwise_equal(b, a)
 
 
-def test_flat_reference_accepts_sources(table, npz_path):
-    """max_cells=0 (the flat sweep) accumulates the chunks and still matches."""
-    resident = kernel_prior(table, 0.3, config=EstimatorConfig(max_cells=0)).matrix
-    chunked = kernel_prior(
-        _npz_source(npz_path, 100), 0.3, config=EstimatorConfig(max_cells=0)
-    ).matrix
-    assert _bitwise_equal(chunked, resident)
+@pytest.mark.parametrize("chunk_rows", [1, 7, 500])
+def test_no_solo_layout_streams_bitwise(table, monkeypatch, chunk_rows):
+    """A count guard between the two layouts: the growing chunked fit trips
+    it mid-stream, refits the partial table without the solo split, keeps
+    folding, and ends bitwise equal to the resident no-solo fit."""
+    small = table.select(np.arange(300))
+    solo_cells = FactoredPriorBackend().fit(small)._count_storage.size
+    monkeypatch.setattr(backend_module, "MAX_COUNT_CELLS", solo_cells - 1)
+    resident = FactoredPriorBackend().fit(small)
+    chunked = FactoredPriorBackend().fit(InMemoryTableSource(small, chunk_rows=chunk_rows))
+    assert resident.solo is None and chunked.solo is None
+    for a, b in zip(resident.matrices([0.1, 0.3]), chunked.matrices([0.1, 0.3])):
+        assert _bitwise_equal(b, a)
 
 
 def test_source_row_count_mismatch_raises(table):

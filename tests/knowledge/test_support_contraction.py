@@ -31,6 +31,7 @@ from repro.data.table import MicrodataTable
 from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.kernels import get_kernel
+from repro.knowledge.prior import flat_kernel_prior
 from repro.obs.tracing import Tracer
 
 COMPACT_KERNELS = ["epanechnikov", "uniform", "triangular", "biweight"]
@@ -112,7 +113,7 @@ def _dense_oracle(backend: FactoredPriorBackend, kernel: str, b) -> tuple[np.nda
     names = list(table.quasi_identifier_names)
     n_combos = backend._n_combos
     counts = backend._count_tensor
-    solo = weights[names[backend._solo_index]]
+    solo = weights[backend.solo]
     contracted = (solo @ counts.reshape(solo.shape[0], -1)).reshape(counts.shape)
     rest_names = [names[i] for i in backend._rest_indices]
     combos = backend._rest_combos[:n_combos]
@@ -137,7 +138,7 @@ def _dense_oracle(backend: FactoredPriorBackend, kernel: str, b) -> tuple[np.nda
 def test_matches_flat_reference(case, kernel, blocks):
     table, budgets = case
     support = _matrices(table, BANDWIDTHS, kernel=kernel, max_cells=budgets[blocks])
-    flat = _matrices(table, BANDWIDTHS, kernel=kernel, max_cells=0)
+    flat = [flat_kernel_prior(table, b, kernel=kernel) for b in BANDWIDTHS]
     for ours, reference in zip(support, flat):
         np.testing.assert_allclose(ours, reference, atol=1e-12, rtol=0)
 
@@ -274,7 +275,7 @@ def test_support_working_set_stays_within_the_cell_budget():
     bandwidth = backend.resolve_bandwidth(0.1)
     path, joints = backend._build_block_joints(bandwidth, Tracer())
     assert path == "support" and backend.n_blocks == 2
-    solo = backend._bandwidth_weights(bandwidth, table.quasi_identifier_names[backend._solo_index])
+    solo = backend._bandwidth_weights(bandwidth, backend.solo)
     counts = backend._count_tensor
     contracted = (solo @ counts.reshape(solo.shape[0], -1)).reshape(counts.shape)
     queries = backend._pair_keys.size

@@ -269,3 +269,58 @@ def test_screened_verdicts_match_exact_verdicts(name, monkeypatch):
         assert screened_rows == 0  # measures without a bound stay exact
     else:
         assert 0 < screened_rows < total_rows
+
+
+def _random_rows(rng, n):
+    rows = rng.random((n, M)) ** 3
+    rows[rng.random((n, M)) < 0.3] = 0.0
+    rows[rows.sum(axis=1) <= 0.0, 0] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_a_rows_bits_never_depend_on_the_rows_sharing_its_call(name):
+    """Row determinism: ``rowwise``, ``rowwise_screened`` and ``member_risks``
+    give a row (or a group's rows) the same bits in a random 1, 2, 3, 7 or
+    64-row call as in one call over every row, at the real tile size, and
+    for groups that straddle a tile boundary."""
+    measure, _, _ = MEASURES[name]
+    rng = np.random.default_rng([22, len(name)])
+    n = omega.TILE_ROWS + 904
+    p = _random_rows(rng, n)
+    # Posteriors at every distance from their priors, so the screen both
+    # keeps bounds and computes exact values.
+    mix = rng.random((n, 1)) ** 2
+    q = (1.0 - mix) * p + mix * _random_rows(rng, n)
+    thresholds = (0.01, 0.1)
+    full = measure.rowwise(p, q)
+    screened = [measure.rowwise_screened(p, q, t) for t in thresholds]
+    for size in (1, 2, 3, 7, 64):
+        for _ in range(6):
+            rows = np.sort(rng.choice(n, size, replace=False))
+            assert measure.rowwise(p[rows], q[rows]).tobytes() == full[rows].tobytes()
+            for t, (values, exact) in zip(thresholds, screened):
+                part, part_exact = measure.rowwise_screened(p[rows], q[rows], t)
+                assert part.tobytes() == values[rows].tobytes()
+                assert np.array_equal(part_exact, exact[rows])
+    if name != "hierarchical-emd":
+        assert all(0 < exact.sum() < n for _, exact in screened)
+
+    codes = rng.integers(0, M, n)
+    cuts = np.sort(rng.choice(np.arange(1, n), n // 6, replace=False))
+    groups = np.split(rng.permutation(n), cuts)
+    members, offsets = _layout(groups)
+    ends = offsets + np.asarray([group.size for group in groups])
+    straddling = np.flatnonzero((offsets < omega.TILE_ROWS) & (ends > omega.TILE_ROWS))
+    assert straddling.size == 1
+    calls = [dict(), *(dict(screen=t) for t in thresholds)]
+    risks = [member_risks(p, codes, members, offsets, measure, **call) for call in calls]
+    chosen = [straddling]
+    chosen += [rng.choice(len(groups), size, replace=False) for size in (1, 2, 3, 7, 64)]
+    for picked in chosen:
+        picked = np.sort(picked)
+        part_members, part_offsets = _layout([groups[g] for g in picked])
+        positions = np.concatenate([np.arange(offsets[g], ends[g]) for g in picked])
+        for call, full_risks in zip(calls, risks):
+            part = member_risks(p, codes, part_members, part_offsets, measure, **call)
+            assert part.tobytes() == full_risks[positions].tobytes()

@@ -95,6 +95,11 @@ def test_error_statuses(live_server, adult_rows):
     assert status == 200 and payload["version"]["version"] == 1
     # Duplicate creation is a conflict.
     assert _create(server, "census", adult_rows[:SEED_ROWS])[0] == 409
+    # A cell budget below 1 is a bad request, not a fallback estimator.
+    status, payload, _ = _create(
+        server, "tiny", adult_rows[:SEED_ROWS], {**FAST_CONFIG, "max_cells": 0}
+    )
+    assert status == 400 and "max_cells" in payload["message"]
 
 
 def test_non_integer_positions_are_400(live_server, adult_rows):

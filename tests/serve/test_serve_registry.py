@@ -135,6 +135,7 @@ def test_create_rejects_bad_names_duplicates_and_configs(tmp_path):
         # parameters the model itself rejects are a bad request, not a 500.
         for bad in (
             {"k": 3.7}, {"k": True}, {"max_cells": 2.5}, {"max_cells": False},
+            {"max_cells": 0}, {"max_cells": -1},
             {"t": True}, {"b": False}, {"l": True}, {"compact_drift": True},
             {"refine_factor": float("nan")}, {"t": "nan"}, {"compact_drift": float("nan")},
             {"skyline": [[0.3, True]]}, {"skyline": [[float("nan"), 0.2]]},
@@ -158,6 +159,9 @@ def test_resolve_config_fills_defaults():
     assert resolved["k"] == 3
     assert StreamRegistry.resolve_config({"k": 3.0, "max_cells": "500"})["k"] == 3
     assert StreamRegistry.resolve_config({"max_cells": "500"})["max_cells"] == 500
+    for bad in (0, -1, "0"):
+        with pytest.raises(BadRequest, match="at least 1"):
+            StreamRegistry.resolve_config({"max_cells": bad})
     assert resolved["model"] == CONFIG_DEFAULTS["model"]
     assert resolved["method"] == "omega"
     # Infinity is the documented way to turn compaction off.

@@ -327,58 +327,47 @@ def test_resume_refuses_mid_persist_interrupted_store(tmp_path):
         )
 
 
-def test_legacy_compressed_archives_still_decode(tmp_path):
-    """Stores written before the mappable int32-codes layout (compressed
-    ``col_<name>`` raw-value members) reload with identical content."""
-    seed_table, full = _tables(seed=71)
+def test_legacy_col_archives_are_refused(tmp_path):
+    """Pre-v2 archives (compressed ``col_<name>`` raw-value members, no
+    ``codes_<name>`` columns) no longer decode: reading one raises
+    StreamError naming the version file."""
+    seed_table, _ = _tables(seed=71)
     publisher = IncrementalPublisher(
         seed_table, BTPrivacy(0.3, 0.25), skyline=SKYLINE, k=4,
         store_path=tmp_path / "s",
     )
-    publisher.publish()
-    publisher.append(full.select(np.arange(SEED_ROWS, SEED_ROWS + 150)))
-    originals = list(publisher.store)
-
-    # Rewrite every version archive in the legacy layout.
-    for version in originals:
-        table = version.release.table
-        arrays = {}
-        for attribute in table.schema:
-            name = attribute.name
-            column = table.column(name)
-            arrays[f"col_{name}"] = (
-                np.asarray(column, dtype=np.float64)
-                if attribute.is_numeric
-                else np.asarray(column, dtype=np.str_)
-            )
-            domain = table.domain(name)
-            arrays[f"dom_{name}"] = (
-                domain.values.astype(np.float64)
-                if attribute.is_numeric
-                else np.asarray(domain.values, dtype=np.str_)
-            )
-        arrays["groups"] = np.concatenate(version.release.groups).astype(np.int64)
-        arrays["group_sizes"] = np.asarray(
-            [len(group) for group in version.release.groups], dtype=np.int64
-        )
-        if version.report is not None:
-            arrays["risks"] = np.stack(
-                [entry.attack.risks for entry in version.report.entries]
-            )
-        np.savez_compressed(tmp_path / "s" / f"version-{version.version:05d}.npz", **arrays)
+    version = publisher.publish()
+    table = version.release.table
+    arrays = {}
+    for attribute in table.schema:
+        name = attribute.name
+        dtype = np.float64 if attribute.is_numeric else np.str_
+        arrays[f"col_{name}"] = np.asarray(table.column(name), dtype=dtype)
+        arrays[f"dom_{name}"] = np.asarray(table.domain(name).values, dtype=dtype)
+    arrays["groups"] = np.concatenate(version.release.groups).astype(np.int64)
+    arrays["group_sizes"] = np.asarray([len(g) for g in version.release.groups])
+    np.savez_compressed(tmp_path / "s" / "version-00000.npz", **arrays)
 
     reloaded = ReleaseStore(path=tmp_path / "s", schema=adult_schema())
-    for original, loaded in zip(originals, reloaded):
-        assert original.version == loaded.version
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(original.release.groups, loaded.release.groups)
-        )
-        for name in seed_table.schema.names:
-            assert np.array_equal(
-                original.release.table.column(name), loaded.release.table.column(name)
-            )
-        assert all(
-            np.array_equal(a.attack.risks, b.attack.risks)
-            for a, b in zip(original.report.entries, loaded.report.entries)
+    with pytest.raises(StreamError, match=r"version 0 cannot be decoded.*version-00000\.npz"):
+        reloaded[0]
+
+
+@pytest.mark.parametrize("max_cells", [0, -1])
+def test_resume_refuses_a_recorded_cell_budget_below_one(tmp_path, max_cells):
+    """An impossible recorded budget is a corrupt state.json, not a bare
+    KnowledgeError from the estimator config."""
+    seed_table, _ = _tables(seed=73, extra=0)
+    publisher = IncrementalPublisher(
+        seed_table, DistinctLDiversity(3), k=4, store_path=tmp_path / "s"
+    )
+    publisher.publish()
+    publisher.close()
+    state_path = tmp_path / "s" / "state.json"
+    state = json.loads(state_path.read_text())
+    state["max_cells"] = max_cells
+    state_path.write_text(json.dumps(state))
+    with pytest.raises(StreamError, match="state.json cannot be decoded"):
+        IncrementalPublisher.resume(
+            tmp_path / "s", schema=adult_schema(), model=DistinctLDiversity(3)
         )

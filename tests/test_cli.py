@@ -246,9 +246,9 @@ def test_audit_defaults_to_model_point_and_fail_on_breach(capsys):
 
 @pytest.mark.parametrize("command", ["anonymize", "attack", "audit", "sweep", "stream"])
 def test_max_cells_rejects_malformed_budgets(capsys, command):
-    # Malformed/negative budgets are caught by argparse validation: usage
+    # Malformed/non-positive budgets are caught by argparse validation: usage
     # error, exit 2, one line on stderr instead of a traceback - like --skyline.
-    for bad in ("-1", "abc", "1.5", ""):
+    for bad in ("0", "-1", "abc", "1.5", ""):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--rows", "100", "--max-cells", bad])
         assert excinfo.value.code == 2
@@ -267,15 +267,6 @@ def test_max_cells_threads_through_audit(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "skyline audit" in out and "2 adversaries" in out
-
-
-def test_max_cells_zero_selects_flat_reference(capsys, tmp_path):
-    code = main([
-        "anonymize", "--rows", "120", "--model", "bt", "--b", "0.3", "--t", "0.35",
-        "--k", "3", "--max-cells", "0", "--output", str(tmp_path / "release.csv"),
-    ])
-    assert code == 0
-    assert "anonymized 120 rows" in capsys.readouterr().out
 
 
 def test_audit_rejects_bad_skyline_spec(capsys):

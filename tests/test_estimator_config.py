@@ -1,7 +1,7 @@
 """Estimator settings reach the code one way: an ``EstimatorConfig``.
 
-The cell budget (``max_cells``) and the flat sweep's batch and memory-guard
-constants are how priors are computed, not who the adversary is, so they
+The cell budget (``max_cells``), batch sizes and the count-tensor memory
+guard are how priors are computed, not who the adversary is, so they
 live in :class:`~repro.knowledge.backend.EstimatorConfig` and the backend
 module.  No function in the package may take them as a parameter of its
 own: any function declaring ``max_cells``, ``batch_size`` or
