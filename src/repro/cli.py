@@ -841,9 +841,8 @@ def _resume_stream(args: argparse.Namespace, tracer: Tracer):
             f"{'' if len(differing) == 1 else 's'} will be used"
         )
     appended_total = args.batches * args.batch_size
-    consumed = publisher.store[0].n_rows + sum(
-        version.delta.appended_rows for version in publisher.store
-    )
+    lineage = publisher.store.lineage()
+    consumed = lineage[0]["rows"] + sum(row["delta"]["appended_rows"] for row in lineage)
     if getattr(args, "input", None):
         table = read_csv(args.input, adult_schema())
         if table.n_rows < consumed + appended_total:
@@ -942,14 +941,12 @@ def _stream_publications(args: argparse.Namespace, tracer: Tracer) -> int:
             donors = rng.integers(0, publisher.table.n_rows, size=updates)
             replacements = [publisher.table.row(int(donor)) for donor in donors]
             _print_stream_version(publisher.update(positions, replacements))
+    lineage = publisher.store.lineage()
     if args.json:
-        payload = {
-            "stream": publisher.describe(),
-            "versions": publisher.store.lineage(),
-        }
+        payload = {"stream": publisher.describe(), "versions": lineage}
         Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote stream lineage to {args.json}")
-    if args.fail_on_breach and any(not version.satisfied for version in publisher.store):
+    if args.fail_on_breach and not all(row["satisfied"] for row in lineage):
         return 3
     return 0
 

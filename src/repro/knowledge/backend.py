@@ -439,10 +439,14 @@ class FactoredPriorBackend:
         return self._kernel(self._distance_matrices[name], bandwidth[name])
 
     def _solo_codes(self, codes: np.ndarray) -> np.ndarray:
-        """The solo column of a ``(rows, d)`` QI code matrix (zeros without a solo)."""
+        """The solo column of a ``(rows, d)`` QI code matrix (zeros without a solo).
+
+        A contiguous copy, not a view: a view would keep the whole matrix
+        alive for as long as the fit holds the column.
+        """
         if self._solo_index is None:
             return np.zeros(codes.shape[0], dtype=np.int64)
-        return codes[:, self._solo_index]
+        return codes[:, self._solo_index].copy()
 
     def _solo_weights(self, bandwidth: Bandwidth) -> np.ndarray:
         """The solo attribute's kernel matrix (``[[1.0]]`` without a solo)."""

@@ -512,10 +512,11 @@ class StreamRegistry:
         if self._max_queue_batches < 1 or self._max_queued_rows < 1:
             raise BadRequest("the queue bounds must be at least 1")
         self.schema = schema if schema is not None else adult_schema()
-        # One byte-bounded LRU shared by every shard store: resumed versions
-        # decode lazily on first access (GET /streams/<s>/versions/<v> pays
-        # the npz decode once, not per request) and the decoded footprint
-        # across all tenants stays bounded.
+        # One byte-bounded LRU shared by every shard store.  Each store keeps
+        # only its latest version resident; an older one decodes through
+        # this cache only when a caller needs its arrays (the version and
+        # audit GETs answer from the persisted lineage and decode nothing),
+        # so the decoded footprint across all tenants stays bounded.
         self.version_cache = VersionCache()
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)

@@ -110,7 +110,8 @@ class ReproService:
         return positions
 
     @staticmethod
-    def _version(host: StreamHost, raw: str):
+    def _version(host: StreamHost, raw: str) -> int:
+        """The validated version number ``raw`` names in ``host``'s lineage."""
         try:
             number = int(raw)
         except ValueError:
@@ -120,7 +121,7 @@ class ReproService:
                 f"stream {host.name!r} has versions 0..{len(host.store) - 1}, "
                 f"not {number}"
             )
-        return host.store[number]
+        return number
 
     async def _mutate(
         self, request: Request, host: StreamHost, operation: tuple[str, Any]
@@ -241,9 +242,9 @@ class ReproService:
 
     async def version_detail(self, request: Request) -> Response:
         host = self._host(request)
-        version = self._version(host, request.params["version"])
-        payload: dict[str, Any] = {"stream": host.name, "version": version.as_dict()}
-        trace = host.trace_for(version.version)
+        number = self._version(host, request.params["version"])
+        payload: dict[str, Any] = {"stream": host.name, "version": host.store.summary(number)}
+        trace = host.trace_for(number)
         if trace is not None:
             payload["trace"] = trace
             breakdown = self._stage_breakdown(trace)
@@ -253,17 +254,12 @@ class ReproService:
 
     async def version_audit(self, request: Request) -> Response:
         host = self._host(request)
-        version = self._version(host, request.params["version"])
-        if version.report is None:
-            raise NotFound(
-                f"version {version.version} of stream {host.name!r} is unaudited"
-            )
-        payload: dict[str, Any] = {
-            "stream": host.name,
-            "version": version.version,
-            "audit": version.report.summary(),
-        }
-        delta = host.store.report_delta(version.version)
+        number = self._version(host, request.params["version"])
+        audit = host.store.summary(number).get("audit")
+        if audit is None:
+            raise NotFound(f"version {number} of stream {host.name!r} is unaudited")
+        payload: dict[str, Any] = {"stream": host.name, "version": number, "audit": audit}
+        delta = host.store.report_delta(number)
         if delta is not None:
             payload["audit_delta"] = delta
         return Response(200, payload, stream=True)

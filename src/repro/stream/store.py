@@ -15,13 +15,16 @@ The store is in-memory by default; constructed with ``path=...`` it becomes
 released groups and the per-adversary risk vectors - written *uncompressed*
 so the large members can be memory-mapped back), and the publisher's restart
 state (the recorded split tree, accumulated compaction drift, configuration)
-lands in ``state.json``.  Opening a directory that already holds a lineage
-*loads the lineage only* - pass the table ``schema`` so the persisted
-columns can be decoded - version archives stay on disk as lazy stubs and
-are decoded on first access through a byte-bounded :class:`VersionCache`
-LRU, so a store holding hundreds of million-row versions opens in
-milliseconds and serves ``lineage()`` / ``report_delta()`` straight from
-the persisted audit summaries without touching a single archive.
+lands in ``state.json``.  A disk-backed store keeps only its latest
+version resident (the publisher audits against it); every older version is
+a lazy stub - its persisted lineage line - decoded on first access through
+a byte-bounded :class:`VersionCache` LRU, so a long-running stream's memory
+does not grow with its version count.  Opening a directory that already
+holds a lineage *loads the lineage only* - pass the table ``schema`` so the
+persisted columns can be decoded - so a store holding hundreds of
+million-row versions opens in milliseconds.  Summary reads (``summary()``,
+``lineage()``, ``report_delta()``) are served straight from the persisted
+lineage lines without touching a single archive.
 Corrupt or partial directories raise
 :class:`~repro.exceptions.StreamError` naming the offending file.
 """
@@ -57,11 +60,10 @@ DEFAULT_VERSION_CACHE_BYTES = 256 * 1024 * 1024
 class VersionCache:
     """A thread-safe, byte-bounded LRU of decoded :class:`StreamVersion` objects.
 
-    Lazy stores decode a version archive only when the version is actually
-    accessed; the decoded object (table, groups, risk vectors) is parked
-    here so repeated reads of a hot version - the serving daemon answering
-    ``GET /streams/<s>/versions/<v>`` - pay the npz decode once, not per
-    request.  Entries are keyed by ``(store, version, file identity)`` and
+    Disk-backed stores decode a historical version's archive only when its
+    arrays are actually accessed (summaries come from the lineage); the
+    decoded object (table, groups, risk vectors) is parked here so repeated
+    reads of a hot version pay the npz decode once, not per read.  Entries are keyed by ``(store, version, file identity)`` and
     evicted least-recently-used once the decoded bytes exceed ``max_bytes``;
     the most recent entry always survives so one oversized version can still
     be served.  A single cache may be shared across stores (the serving
@@ -268,9 +270,10 @@ class ReleaseStore:
         schema: Schema | None = None,
         version_cache: VersionCache | None = None,
     ) -> None:
-        # Versions appended live stay resident; versions discovered on disk
-        # are lazy stubs (None here, their lineage payload in _payloads) and
-        # decode on demand through the version cache.
+        # In-memory stores keep every version resident.  A disk-backed store
+        # keeps only its latest: older versions, and versions discovered on
+        # disk, are lazy stubs (None here, their lineage payload in
+        # _payloads) that decode on demand through the version cache.
         self._versions: list[StreamVersion | None] = []
         self._payloads: list[dict[str, Any] | None] = []
         self._path = Path(path) if path is not None else None
@@ -346,8 +349,9 @@ class ReleaseStore:
     def close(self) -> None:
         """Release the publisher lock (a no-op for in-memory stores).
 
-        The store object stays readable - historical versions live in
-        memory - but the directory becomes available to another publisher.
+        The store object stays readable - historical versions decode from
+        their archives on demand - but the directory becomes available to
+        another publisher.
         """
         if self._path is not None and self._owns_lock:
             try:
@@ -362,24 +366,38 @@ class ReleaseStore:
         ``state`` is the publisher's restart payload; disk-backed stores
         persist it (latest wins) so :meth:`IncrementalPublisher.resume` can
         reconstruct the publisher mid-stream.
+
+        A disk-backed store persists the version *before* recording it, so a
+        failed write leaves the store as it was, and then demotes the
+        previous version to a lazy stub.  Its payload is recorded first, so
+        a reader on another thread always finds either the object or the
+        payload.
         """
         if version.version != len(self._versions):
             raise StreamError(
                 f"version {version.version} breaks the lineage; expected {len(self._versions)}"
             )
+        payload = self._persist(version, state) if self._path is not None else None
+        self._payloads.append(payload)
         self._versions.append(version)
-        self._payloads.append(None)
+        if payload is not None and len(self._versions) > 1:
+            self._versions[-2] = None
         if state is not None:
             self.state = state
-        if self._path is not None:
-            self._persist(version, state)
         return version
 
     # -- persistence -------------------------------------------------------------------
     def _version_file(self, version: int) -> Path:
         return self._path / f"version-{version:05d}.npz"
 
-    def _persist(self, version: StreamVersion, state: dict[str, Any] | None) -> None:
+    def _persist(
+        self, version: StreamVersion, state: dict[str, Any] | None
+    ) -> dict[str, Any]:
+        """Write one version's archive and lineage line; returns the line decoded.
+
+        The returned payload is exactly what :meth:`_load` reads back, so a
+        demoted version's stub equals a resumed one.
+        """
         table = version.release.table
         arrays: dict[str, np.ndarray] = {
             "groups": np.concatenate(version.release.groups).astype(np.int64),
@@ -416,15 +434,29 @@ class ReleaseStore:
                 "delta": version.report.delta,
             }
         np.savez(self._version_file(version.version), **arrays)
-        with (self._path / "lineage.jsonl").open("a") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        if state is not None:
-            # state.json is the only copy of the resume state: write the new
-            # one beside it and atomically replace, so a crash mid-write
-            # never destroys the previous good state.
-            scratch = self._path / "state.json.tmp"
-            scratch.write_text(json.dumps(state, sort_keys=True) + "\n")
-            os.replace(scratch, self._path / "state.json")
+        line = json.dumps(payload, sort_keys=True)
+        lineage_path = self._path / "lineage.jsonl"
+        lineage_bytes = lineage_path.stat().st_size if lineage_path.exists() else None
+        try:
+            with lineage_path.open("a") as handle:
+                handle.write(line + "\n")
+            if state is not None:
+                # state.json is the only copy of the resume state: write the
+                # new one beside it and atomically replace, so a crash
+                # mid-write never destroys the previous good state.
+                scratch = self._path / "state.json.tmp"
+                scratch.write_text(json.dumps(state, sort_keys=True) + "\n")
+                os.replace(scratch, self._path / "state.json")
+        except OSError:
+            # Put the lineage back as it was, so the same version can be
+            # added again: a duplicate line, or an empty lineage file, would
+            # make the directory unloadable.
+            if lineage_bytes is None:
+                lineage_path.unlink(missing_ok=True)
+            else:
+                os.truncate(lineage_path, lineage_bytes)
+            raise
+        return json.loads(line)
 
     def _load(self) -> None:
         lineage_path = self._path / "lineage.jsonl"
@@ -624,23 +656,21 @@ class ReleaseStore:
         """The LRU holding this store's lazily decoded versions."""
         return self._cache
 
-    def _audit_rows(self, position: int) -> list[dict[str, Any]] | None:
-        """Per-adversary summary rows for one version, without decoding stubs.
+    def summary(self, position: int) -> dict[str, Any]:
+        """The JSON-able summary of the version at ``position``, never decoding.
 
-        Resident versions summarise their in-memory report; lazy stubs are
-        served straight from the ``audit`` block persisted in the lineage
-        (the same :meth:`SkylineAuditEntry.as_dict` rows), so lineage-level
-        queries never touch a version archive.
+        The resident version summarises itself; a lazy stub is served from
+        its persisted lineage line (the same :meth:`StreamVersion.as_dict`
+        summary, ``audit`` included), so summary reads never touch an archive.
         """
         version = self._versions[position]
         if version is not None:
-            if version.report is None:
-                return None
-            return [entry.as_dict() for entry in version.report.entries]
-        audit = self._payloads[position].get("audit")
-        if audit is None:
-            return None
-        return audit.get("adversaries")
+            return version.as_dict()
+        return {
+            key: value
+            for key, value in self._payloads[position].items()
+            if key not in ("release_method", "report")
+        }
 
     def report_delta(self, version: int) -> list[dict[str, Any]] | None:
         """Per-adversary audit movement from ``version - 1`` to ``version``.
@@ -651,47 +681,44 @@ class ReleaseStore:
         """
         if version <= 0 or version >= len(self._versions):
             return None
-        current = self._audit_rows(version)
-        previous = self._audit_rows(version - 1)
-        if current is None or previous is None:
-            return None
-        rows = []
-        for entry, before in zip(current, previous):
-            rows.append(
-                {
-                    "adversary": entry["adversary"],
-                    "worst_case_risk": entry["worst_case_risk"],
-                    "worst_case_risk_change": entry["worst_case_risk"]
-                    - before["worst_case_risk"],
-                    "margin": entry["margin"],
-                    "vulnerable_tuples": entry["vulnerable_tuples"],
-                    "vulnerable_tuples_change": entry["vulnerable_tuples"]
-                    - before["vulnerable_tuples"],
-                    "satisfied": entry["satisfied"],
-                }
-            )
-        return rows
+        return _audit_delta(self.summary(version), self.summary(version - 1))
 
     def lineage(self) -> list[dict[str, Any]]:
         """JSON-able summaries of every version, with audit deltas attached.
 
-        Lazy stubs contribute their persisted lineage payload directly, so
-        this never decodes an archive - a store holding hundreds of
-        million-row versions lists its history from JSON alone.
+        Built from :meth:`summary` alone, so this never decodes an archive -
+        a store holding hundreds of million-row versions lists its history
+        from JSON alone.
         """
-        rows = []
-        for position in range(len(self._versions)):
-            version = self._versions[position]
-            if version is not None:
-                row = version.as_dict()
-            else:
-                row = {
-                    key: value
-                    for key, value in self._payloads[position].items()
-                    if key not in ("release_method", "report")
-                }
-            delta = self.report_delta(position)
+        rows = [self.summary(position) for position in range(len(self._versions))]
+        for current, previous in zip(rows[1:], rows):
+            delta = _audit_delta(current, previous)
             if delta is not None:
-                row["audit_delta"] = delta
-            rows.append(row)
+                current["audit_delta"] = delta
         return rows
+
+
+def _audit_delta(
+    current: dict[str, Any], previous: dict[str, Any]
+) -> list[dict[str, Any]] | None:
+    """Per-adversary movement between two version summaries (None if either is unaudited)."""
+    if "audit" not in current or "audit" not in previous:
+        return None
+    rows = []
+    for entry, before in zip(
+        current["audit"]["adversaries"], previous["audit"]["adversaries"]
+    ):
+        rows.append(
+            {
+                "adversary": entry["adversary"],
+                "worst_case_risk": entry["worst_case_risk"],
+                "worst_case_risk_change": entry["worst_case_risk"]
+                - before["worst_case_risk"],
+                "margin": entry["margin"],
+                "vulnerable_tuples": entry["vulnerable_tuples"],
+                "vulnerable_tuples_change": entry["vulnerable_tuples"]
+                - before["vulnerable_tuples"],
+                "satisfied": entry["satisfied"],
+            }
+        )
+    return rows

@@ -211,6 +211,32 @@ def test_count_tensor_memory_guard_drops_the_solo_split(
         FactoredPriorBackend(EstimatorConfig(max_cells=400)).fit(wide_table)
 
 
+@pytest.mark.parametrize("layout", ["solo", "no-solo"])
+def test_fitted_solo_column_owns_its_memory(
+    wide_table, per_attribute_bandwidth, layout, monkeypatch
+):
+    """The fit keeps a copy of the solo column, not a view pinning every QI column."""
+    config = EstimatorConfig(max_cells=400)
+    if layout == "no-solo":
+        solo_cells = FactoredPriorBackend(config).fit(wide_table)._count_storage.size
+        monkeypatch.setattr(backend_module, "MAX_COUNT_CELLS", solo_cells - 1)
+    backend = FactoredPriorBackend(config).fit(wide_table)
+    assert (backend.solo is None) == (layout == "no-solo")
+    assert backend._solo_of_row.base is None
+    assert backend._solo_of_row.flags.c_contiguous
+    owned = backend.matrices([per_attribute_bandwidth])[0]
+
+    def solo_view(self, codes):
+        if self._solo_index is None:
+            return np.zeros(codes.shape[0], dtype=np.int64)
+        return codes[:, self._solo_index]
+
+    # The copy changes no bit of the priors a view gives.
+    monkeypatch.setattr(FactoredPriorBackend, "_solo_codes", solo_view)
+    viewed = FactoredPriorBackend(config).fit(wide_table)
+    assert np.array_equal(viewed.matrices([per_attribute_bandwidth])[0], owned)
+
+
 def test_append_growth_past_block_budget_reblocks():
     """A multi-attribute block outgrowing max_cells triggers a re-blocking refit."""
     schema = Schema(

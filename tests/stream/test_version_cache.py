@@ -189,7 +189,7 @@ def test_lazy_lineage_matches_resident_lineage(tmp_path):
 
 
 def test_live_versions_stay_resident(tmp_path):
-    """Versions added by a running publisher never round-trip the cache."""
+    """The version a running publisher just added is resident: no cache round-trip."""
     store_dir = _publish_stream(tmp_path)
     publisher = IncrementalPublisher.resume(
         store_dir, schema=adult_schema(), model=DistinctLDiversity(3)

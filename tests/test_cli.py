@@ -373,6 +373,63 @@ def test_stream_full_lifecycle_with_store_and_resume(tmp_path, capsys):
     assert "v7: +40 rows" in out
 
 
+def test_stream_resume_decodes_only_the_latest_version(tmp_path, capsys, monkeypatch):
+    """A resumed run counts consumed rows and breaches from the lineage alone."""
+    from repro.data.adult import generate_adult
+    from repro.data.io import write_csv
+    from repro.stream import ReleaseStore
+
+    rows = generate_adult(540, seed=7)
+    write_csv(rows.select(range(460)), tmp_path / "first.csv")
+    write_csv(rows, tmp_path / "full.csv")
+    common = [
+        "--batch-size", "40", "--model", "distinct-l", "--l", "2", "--k", "2",
+        "--skyline", "0.3:0.5",
+    ]
+    resumed_dir, reference_dir = tmp_path / "resumed", tmp_path / "reference"
+    assert main([
+        "stream", "--input", str(tmp_path / "first.csv"), "--batches", "4",
+        "--store-dir", str(resumed_dir), *common,
+    ]) == 0
+    assert main([
+        "stream", "--input", str(tmp_path / "full.csv"), "--batches", "6",
+        "--store-dir", str(reference_dir), *common,
+    ]) == 0
+    capsys.readouterr()
+
+    decoded = []
+    load_version = ReleaseStore._load_version
+
+    def counting(self, payload):
+        decoded.append(payload["version"])
+        return load_version(self, payload)
+
+    monkeypatch.setattr(ReleaseStore, "_load_version", counting)
+    assert main([
+        "stream", "--input", str(tmp_path / "full.csv"), "--batches", "2",
+        "--resume", "--store-dir", str(resumed_dir), "--fail-on-breach", *common,
+    ]) == 3  # the resumed versions breach t=0.5
+    out = capsys.readouterr().out
+    assert "[BREACH]" in out
+    assert "resumed at v4: 460 rows" in out
+    assert "v5: +40 rows" in out and "v6: +40 rows" in out
+    assert decoded == [4]  # the latest, which the publisher audits against
+    monkeypatch.undo()
+
+    # The resumed run appended rows 460-539, as the uninterrupted one did.
+    resumed = ReleaseStore(path=resumed_dir, schema=adult_schema())
+    reference = ReleaseStore(path=reference_dir, schema=adult_schema())
+    assert [row["rows"] for row in resumed.lineage()] == [
+        row["rows"] for row in reference.lineage()
+    ]
+    assert resumed.latest().release.table.n_rows == 540
+    for name in adult_schema().names:
+        assert (
+            resumed.latest().release.table.column(name).tolist()
+            == reference.latest().release.table.column(name).tolist()
+        )
+
+
 def test_stream_rejects_malformed_fractions(capsys):
     for flag, value in (("--delete-frac", "1.5"), ("--update-frac", "nope")):
         with pytest.raises(SystemExit) as excinfo:
