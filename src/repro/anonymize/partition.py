@@ -103,23 +103,29 @@ class AnonymizedRelease:
 
     def __init__(self, table: MicrodataTable, groups: list[np.ndarray], *, method: str = ""):
         self._table = table
-        cleaned: list[np.ndarray] = []
-        seen = np.zeros(table.n_rows, dtype=bool)
-        for group in groups:
-            indices = np.asarray(group, dtype=np.int64)
-            if indices.size == 0:
-                continue
-            if indices.min() < 0 or indices.max() >= table.n_rows:
-                raise AnonymizationError("group index out of range")
-            if seen[indices].any():
-                raise AnonymizationError("groups overlap: a tuple appears in more than one group")
-            seen[indices] = True
-            cleaned.append(np.sort(indices))
-        if not cleaned:
+        arrays = [np.asarray(group, dtype=np.int64) for group in groups]
+        arrays = [indices for indices in arrays if indices.size]
+        if not arrays:
             raise AnonymizationError("a release requires at least one non-empty group")
-        if not seen.all():
-            missing = int((~seen).sum())
+        # One buffer for every group: the release owns its indices, and each
+        # group is a view of it.
+        members = np.concatenate(arrays)
+        if members.min() < 0 or members.max() >= table.n_rows:
+            raise AnonymizationError("group index out of range")
+        cover = np.bincount(members, minlength=table.n_rows)
+        if cover.max() > 1:
+            raise AnonymizationError("groups overlap: a tuple appears in more than one group")
+        if members.size < table.n_rows:
+            missing = table.n_rows - members.size
             raise AnonymizationError(f"{missing} tuples are not covered by any group")
+        stops = np.cumsum([indices.size for indices in arrays])
+        starts = np.append(0, stops[:-1])
+        cleaned = [members[start:stop] for start, stop in zip(starts.tolist(), stops.tolist())]
+        # Sort only the groups holding a descent that is not a group boundary.
+        descents = np.flatnonzero(np.diff(members) < 0) + 1
+        owners = np.searchsorted(starts, descents, side="right") - 1
+        for group in np.unique(owners[descents != starts[owners]]):
+            cleaned[group].sort()
         self._groups = cleaned
         self._method = method
         self._generalized: list[GeneralizedGroup] | None = None

@@ -102,6 +102,132 @@ def layout_groups(groups: list[np.ndarray], n_rows: int) -> tuple[np.ndarray, np
     return members, offsets
 
 
+class GroupPass:
+    """Every group's sensitive counts and member prior rows, taken in one pass.
+
+    Built by :func:`group_pass`: ``prior_rows`` holds the gathered member
+    rows, groups back to back, ``sizes`` each group's row count and
+    ``counts`` its ``(groups, m)`` sensitive counts.  For the Omega-estimate
+    ``column_sums`` holds each group's prior column sums (a sequential
+    ``np.add.reduceat``, so a group's sums never depend on the groups around
+    it); it is ``None`` for exact inference.
+    """
+
+    def __init__(self, prior_rows, sizes, counts, column_sums, group_of=None):
+        self.prior_rows = prior_rows
+        self.sizes = sizes
+        self.counts = counts
+        self.column_sums = column_sums
+        self.offsets = np.cumsum(sizes) - sizes
+        if group_of is None:
+            group_of = np.repeat(np.arange(sizes.size), sizes)
+        self.group_of = group_of
+
+    def select(self, keep: np.ndarray) -> "GroupPass":
+        """The groups marked in ``keep``, their rows compacted, sums reused."""
+        rows = np.repeat(keep, self.sizes)
+        column_sums = None if self.column_sums is None else self.column_sums[keep]
+        return GroupPass(self.prior_rows[rows], self.sizes[keep], self.counts[keep], column_sums)
+
+    def weight_spread(self) -> np.ndarray:
+        """Each group's Omega weight spread ``max_i w_i / min_i w_i``.
+
+        ``w_i = n_i / C_i`` over the values the group holds (``C_i`` the
+        column sum).  When the values some member's prior allows are exactly
+        the values the group holds, every member's Omega posterior is ``q =
+        p * w / (p . w)``, so its ratios ``q_i / p_i`` lie within a factor
+        ``spread`` of each other.  A group with an absent value some prior
+        allows, or a held value no prior allows, gets ``inf``.  Assumes
+        nonnegative priors.
+        """
+        present = self.counts > 0.0
+        live = self.column_sums > 0.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            weights = self.counts / np.where(live, self.column_sums, 1.0)
+            spread = weights.max(axis=1) / np.where(present, weights, np.inf).min(axis=1)
+        return np.where((present == live).all(axis=1), spread, np.inf)
+
+    def tiles(self):
+        """``(start, stop, prior_rows, posterior_rows)`` tiles; see :func:`posterior_tiles`."""
+        prior_rows, sizes, counts = self.prior_rows, self.sizes, self.counts
+        n_rows = prior_rows.shape[0]
+        if self.column_sums is None:
+            posterior = np.empty_like(prior_rows)
+            for start, size, group_counts in zip(self.offsets, sizes, counts.astype(np.int64)):
+                stop = start + size
+                posterior[start:stop] = exact_posterior(prior_rows[start:stop], group_counts)
+            for start in range(0, n_rows, TILE_ROWS):
+                stop = min(start + TILE_ROWS, n_rows)
+                yield start, stop, prior_rows[start:stop], posterior[start:stop]
+            return
+
+        column_sums = self.column_sums
+        zero_columns = (counts > 0.0) & (column_sums <= 0.0)
+        any_zero_column = bool(zero_columns.any())
+        safe_sums = np.where(column_sums > 0.0, column_sums, 1.0)
+        float_sizes = sizes.astype(np.float64)
+        uniform = 1.0 / float_sizes
+        for start in range(0, n_rows, TILE_ROWS):
+            stop = min(start + TILE_ROWS, n_rows)
+            rows = prior_rows[start:stop]
+            group = self.group_of[start:stop]
+            # One buffer, in place.  Shares need no mask with nonnegative priors:
+            # an absent value meets ``* 0`` below, and a zero column is all-zero
+            # rows divided by 1, overwritten by the uniform fallback.
+            posterior = rows / np.take(safe_sums, group, axis=0)
+            if any_zero_column:
+                # Nobody's prior allows a present value: each member takes 1/k of it.
+                np.copyto(posterior, uniform[group][:, None], where=zero_columns[group])
+            posterior *= np.take(counts, group, axis=0)
+            row_sums = posterior.sum(axis=1)
+            good = row_sums > 0.0
+            posterior /= np.where(good, row_sums, 1.0)[:, None]
+            if not good.all():
+                # The prior excludes every present value: fall back to n_i / k.
+                bad = ~good
+                posterior[bad] = counts[group[bad]] / float_sizes[group[bad], None]
+            yield start, stop, rows, posterior
+
+
+def group_pass(
+    prior_matrix: np.ndarray,
+    sensitive_codes: np.ndarray,
+    members: np.ndarray,
+    offsets: np.ndarray,
+    *,
+    method: str = "omega",
+) -> GroupPass:
+    """The group pass of :func:`posterior_tiles` (same parameters), validated."""
+    prior_matrix = np.asarray(prior_matrix, dtype=np.float64)
+    sensitive_codes = np.asarray(sensitive_codes, dtype=np.int64)
+    members = np.asarray(members, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if prior_matrix.ndim != 2 or prior_matrix.shape[0] != sensitive_codes.shape[0]:
+        raise InferenceError("prior matrix and sensitive codes must cover the same tuples")
+    if method not in {"omega", "exact"}:
+        raise InferenceError(f"unknown inference method {method!r}; use 'omega' or 'exact'")
+    n_rows = members.size
+    m = prior_matrix.shape[1]
+    if offsets.size == 0:
+        if n_rows:
+            raise InferenceError("group offsets must be strictly increasing and start at 0")
+        empty = np.empty((0, m), dtype=np.float64)
+        return GroupPass(empty, np.empty(0, dtype=np.int64), empty, empty)
+    if offsets[0] != 0 or np.any(np.diff(offsets) <= 0) or offsets[-1] >= n_rows:
+        raise InferenceError("group offsets must be strictly increasing and start at 0")
+    code_rows = sensitive_codes[members]
+    if code_rows.min() < 0 or code_rows.max() >= m:
+        raise InferenceError("sensitive code out of range")
+    sizes = np.diff(np.append(offsets, n_rows))
+    group_of = np.repeat(np.arange(offsets.size), sizes)
+    counts = np.bincount(group_of * m + code_rows, minlength=offsets.size * m)
+    counts = counts.reshape(offsets.size, m).astype(np.float64)
+    # np.take: the same gather as fancy indexing, a good deal faster.
+    prior_rows = np.take(prior_matrix, members, axis=0)
+    column_sums = np.add.reduceat(prior_rows, offsets, axis=0) if method == "omega" else None
+    return GroupPass(prior_rows, sizes, counts, column_sums, group_of)
+
+
 def posterior_tiles(
     prior_matrix: np.ndarray,
     sensitive_codes: np.ndarray,
@@ -128,76 +254,19 @@ def posterior_tiles(
         ``"omega"`` or ``"exact"``.
 
     Yields ``(start, stop, prior_rows, posterior_rows)`` for consecutive
-    tiles of at most :data:`TILE_ROWS` member rows.  One group pass first
-    takes every group's sensitive counts and prior column sums (a sequential
-    ``np.add.reduceat``); each tile then forms its rows' Omega posteriors
+    tiles of at most :data:`TILE_ROWS` member rows.  One group pass
+    (:func:`group_pass`) first takes every group's sensitive counts and
+    prior column sums; each tile then forms its rows' Omega posteriors
     (Equation 5, with :func:`omega_posterior`'s two degenerate fallbacks), so
     a group may span tiles and every row's posterior is bitwise the same
-    whatever the tiling.  ``method="exact"`` runs the count DP per group and
-    yields the result in the same tiles.
+    whatever the tiling - or whichever other groups share the pass, which is
+    what lets a caller drop groups after the pass (:meth:`GroupPass.select`)
+    and tile only the rest.  ``method="exact"`` runs the count DP per group
+    and yields the result in the same tiles.
     """
-    prior_matrix = np.asarray(prior_matrix, dtype=np.float64)
-    sensitive_codes = np.asarray(sensitive_codes, dtype=np.int64)
-    members = np.asarray(members, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if prior_matrix.ndim != 2 or prior_matrix.shape[0] != sensitive_codes.shape[0]:
-        raise InferenceError("prior matrix and sensitive codes must cover the same tuples")
-    if method not in {"omega", "exact"}:
-        raise InferenceError(f"unknown inference method {method!r}; use 'omega' or 'exact'")
-    n_rows = members.size
-    if offsets.size == 0:
-        if n_rows:
-            raise InferenceError("group offsets must be strictly increasing and start at 0")
-        return
-    if offsets[0] != 0 or np.any(np.diff(offsets) <= 0) or offsets[-1] >= n_rows:
-        raise InferenceError("group offsets must be strictly increasing and start at 0")
-    m = prior_matrix.shape[1]
-    code_rows = sensitive_codes[members]
-    if code_rows.min() < 0 or code_rows.max() >= m:
-        raise InferenceError("sensitive code out of range")
-    sizes = np.diff(np.append(offsets, n_rows))
-    group_of = np.repeat(np.arange(offsets.size), sizes)
-    counts = np.bincount(group_of * m + code_rows, minlength=offsets.size * m)
-    counts = counts.reshape(offsets.size, m).astype(np.float64)
-    # np.take: the same gather as fancy indexing, a good deal faster.
-    prior_rows = np.take(prior_matrix, members, axis=0)
-
-    if method == "exact":
-        posterior = np.empty_like(prior_rows)
-        for start, size, group_counts in zip(offsets, sizes, counts.astype(np.int64)):
-            stop = start + size
-            posterior[start:stop] = exact_posterior(prior_rows[start:stop], group_counts)
-        for start in range(0, n_rows, TILE_ROWS):
-            stop = min(start + TILE_ROWS, n_rows)
-            yield start, stop, prior_rows[start:stop], posterior[start:stop]
-        return
-
-    column_sums = np.add.reduceat(prior_rows, offsets, axis=0)
-    zero_columns = (counts > 0.0) & (column_sums <= 0.0)
-    any_zero_column = bool(zero_columns.any())
-    safe_sums = np.where(column_sums > 0.0, column_sums, 1.0)
-    float_sizes = sizes.astype(np.float64)
-    uniform = 1.0 / float_sizes
-    for start in range(0, n_rows, TILE_ROWS):
-        stop = min(start + TILE_ROWS, n_rows)
-        rows = prior_rows[start:stop]
-        group = group_of[start:stop]
-        # One buffer, in place.  Shares need no mask with nonnegative priors:
-        # an absent value meets ``* 0`` below, and a zero column is all-zero
-        # rows divided by 1, overwritten by the uniform fallback.
-        posterior = rows / np.take(safe_sums, group, axis=0)
-        if any_zero_column:
-            # Nobody's prior allows a present value: each member takes 1/k of it.
-            np.copyto(posterior, uniform[group][:, None], where=zero_columns[group])
-        posterior *= np.take(counts, group, axis=0)
-        row_sums = posterior.sum(axis=1)
-        good = row_sums > 0.0
-        posterior /= np.where(good, row_sums, 1.0)[:, None]
-        if not good.all():
-            # The prior excludes every present value: fall back to n_i / k.
-            bad = ~good
-            posterior[bad] = counts[group[bad]] / float_sizes[group[bad], None]
-        yield start, stop, rows, posterior
+    yield from group_pass(
+        prior_matrix, sensitive_codes, members, offsets, method=method
+    ).tiles()
 
 
 def grouped_posterior(

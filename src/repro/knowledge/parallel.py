@@ -123,17 +123,25 @@ def run_tasks(tasks: Sequence[Callable[[], object]], jobs: int) -> list[object]:
 
     The serial branch calls each thunk inline - exactly the pre-pool loop -
     so ``jobs=1`` keeps the bit-identical reference path.  The parallel
-    branch submits everything to the shared pool, waits for every task to
-    settle and gathers results in submission order; the first raised
+    branch hands the shared pool at most ``2 * jobs`` tasks - consecutive
+    thunks share a task and run in order, so a contraction cut into
+    thousands of small tiles does not flood the pool - waits for every task
+    to settle and gathers results in submission order; the first raised
     exception (in submission order) then propagates, so no sibling is still
     running when the caller sees it.
     """
     if jobs <= 1 or len(tasks) <= 1:
         return [task() for task in tasks]
     pool = shared_pool(jobs)
-    futures = [pool.submit(task) for task in tasks]
+    count = min(len(tasks), 2 * jobs)
+    bounds = [len(tasks) * index // count for index in range(count + 1)]
+
+    def batch(start: int, stop: int) -> list[object]:
+        return [task() for task in tasks[start:stop]]
+
+    futures = [pool.submit(batch, start, stop) for start, stop in zip(bounds, bounds[1:])]
     wait(futures)
-    return [future.result() for future in futures]
+    return [result for future in futures for result in future.result()]
 
 
 __all__ = [

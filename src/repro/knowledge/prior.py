@@ -68,22 +68,33 @@ class PriorBeliefs:
         The sensitive domain ``D[S]`` in code order (length ``m``).
     description:
         Human-readable description of the adversary (e.g. ``"kernel b=0.3"``).
+
+    Validation also records ``nonnegative`` (no entry below zero, not even
+    within the ``-1e-12`` tolerance) and ``row_total_range``, the lowest
+    and highest row sum: the whole-group screen of the risk kernel
+    (:func:`~repro.privacy.disclosure.member_risks`) needs both.
     """
 
     matrix: np.ndarray
     sensitive_values: tuple = field(default_factory=tuple)
     description: str = ""
+    nonnegative: bool = field(init=False, repr=False, compare=False)
+    row_total_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise KnowledgeError("prior belief matrix must be 2-dimensional")
-        if np.any(matrix < -1e-12):
+        smallest = float(matrix.min(initial=0.0))
+        if smallest < -1e-12:
             raise KnowledgeError("prior belief matrix must be non-negative")
         row_sums = matrix.sum(axis=1)
         if not np.allclose(row_sums, 1.0, atol=1e-8):
             raise KnowledgeError("every prior belief row must sum to 1")
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "nonnegative", smallest >= 0.0)
+        totals = (float(row_sums.min(initial=1.0)), float(row_sums.max(initial=1.0)))
+        object.__setattr__(self, "row_total_range", totals)
 
     @property
     def n_rows(self) -> int:

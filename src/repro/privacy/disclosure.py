@@ -24,15 +24,21 @@ import numpy as np
 
 from repro.data.table import MicrodataTable
 from repro.exceptions import PrivacyModelError
-from repro.inference.omega import layout_groups, posterior_tiles
+from repro.inference.omega import group_pass, layout_groups
 from repro.knowledge.backend import EstimatorConfig
 from repro.knowledge.prior import PriorBeliefs, kernel_prior
 from repro.obs.tracing import current_tracer
 from repro.privacy.measures import DistanceMeasure, sensitive_distance_measure
 
 
+#: How far below ``t`` a whole-group bound must stay to screen its group.
+#: The bound and the exact risk are each computed to within a few 1e-15;
+#: this margin (with the verdicts' own ``1e-12`` slack) covers both.
+GROUP_SCREEN_MARGIN = 1e-12
+
+
 def member_risks(
-    prior_matrix: np.ndarray,
+    priors: PriorBeliefs | np.ndarray,
     sensitive_codes: np.ndarray,
     members: np.ndarray,
     offsets: np.ndarray,
@@ -45,38 +51,65 @@ def member_risks(
 
     ``members`` holds the table rows of every group back to back and
     ``offsets`` each group's start (see
-    :func:`~repro.inference.omega.posterior_tiles`).  One group pass takes
-    every group's sensitive counts and prior column sums; the rows are then
-    walked in fixed tiles of :data:`~repro.inference.omega.TILE_ROWS`, each
-    forming its posteriors and calling ``measure.rowwise`` into one output
-    vector, so the working set stays bounded and every row goes through the
-    same operations whatever the tiling.  Every group-risk check - the
-    (B,t) model's Mondrian checks, full and incremental skyline audits,
+    :func:`~repro.inference.omega.posterior_tiles`).  One group pass
+    (:func:`~repro.inference.omega.group_pass`) takes every group's
+    sensitive counts and prior column sums; the rows are then walked in
+    fixed tiles of :data:`~repro.inference.omega.TILE_ROWS`, each forming
+    its posteriors and calling ``measure.rowwise`` into one output vector,
+    so the working set stays bounded and every row goes through the same
+    operations whatever the tiling.  Every group-risk check - the (B,t)
+    model's Mondrian checks, full and incremental skyline audits,
     single-adversary attacks - runs through here.
 
-    With ``screen=t`` each tile calls ``measure.rowwise_screened`` instead:
+    With ``screen=t`` the result only has to decide ``max <= t`` verdicts:
     a value above ``t`` is still bitwise the exact risk, a value at or below
-    it only bounds the exact risk (within ``1e-12``).  That is all a
-    ``max <= t`` verdict needs; reported risks never pass a screen.  The
-    ``privacy.risks`` span records ``exact_rows``, the rows that got the
-    exact measure.
+    it only bounds the exact risk (within ``1e-12``); reported risks never
+    pass a screen.  First, for Omega inference on :class:`PriorBeliefs` with
+    no negative entry, whole groups are decided from the group pass alone:
+    a group whose ``measure.group_bound`` (the chord bound of JS and
+    smoothed JS over the group's Omega weight spread) is at most ``t -``
+    :data:`GROUP_SCREEN_MARGIN` is never tiled, and its rows get the bound.
+    The other groups are compacted (their column sums reused) and tiled,
+    each tile calling ``measure.rowwise_screened``.  The ``privacy.risks``
+    span records ``screened_rows`` (rows of groups decided by their bound),
+    ``exact_rows`` (rows that got the exact measure) and ``tiles``.
     """
+    matrix = priors.matrix if isinstance(priors, PriorBeliefs) else priors
     risks = np.empty(np.shape(members)[0], dtype=np.float64)
     with current_tracer().span("privacy.risks", rows=int(risks.size)) as span:
-        tiles = exact_rows = 0
-        for start, stop, prior_rows, posterior_rows in posterior_tiles(
-            prior_matrix, sensitive_codes, members, offsets, method=method
+        groups = group_pass(matrix, sensitive_codes, members, offsets, method=method)
+        bound = None
+        if (
+            screen is not None
+            and method == "omega"
+            and isinstance(priors, PriorBeliefs)
+            and priors.nonnegative
         ):
+            bound = measure.group_bound(groups.weight_spread(), priors.row_total_range)
+        tiled = risks
+        if bound is not None:
+            screened = bound <= screen - GROUP_SCREEN_MARGIN
+            if screened.any():
+                rows = np.repeat(screened, groups.sizes)
+                risks[rows] = np.repeat(bound[screened], groups.sizes[screened])
+                groups = groups.select(~screened)
+                tiled = np.empty(groups.prior_rows.shape[0], dtype=np.float64)
+        tiles = exact_rows = 0
+        for start, stop, prior_rows, posterior_rows in groups.tiles():
             if screen is None:
-                risks[start:stop] = measure.rowwise(prior_rows, posterior_rows)
+                tiled[start:stop] = measure.rowwise(prior_rows, posterior_rows)
                 exact_rows += stop - start
             else:
-                risks[start:stop], exact = measure.rowwise_screened(
+                tiled[start:stop], exact = measure.rowwise_screened(
                     prior_rows, posterior_rows, screen
                 )
                 exact_rows += int(np.count_nonzero(exact))
             tiles += 1
-        span.annotate(tiles=tiles, exact_rows=exact_rows)
+        if tiled is not risks:
+            risks[~rows] = tiled
+        span.annotate(
+            tiles=tiles, exact_rows=exact_rows, screened_rows=risks.size - tiled.size
+        )
     return risks
 
 

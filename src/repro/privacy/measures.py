@@ -235,6 +235,24 @@ class DistanceMeasure:
         values = self.rowwise(p, q)
         return values, np.ones(values.shape[0], dtype=bool)
 
+    def group_bound(
+        self, spread: np.ndarray, row_totals: tuple[float, float]
+    ) -> np.ndarray | None:
+        """An upper bound on every member row's distance, per group, or ``None``.
+
+        ``spread`` holds each group's Omega weight spread
+        (:meth:`~repro.inference.omega.GroupPass.weight_spread`): every
+        member's posterior is ``q = p * w / (p . w)`` with ``max w / min w
+        = spread``, so its ratios ``q_i / p_i`` lie in ``[1 / (spread P),
+        spread / P]`` for a prior row summing to ``P``, and ``sum_i p_i q_i
+        / p_i = 1``.  ``row_totals`` is the ``(lowest, highest)`` prior row
+        total.  The bound is exact math; the caller leaves a floating-point
+        margin.  ``inf`` spreads give ``nan`` or ``inf`` bounds, which no
+        threshold accepts.  The base class has no bound; JS and smoothed JS
+        bound the measure by a chord (:func:`_js_chord_bound`).
+        """
+        return None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -252,6 +270,40 @@ def _rowwise_js(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         term_p = np.where((p > 0.0) & (average > 0.0), p * np.log(p / average), 0.0)
         term_q = np.where((q > 0.0) & (average > 0.0), q * np.log(q / average), 0.0)
     return (0.5 * term_p.sum(axis=1) + 0.5 * term_q.sum(axis=1)) / _LOG2
+
+
+def _js_generator(r: np.ndarray) -> np.ndarray:
+    """``f(r) = (1 + r) ln 2 + r ln r - (1 + r) ln(1 + r)``: JS in nats is ``1/2 E_p[f(q / p)]``.
+
+    Per coordinate ``p ln(2p / (p + q)) + q ln(2q / (p + q)) = p f(q / p)``.
+    ``f`` is convex (``f''(r) = 1 / (r (1 + r))``) with ``f(1) = 0``;
+    written with ``log1p`` so the cancellation near ``r = 1`` stays small.
+    """
+    return r * np.log1p(r - 1.0) - (1.0 + r) * np.log1p(0.5 * (r - 1.0))
+
+
+def _js_chord_bound(spread: np.ndarray, totals: tuple[float, ...] = (1.0,)) -> np.ndarray:
+    """Largest JS (bits) of a row pair whose ratios ``q_i / p_i`` span at most ``spread``.
+
+    With ``L = 1 / spread`` and ``H = spread``, a prior row ``p`` summing to
+    ``P`` and a posterior ``q`` summing to 1 with every ``r_i = q_i / p_i``
+    in ``[L / P, H / P]``: ``f`` is convex, so it lies below its chord on
+    that interval, and the chord's ``p``-weighted mean is fixed by ``sum p =
+    P`` and ``sum p r = 1``.  So ``sum_i p_i f(r_i) <= P (lam f(L / P) + (1 -
+    lam) f(H / P))`` with ``lam = (H - 1) / (H - L)``.  That is convex in
+    ``P`` (a perspective), so the largest of the given ``totals`` - the ends
+    of their range - bounds every row in between.
+    """
+    high = np.asarray(spread, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        low = 1.0 / high
+        # The chord's weight on the low end: lam * L + (1 - lam) * H = 1.
+        lam = np.where(high > low, (high - 1.0) / (high - low), 1.0)
+        chords = [
+            total * (lam * _js_generator(low / total) + (1.0 - lam) * _js_generator(high / total))
+            for total in totals
+        ]
+    return 0.5 * np.max(chords, axis=0) / _LOG2
 
 
 def _row_totals(matrix: np.ndarray) -> np.ndarray:
@@ -353,6 +405,11 @@ class JSDivergence(DistanceMeasure):
         self, p: np.ndarray, q: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray]:
         return _screened_rowwise_js(p, q, t)
+
+    def group_bound(
+        self, spread: np.ndarray, row_totals: tuple[float, float]
+    ) -> np.ndarray | None:
+        return _js_chord_bound(spread, row_totals)
 
 
 @dataclass
@@ -512,6 +569,21 @@ class SmoothedJSDivergence(DistanceMeasure):
         self, p: np.ndarray, q: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray]:
         return _screened_rowwise_js(*self._weighted_rows(p, q), t, renormalise=True)
+
+    def group_bound(
+        self, spread: np.ndarray, row_totals: tuple[float, float]
+    ) -> np.ndarray | None:
+        """The chord bound on the renormalised rows, whatever the row totals.
+
+        Renormalising ``p`` and ``q`` scales a row's ratios by ``P``, back
+        into ``[1 / spread, spread]``.  Active smoothing needs no wider
+        interval: ``(W q)_i / (W p)_i`` is a ``W p``-weighted mean of the
+        row's ratios ``r_k``, the renormalisation divides it by another mean
+        of them, and two means of ratios whose largest is at most ``spread``
+        times their smallest (they share the row's ``p . w``) stay within
+        that factor of each other.
+        """
+        return _js_chord_bound(spread)
 
 
 def sensitive_distance_measure(table, *, bandwidth: float = 0.5, kernel: str = "epanechnikov"):

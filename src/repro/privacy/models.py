@@ -510,7 +510,7 @@ class BTPrivacy(PrivacyModel):
         members = np.concatenate([indices for _, indices, _ in pending])
         offsets = np.cumsum([0] + [indices.size for _, indices, _ in pending[:-1]], dtype=np.int64)
         distances = member_risks(
-            self._priors.matrix, self._sensitive_codes, members, offsets, self.measure,
+            self._priors, self._sensitive_codes, members, offsets, self.measure,
             method=self.inference, screen=screen,
         )
         group_max = np.maximum.reduceat(distances, offsets)
@@ -536,9 +536,13 @@ class BTPrivacy(PrivacyModel):
     def is_satisfied_batch(self, groups: Sequence[np.ndarray]) -> list[bool]:
         """The verdict ``max risk <= t`` of every group, on screened risks.
 
-        Only rows whose log-free bound exceeds ``t`` get the exact measure
-        (:meth:`~repro.privacy.measures.DistanceMeasure.rowwise_screened`);
-        the verdicts are exactly those of :meth:`group_risks`.
+        A group whose whole-group bound on the measure
+        (:meth:`~repro.privacy.measures.DistanceMeasure.group_bound`, from
+        its Omega weights) stays below ``t`` is decided without forming a
+        posterior; in the other groups only rows whose log-free bound
+        exceeds ``t`` get the exact measure
+        (:meth:`~repro.privacy.measures.DistanceMeasure.rowwise_screened`).
+        The verdicts are exactly those of :meth:`group_risks`.
         """
         maxima = self._group_maxima(groups, screen=self.t)
         return [bool(risk <= self.t + 1e-12) for risk in maxima]

@@ -92,6 +92,12 @@ class VersionCache:
             self.hits += 1
             return entry[0]
 
+    def peek(self, key: tuple) -> "StreamVersion | None":
+        """The cached version under ``key`` or None, counting nothing."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return None if entry is None else entry[0]
+
     def put(self, key: tuple, version: "StreamVersion", nbytes: int) -> None:
         """Park a decoded version, evicting LRU entries past the byte budget."""
         with self._lock:
@@ -280,6 +286,8 @@ class ReleaseStore:
         self._schema = schema
         self._owns_lock = False
         self._cache = version_cache if version_cache is not None else VersionCache()
+        # Archive decodes run one at a time (see _resolve).
+        self._decode_lock = threading.Lock()
         self.state: dict[str, Any] | None = None
         if self._path is not None:
             self._path.mkdir(parents=True, exist_ok=True)
@@ -520,8 +528,14 @@ class ReleaseStore:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        version, nbytes = self._load_version(self._payloads[position])
-        self._cache.put(key, version, nbytes)
+        # One decode at a time: numpy parses every .npy header with the ast
+        # module, which CPython 3.11 does not make thread-safe, and a reader
+        # that waited here finds the version the one before it decoded.
+        with self._decode_lock:
+            version = self._cache.peek(key)
+            if version is None:
+                version, nbytes = self._load_version(self._payloads[position])
+                self._cache.put(key, version, nbytes)
         return version
 
     def _load_version(self, payload: dict[str, Any]) -> tuple[StreamVersion, int]:

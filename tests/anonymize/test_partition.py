@@ -77,6 +77,35 @@ def test_release_rejects_empty_partition(patients):
         AnonymizedRelease(patients, [])
 
 
+def test_release_sorts_unsorted_groups_and_owns_its_indices(patients):
+    groups = [np.array([2, 0, 1]), np.array([], dtype=int), [3, 4, 5], np.array([8, 6, 7])]
+    release = AnonymizedRelease(patients, groups)
+    assert [group.tolist() for group in release.groups] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert all(group.dtype == np.int64 for group in release.groups)
+    # The caller's arrays are neither reordered nor shared.
+    assert groups[0].tolist() == [2, 0, 1] and groups[3].tolist() == [8, 6, 7]
+    assert not any(np.shares_memory(group, given) for group in release.groups for given in groups[::3])
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        ([np.array([0, 1, 2, 3, 4, 5, 6, 7, -1]), np.array([8])], "group index out of range"),
+        ([np.arange(8), np.array([9, 8])], "group index out of range"),
+        (
+            [np.array([2, 1, 0]), np.array([3, 4, 5, 6, 7, 8, 2])],
+            "groups overlap: a tuple appears in more than one group",
+        ),
+        ([np.array([5, 0, 1]), np.array([2, 3])], "4 tuples are not covered by any group"),
+        ([np.array([], dtype=int), []], "a release requires at least one non-empty group"),
+    ],
+)
+def test_release_faults_keep_their_messages(patients, groups, message):
+    with pytest.raises(AnonymizationError) as raised:
+        AnonymizedRelease(patients, groups)
+    assert str(raised.value) == message
+
+
 def test_generalized_rows_cover_all_tuples(patients, release):
     rows = release.generalized_rows()
     assert len(rows) == patients.n_rows

@@ -333,3 +333,64 @@ def test_forked_worker_gets_a_fresh_shared_pool():
     assert squares == [value * value for value in range(8)]
     reference = _priors(_dense_table(), [Bandwidth.uniform(["A", "B", "C"], 0.3)], jobs=1)
     _assert_bitwise(priors, reference)
+
+
+def test_small_budget_hands_the_pool_a_bounded_number_of_tasks(monkeypatch):
+    """``max_cells=100`` cuts contractions into many tiles; at ``jobs=4`` the
+    pool still gets at most 8 submissions per dispatch, and the lifecycle's
+    priors stay bitwise equal to ``jobs=1``."""
+    import repro.knowledge.parallel as parallel
+    from repro.data.adult import generate_adult
+
+    pool = parallel.shared_pool(JOBS)
+    submissions, thunks = [], []
+    run_tasks_of = parallel.run_tasks
+
+    class CountingPool:
+        def submit(self, *args):
+            submissions[-1] += 1
+            return pool.submit(*args)
+
+    def counting_pool(jobs):
+        submissions.append(0)
+        return CountingPool()
+
+    def recording_run_tasks(tasks, jobs):
+        thunks.append(len(tasks))
+        return run_tasks_of(tasks, jobs)
+
+    monkeypatch.setattr(parallel, "shared_pool", counting_pool)
+    monkeypatch.setattr("repro.knowledge.backend.run_tasks", recording_run_tasks)
+    full = generate_adult(200, seed=5)
+    table = full.select(np.arange(160))
+    rng = np.random.default_rng(3)
+    estimators = {
+        jobs: BatchedKernelPriorEstimator(
+            EstimatorConfig(max_cells=100, jobs=jobs), incremental=True
+        ).fit(table)
+        for jobs in (1, JOBS)
+    }
+    removed = np.sort(rng.choice(200, size=20, replace=False))
+    kept = full.select(np.setdiff1d(np.arange(200), removed))
+    positions = np.sort(rng.choice(kept.n_rows, size=15, replace=False))
+    steps = [
+        lambda e: None,
+        lambda e: e.append_rows(full),
+        lambda e: e.remove_rows(kept, removed),
+        lambda e: e.update_rows(
+            _replace(kept, positions, rng.integers(0, kept.n_rows, 15)), positions
+        ),
+    ]
+    for step in steps:
+        state = rng.bit_generator.state
+        outcomes = []
+        for estimator in estimators.values():
+            rng.bit_generator.state = state  # both estimators see the same update
+            outcomes.append(step(estimator))
+        assert outcomes[0] == outcomes[1]
+        _assert_bitwise(
+            [p.matrix for p in estimators[JOBS].prior_for_table(BANDWIDTHS)],
+            [p.matrix for p in estimators[1].prior_for_table(BANDWIDTHS)],
+        )
+    assert max(thunks) > 2 * JOBS  # tiny tiles: far more thunks than threads
+    assert submissions and max(submissions) <= 2 * JOBS

@@ -3,8 +3,10 @@
 Every frontier round opens one ``mondrian.round`` span recording the
 round's ``entries``, ``rows``, ``proposals`` and ``rejected`` splits; every
 risk-kernel call opens a ``privacy.risks`` span recording its member
-``rows``, row ``tiles`` and ``exact_rows`` (the rows that got the exact
-measure: all of them in audits, few in screened Mondrian verdicts).  In a
+``rows``, ``screened_rows`` (rows of groups a screened verdict decided from
+the group's bound alone, never tiled), row ``tiles`` and ``exact_rows``
+(the rows that got the exact measure: all of them in audits, few in
+screened Mondrian verdicts).  In a
 traced pipeline the rounds nest under ``anonymize`` and the (B,t) checks'
 kernel spans under their round; in a skyline audit each
 ``engine.adversary`` holds its own kernel span.
@@ -89,8 +91,11 @@ def test_round_and_kernel_attributes_count_the_work(monkeypatch):
     kernels = [span for span in root.walk() if span.name == "privacy.risks"]
     assert kernels
     for span in kernels:
-        assert span.attributes["tiles"] == -(-span.attributes["rows"] // 64)
-        assert 0 <= span.attributes["exact_rows"] <= span.attributes["rows"]
+        # Rows of groups decided by their whole-group bound are never tiled.
+        tiled = span.attributes["rows"] - span.attributes["screened_rows"]
+        assert 0 <= tiled <= span.attributes["rows"]
+        assert span.attributes["tiles"] == -(-tiled // 64)
+        assert 0 <= span.attributes["exact_rows"] <= tiled
     assert max(span.attributes["tiles"] for span in kernels) > 1
     # Verdicts are screened: only rows that could breach t get exact JS.
     exact_rows = sum(span.attributes["exact_rows"] for span in kernels)

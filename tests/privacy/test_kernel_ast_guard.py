@@ -5,7 +5,8 @@ stream's bitwise tick contract and the (B,t) risk memo both rest on it.  A
 BLAS product (``@``, ``np.dot``, ``np.matmul``, ``np.einsum``) picks its
 summation order by the operands' shape, so a 1-row call and the same row in
 a 4,096-row tile can differ in the last bits.  This test parses the kernel
-modules and fails if any per-row kernel function contains one;
+modules and fails if any per-row kernel function - or the whole-group
+bound, whose value a screened group's rows take - contains one;
 ``tests/privacy/test_risk_kernel.py`` checks the same property at run time.
 """
 
@@ -25,12 +26,14 @@ KERNEL_FUNCTIONS = {
         "_topsoe_bound",
         "_screened_rowwise_js",
         "_smoothed_rows",
+        "_js_generator",
+        "_js_chord_bound",
     ),
     disclosure: ("member_risks",),
 }
 
 #: Methods that are per-row kernels in every distance-measure class.
-KERNEL_METHODS = ("rowwise", "rowwise_screened", "_weighted_rows")
+KERNEL_METHODS = ("rowwise", "rowwise_screened", "_weighted_rows", "group_bound")
 
 BLAS_CALLS = {"dot", "matmul", "einsum"}
 

@@ -231,9 +231,8 @@ def test_readers_always_find_a_demoted_version(tmp_path):
                 position = int(rng.integers(len(store)))
                 if json.dumps(store.summary(position), sort_keys=True) != expected[position]:
                     errors.append(f"summary {position}")
-                # One reader decodes: numpy parses .npy headers with the ast
-                # module, which CPython 3.11 does not make thread-safe.
-                if seed == 0 and store[position].n_rows != versions[position].n_rows:
+                # Every reader decodes: the store runs one decode at a time.
+                if store[position].n_rows != versions[position].n_rows:
                     errors.append(f"version {position}")
         except Exception as error:  # a reader that saw neither object nor payload
             errors.append(repr(error))
@@ -254,4 +253,43 @@ def test_readers_always_find_a_demoted_version(tmp_path):
     assert not any(reader.is_alive() for reader in readers)
     assert errors == []
     assert sum(version is not None for version in store._versions) == 1
+    store.close()
+
+
+def test_concurrent_readers_of_a_demoted_version_decode_it_once(tmp_path, monkeypatch):
+    """Readers that miss the cache together wait for one decode and share it."""
+    publisher, full = _publisher()
+    template = [publisher.publish(), _append(publisher, full, 0)]
+    store = ReleaseStore(path=tmp_path / "store", schema=adult_schema())
+    store.add(template[0])
+    store.add(dataclasses.replace(template[1], version=1))
+    assert store._versions[0] is None
+    loads = []
+    started = threading.Barrier(4)
+    decode = ReleaseStore._load_version
+
+    def counted(self, payload):
+        loads.append(int(payload["version"]))
+        return decode(self, payload)
+
+    monkeypatch.setattr(ReleaseStore, "_load_version", counted)
+    results = [None] * 4
+
+    def read(slot):
+        started.wait()
+        results[slot] = store[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    readers = [threading.Thread(target=read, args=(slot,)) for slot in range(4)]
+    try:
+        for reader in readers:
+            reader.start()
+    finally:
+        for reader in readers:
+            reader.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert loads == [0]
+    assert all(result is results[0] for result in results)
+    assert results[0].n_rows == template[0].n_rows
     store.close()
