@@ -157,6 +157,42 @@ _MIN_RETIRED_SLOTS = 16
 _SUPPORT_PASS_PAIRS = 1 << 20
 # The empty row-position set of a row delta that only adds or only removes.
 _NO_ROWS = np.empty(0, dtype=np.int64)
+# Row keys stay below this bound, so ``key * radix + code`` never wraps int64.
+_ROW_KEY_LIMIT = 1 << 62
+# Codes must lie below this, so a re-ranked key (below the row count) times a
+# radix stays under ``_ROW_KEY_LIMIT``.
+_ROW_CODE_LIMIT = 1 << 31
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer code matrix and every row's index into them.
+
+    Bitwise what ``np.unique(rows, axis=0, return_inverse=True)`` returns -
+    the distinct rows in lexicographic order (first column most
+    significant) in ``rows``' dtype, and a flat int64 inverse - without
+    NumPy's sort over a structured row dtype.  The columns fold into one
+    mixed-radix int64 key per row (radix: the column's largest code plus
+    one) and a 1-D ``np.unique`` sorts the keys; codes are non-negative, so
+    key order is row order.  Before a fold could pass ``2**62`` the key so
+    far is re-ranked densely, which keeps its order, so wide schemas take
+    the same path.  Codes must lie in ``[0, 2**31)`` (``ValueError``
+    otherwise).
+    """
+    rows = np.asarray(rows)
+    n_rows = rows.shape[0]
+    if rows.size and (rows.min() < 0 or rows.max() >= _ROW_CODE_LIMIT):
+        raise ValueError(f"row codes must lie in [0, {_ROW_CODE_LIMIT})")
+    key = np.zeros(n_rows, dtype=np.int64)
+    bound = 1  # every key is below ``bound``
+    for column in rows.T:
+        radix = int(column.max()) + 1 if n_rows else 1
+        if bound * radix > _ROW_KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * radix + column
+        bound *= radix
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return rows[first], inverse.reshape(-1)
 
 
 def _is_count(value: object) -> bool:
@@ -504,11 +540,11 @@ class FactoredPriorBackend:
         sizes = [distance_matrices[name].shape[0] for name in qi_names]
         solo: int | None = int(np.argmax(sizes))
         rest = [i for i in range(len(qi_names)) if i != solo]
-        rest_combos, slot_of_row = np.unique(codes[:, rest], axis=0, return_inverse=True)
+        rest_combos, slot_of_row = unique_rows(codes[:, rest])
         solo_cells = sizes[solo] * rest_combos.shape[0] * m
         if solo_cells > MAX_COUNT_CELLS:
             solo_name, solo, rest = qi_names[solo], None, list(range(len(qi_names)))
-            rest_combos, slot_of_row = np.unique(codes, axis=0, return_inverse=True)
+            rest_combos, slot_of_row = unique_rows(codes)
             if rest_combos.shape[0] * m > MAX_COUNT_CELLS:
                 raise KnowledgeError(
                     f"the count tensor would hold {solo_cells} cells with the solo "
@@ -533,7 +569,7 @@ class FactoredPriorBackend:
         self._rest_combos[:n_combos] = rest_combos
         self._blocks = self._build_blocks(rest_combos, [qi_names[i] for i in rest], capacity)
         self._solo_of_row = self._solo_codes(codes)
-        self._slot_of_row = slot_of_row.astype(np.int64)
+        self._slot_of_row = slot_of_row
 
         # M[a, r, s]: tuple counts per (solo code, rest slot, sensitive value).
         solo_size = 1 if solo is None else sizes[solo]
@@ -593,23 +629,20 @@ class FactoredPriorBackend:
         """Permute arrival-ordered rest slots into the one-pass lexicographic layout.
 
         A streamed fit assigns slots in arrival order (first chunk
-        lexicographic, later combinations appended); ``np.unique(...,
-        axis=0)`` over the whole table would have sorted them.  Slot order
-        feeds the contraction's summation order, so bitwise parity with the
-        resident fit requires the same layout: sort the combinations
-        (``np.lexsort`` over the columns, the order ``np.unique`` uses),
-        permute the count storage and per-row slot ids, and re-derive the
-        blocks and query index exactly as :meth:`_fit` would.  All pure
-        permutation and recomputation from identical integer counts - no
-        arithmetic on the counts themselves - hence bitwise.
+        lexicographic, later combinations appended); :func:`unique_rows`
+        over the whole table would have sorted them.  Slot order feeds the
+        contraction's summation order, so bitwise parity with the resident
+        fit requires the same layout: sort the (distinct) combinations with
+        :func:`unique_rows` itself, permute the count storage and per-row
+        slot ids, and re-derive the blocks and query index exactly as
+        :meth:`_fit` would.  All pure permutation and recomputation from
+        identical integer counts - no arithmetic on the counts themselves -
+        hence bitwise.
         """
         n_combos = self._n_combos
         combos = self._rest_combos[:n_combos]
-        # A single-QI solo layout has no rest columns: one slot, nothing to sort.
-        order = np.lexsort(combos.T[::-1]) if combos.shape[1] else np.arange(n_combos)
-        rank = np.empty(n_combos, dtype=np.int64)
-        rank[order] = np.arange(n_combos, dtype=np.int64)
-        canonical = combos[order]
+        canonical, rank = unique_rows(combos)
+        order = np.argsort(rank)
         capacity = self._capacity(n_combos)
         rest_combos = np.zeros((capacity, combos.shape[1]), dtype=combos.dtype)
         rest_combos[:n_combos] = canonical
@@ -672,9 +705,7 @@ class FactoredPriorBackend:
 
         def close(positions: list[int]) -> None:
             ordered = sorted(positions)
-            combos, codes = np.unique(
-                rest_combos[:, ordered], axis=0, return_inverse=True
-            )
+            combos, codes = unique_rows(rest_combos[:, ordered])
             code_of_slot = np.zeros(capacity, dtype=np.int64)
             code_of_slot[: rest_combos.shape[0]] = codes
             blocks.append(
@@ -975,7 +1006,7 @@ class FactoredPriorBackend:
         if not rest_new.shape[0]:
             return np.empty(0, dtype=np.int64)
         stacked = np.concatenate([self._rest_combos[:n_combos], rest_new], axis=0)
-        uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        uniq, inverse = unique_rows(stacked)
         slot_of_uid = np.full(uniq.shape[0], -1, dtype=np.int64)
         slot_of_uid[inverse[:n_combos]] = np.arange(n_combos, dtype=np.int64)
         fresh_uids = np.flatnonzero(slot_of_uid < 0)
@@ -1037,7 +1068,7 @@ class FactoredPriorBackend:
         """Grow one block with a batch of new rest combinations; return new combo count."""
         c_old = block.n_combos
         stacked = np.concatenate([block.combos, sub_combos], axis=0)
-        uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        uniq, inverse = unique_rows(stacked)
         id_of_uid = np.full(uniq.shape[0], -1, dtype=np.int64)
         id_of_uid[inverse[:c_old]] = np.arange(c_old, dtype=np.int64)
         fresh = np.flatnonzero(id_of_uid < 0)
@@ -1125,8 +1156,7 @@ class FactoredPriorBackend:
         else:
             equal_key = np.zeros(c, dtype=np.int64)
             if exact:
-                _, equal_key = np.unique(combos[:, exact], axis=0, return_inverse=True)
-                equal_key = equal_key.reshape(-1).astype(np.int64)
+                _, equal_key = unique_rows(combos[:, exact])
             # (left row, candidate group) lookups for every loose pivot candidate.
             best = None
             for pivot in loose:
@@ -1671,6 +1701,7 @@ class FactoredPriorBackend:
         ``query_codes`` is a ``(q, d)`` integer matrix in the fitted table's
         code space; the queries need not occur in the table (the factored
         path computes rectangular query-vs-data block weights on the fly).
+        A code outside its attribute's domain raises :class:`KnowledgeError`.
         """
         table = self._require_fitted()
         bandwidth = self.resolve_bandwidth(b)
@@ -1681,7 +1712,16 @@ class FactoredPriorBackend:
                 f"query has {n_attributes} attributes but the estimator was fitted on "
                 f"{len(table.quasi_identifier_names)}"
             )
-        unique_codes, inverse = np.unique(query_codes, axis=0, return_inverse=True)
+        sizes = np.asarray([table.domain(name).size for name in table.quasi_identifier_names])
+        outside = (query_codes < 0) | (query_codes >= sizes)
+        if outside.any():
+            row, column = np.argwhere(outside)[0]
+            raise KnowledgeError(
+                f"query code {int(query_codes[row, column])} of "
+                f"{table.quasi_identifier_names[column]!r} is outside its domain "
+                f"of {int(sizes[column])} values"
+            )
+        unique_codes, inverse = unique_rows(query_codes)
         m = table.sensitive_domain().size
         n_combos = self._n_combos
         solo_weights = self._solo_weights(bandwidth)

@@ -50,7 +50,7 @@ import numpy as np
 from repro.data.distance import attribute_distance_matrix
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
-from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
+from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend, unique_rows
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.kernels import get_kernel
 
@@ -217,7 +217,8 @@ class BatchedKernelPriorEstimator:
         ``(q, m)`` row-stochastic prior matrix.  Queries whose kernel weights
         are all zero (possible with compact-support kernels far away from
         any data) fall back to the overall sensitive distribution, the
-        least-informative consistent belief.
+        least-informative consistent belief.  A code outside its
+        attribute's domain raises :class:`KnowledgeError`.
         """
         return self._backend.matrix_for_codes(query_codes, b)
 
@@ -288,7 +289,7 @@ def flat_kernel_prior(
     ]
     data = table.qi_code_matrix().astype(np.int64)
     queries = data if query_codes is None else np.atleast_2d(query_codes).astype(np.int64)
-    queries, inverse = np.unique(queries, axis=0, return_inverse=True)
+    queries, inverse = unique_rows(queries)
     one_hot = np.zeros((table.n_rows, table.sensitive_domain().size))
     one_hot[np.arange(table.n_rows), table.sensitive_codes()] = 1.0
     result = np.empty((queries.shape[0], one_hot.shape[1]))
@@ -340,7 +341,7 @@ def mle_prior(table: MicrodataTable) -> PriorBeliefs:
     codes = table.qi_code_matrix()
     sensitive_codes = table.sensitive_codes()
     m = table.sensitive_domain().size
-    unique_codes, inverse = np.unique(codes, axis=0, return_inverse=True)
+    unique_codes, inverse = unique_rows(codes)
     matrix = np.zeros((unique_codes.shape[0], m), dtype=np.float64)
     np.add.at(matrix, (inverse, sensitive_codes), 1.0)
     matrix /= matrix.sum(axis=1, keepdims=True)

@@ -9,6 +9,9 @@ layouts' sizes.  The contracts:
 
 * priors within ``1e-12`` of :func:`~repro.knowledge.prior.flat_kernel_prior`
   for a scalar and a per-attribute bandwidth;
+* the fitted slot layout (rest combinations and per-row slots) equal to
+  the structured ``np.unique(..., axis=0)`` reference, for the resident and
+  the chunked fit, so an ordering drift fails even where priors agree;
 * ``jobs=1`` and ``jobs=4`` bitwise equal;
 * a chunked fit bitwise equal to the resident fit;
 * ``matrix_for_codes`` on unseen QI combinations within ``1e-12`` of the
@@ -45,6 +48,16 @@ def _count_cells(table: MicrodataTable, solo: bool) -> int:
     pivot = int(np.argmax(sizes))
     rest = np.delete(codes, pivot, axis=1)
     return sizes[pivot] * np.unique(rest, axis=0).shape[0] * m
+
+
+def _assert_reference_layout(backend: FactoredPriorBackend, table: MicrodataTable) -> None:
+    """The fitted slots are the structured ``np.unique`` rows of the rest codes."""
+    rest = table.qi_code_matrix().astype(np.int64)[:, backend._rest_indices]
+    combos, slot_of_row = np.unique(rest, axis=0, return_inverse=True)
+    n_combos = backend._n_combos
+    assert backend._rest_combos[:n_combos].shape == combos.shape
+    assert backend._rest_combos[:n_combos].tobytes() == combos.tobytes()
+    assert backend._slot_of_row.tobytes() == slot_of_row.reshape(-1).tobytes()
 
 
 def _random_case(seed: int, layout: str, monkeypatch):
@@ -96,6 +109,7 @@ def test_backend_matches_the_flat_reference(layout, seed, kernel, monkeypatch):
 
     backend = FactoredPriorBackend(config).fit(table)
     assert (backend.solo is None) == (layout == "no-solo")
+    _assert_reference_layout(backend, table)
     matrices = backend.matrices(bandwidths)
     for b, matrix in zip(bandwidths, matrices):
         reference = flat_kernel_prior(table, b, kernel=kernel)
@@ -109,6 +123,7 @@ def test_backend_matches_the_flat_reference(layout, seed, kernel, monkeypatch):
             assert ours.tobytes() == resident.tobytes()
     chunked = FactoredPriorBackend(config).fit(InMemoryTableSource(table, chunk_rows=7))
     assert chunked.solo == backend.solo
+    _assert_reference_layout(chunked, table)
     for ours, resident in zip(chunked.matrices(bandwidths), matrices):
         assert ours.tobytes() == resident.tobytes()
 

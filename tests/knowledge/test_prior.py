@@ -107,6 +107,18 @@ def test_query_codes_shape_validation(toy_table):
         estimator.prior_for_codes(np.zeros((2, 3), dtype=np.int64), Bandwidth({"Age": 0.3}))
 
 
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_out_of_domain_query_codes_are_refused(toy_table, bad):
+    # -1 used to wrap to the last Age value and 6 (= |D_Age|) to fail in np.take.
+    estimator = BatchedKernelPriorEstimator().fit(toy_table)
+    with pytest.raises(KnowledgeError) as excinfo:
+        estimator.prior_for_codes(np.array([[0], [bad]]), 0.3)
+    message = str(excinfo.value)
+    assert f"query code {bad} " in message
+    assert "'Age'" in message
+    assert "domain of 6 values" in message
+
+
 def test_per_attribute_bandwidth(small_adult):
     """A Bandwidth object with different per-attribute values is accepted."""
     names = small_adult.quasi_identifier_names

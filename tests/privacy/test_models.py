@@ -42,6 +42,16 @@ def test_k_anonymity(simple_table):
         KAnonymity(0)
 
 
+def test_k_anonymity_batch_matches_the_per_group_check(simple_table):
+    model = KAnonymity(3)
+    model.prepare(simple_table)
+    groups = [np.arange(size) for size in (0, 1, 2, 3, 4, 8)]
+    verdicts = model.is_satisfied_batch(groups)
+    assert verdicts == [model.is_satisfied(group) for group in groups]
+    assert all(type(verdict) is bool for verdict in verdicts)
+    assert model.is_satisfied_batch([]) == []
+
+
 def test_distinct_l_diversity(simple_table):
     model = DistinctLDiversity(3)
     model.prepare(simple_table)
