@@ -64,7 +64,6 @@ from repro.knowledge.parallel import parse_jobs
 from repro.serve.errors import ApiError, BadRequest, Conflict, NotFound, TooManyRequests
 from repro.serve.metrics import StreamMetrics
 from repro.stream import IncrementalPublisher
-from repro.stream.store import VersionCache
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 _STOP = object()
@@ -469,6 +468,10 @@ class StreamRegistry:
     ``stream.json`` (failed shards raise, naming the directory - a daemon
     must not silently drop a stream).  ``schema`` defaults to the Adult
     (Table IV) schema the CLI is bound to.
+
+    Each shard's store keeps only its latest version resident; an older one
+    is decoded from its archive on each access.  The version and audit GETs
+    answer from the persisted lineage and decode nothing.
     """
 
     def __init__(
@@ -512,12 +515,6 @@ class StreamRegistry:
         if self._max_queue_batches < 1 or self._max_queued_rows < 1:
             raise BadRequest("the queue bounds must be at least 1")
         self.schema = schema if schema is not None else adult_schema()
-        # One byte-bounded LRU shared by every shard store.  Each store keeps
-        # only its latest version resident; an older one decodes through
-        # this cache only when a caller needs its arrays (the version and
-        # audit GETs answer from the persisted lineage and decode nothing),
-        # so the decoded footprint across all tenants stays bounded.
-        self.version_cache = VersionCache()
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self._coalesce_seconds = float(coalesce_ms) / 1000.0
@@ -651,7 +648,6 @@ class StreamRegistry:
                 compact_drift=resolved["compact_drift"],
                 config=EstimatorConfig(max_cells=resolved["max_cells"], jobs=self.jobs),
                 store_path=shard,
-                version_cache=self.version_cache,
             )
             publisher.publish()
             (shard / CONFIG_FILE).write_text(
@@ -684,7 +680,6 @@ class StreamRegistry:
             schema=self.schema,
             model=build_stream_model(config),
             config=EstimatorConfig(jobs=self.jobs),
-            version_cache=self.version_cache,
         )
         return self._register(name, publisher, config)
 

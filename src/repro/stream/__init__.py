@@ -24,21 +24,13 @@ subcommand (``--delete-frac/--update-frac/--store-dir/--resume``).
 """
 
 from repro.stream.publisher import IncrementalPublisher
-from repro.stream.store import (
-    DEFAULT_VERSION_CACHE_BYTES,
-    ReleaseStore,
-    StreamDelta,
-    StreamVersion,
-    VersionCache,
-)
+from repro.stream.store import ReleaseStore, StreamDelta, StreamVersion
 from repro.stream.tree import PartitionTree
 
 __all__ = [
-    "DEFAULT_VERSION_CACHE_BYTES",
     "IncrementalPublisher",
     "PartitionTree",
     "ReleaseStore",
     "StreamDelta",
     "StreamVersion",
-    "VersionCache",
 ]

@@ -103,7 +103,7 @@ from repro.privacy.measures import (
     sensitive_distance_measure,
 )
 from repro.privacy.models import BTPrivacy, CompositeModel, KAnonymity, PrivacyModel
-from repro.stream.store import ReleaseStore, StreamDelta, StreamVersion, VersionCache
+from repro.stream.store import ReleaseStore, StreamDelta, StreamVersion
 from repro.stream.tree import PartitionTree
 
 #: The mutation kinds :meth:`IncrementalPublisher.publish_coalesced` accepts.
@@ -276,7 +276,6 @@ class IncrementalPublisher:
         compact_drift: float = 0.5,
         measure: DistanceMeasure | None = None,
         store_path: str | Path | None = None,
-        version_cache: VersionCache | None = None,
         tracer: Tracer | None = None,
     ):
         if method not in {"omega", "exact"}:
@@ -314,11 +313,7 @@ class IncrementalPublisher:
         self._estimator = BatchedKernelPriorEstimator(config=self.config, incremental=True)
         self.split_strategy = split_strategy
         self.tracer = tracer if tracer is not None else Tracer()
-        self.store = (
-            ReleaseStore(path=store_path, schema=table.schema, version_cache=version_cache)
-            if store_path is not None
-            else ReleaseStore(version_cache=version_cache)
-        )
+        self.store = ReleaseStore(path=store_path, schema=table.schema)
         self._tree: PartitionTree | None = None
         self._audit_matrices: list[np.ndarray] = []
         self._drift_rows = 0
@@ -419,7 +414,6 @@ class IncrementalPublisher:
         model: PrivacyModel,
         config: EstimatorConfig | None = None,
         measure: DistanceMeasure | None = None,
-        version_cache: VersionCache | None = None,
         tracer: Tracer | None = None,
     ) -> "IncrementalPublisher":
         """Reconstruct a publisher from a disk-backed store and continue the stream.
@@ -436,7 +430,28 @@ class IncrementalPublisher:
         runtime estimation settings (``jobs``); the stored
         ``kernel`` and ``max_cells`` replace its own.
         """
-        store = ReleaseStore(path=path, schema=schema, version_cache=version_cache)
+        store = ReleaseStore(path=path, schema=schema)
+        try:
+            return cls._resume_from(
+                store, model=model, config=config, measure=measure, tracer=tracer
+            )
+        except BaseException:
+            # A refused resume must not keep the directory locked.
+            store.close()
+            raise
+
+    @classmethod
+    def _resume_from(
+        cls,
+        store: ReleaseStore,
+        *,
+        model: PrivacyModel,
+        config: EstimatorConfig | None,
+        measure: DistanceMeasure | None,
+        tracer: Tracer | None,
+    ) -> "IncrementalPublisher":
+        """The body of :meth:`resume` on an opened store (which it may refuse)."""
+        path = store.path
         if not len(store):
             raise StreamError(f"the release store at {path} holds no versions")
         if store.state is None:

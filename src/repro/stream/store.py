@@ -17,9 +17,10 @@ so the large members can be memory-mapped back), and the publisher's restart
 state (the recorded split tree, accumulated compaction drift, configuration)
 lands in ``state.json``.  A disk-backed store keeps only its latest
 version resident (the publisher audits against it); every older version is
-a lazy stub - its persisted lineage line - decoded on first access through
-a byte-bounded :class:`VersionCache` LRU, so a long-running stream's memory
-does not grow with its version count.  Opening a directory that already
+a lazy stub - its persisted lineage line - decoded from its archive on each
+access and never kept, so a long-running stream's memory does not grow with
+its version count.  A reopened store decodes its latest version on first
+access and keeps it resident from then on.  Opening a directory that already
 holds a lineage *loads the lineage only* - pass the table ``schema`` so the
 persisted columns can be decoded - so a store holding hundreds of
 million-row versions opens in milliseconds.  Summary reads (``summary()``,
@@ -35,7 +36,6 @@ import json
 import os
 import threading
 import zipfile
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
@@ -52,86 +52,6 @@ from repro.privacy.disclosure import AttackResult, count_vulnerable_tuples, max_
 
 #: Name of the exclusive publisher lock inside a disk-backed store directory.
 LOCK_FILE = "store.lock"
-
-#: Default byte budget for the decoded-version LRU of a disk-backed store.
-DEFAULT_VERSION_CACHE_BYTES = 256 * 1024 * 1024
-
-
-class VersionCache:
-    """A thread-safe, byte-bounded LRU of decoded :class:`StreamVersion` objects.
-
-    Disk-backed stores decode a historical version's archive only when its
-    arrays are actually accessed (summaries come from the lineage); the
-    decoded object (table, groups, risk vectors) is parked here so repeated
-    reads of a hot version pay the npz decode once, not per read.  Entries are keyed by ``(store, version, file identity)`` and
-    evicted least-recently-used once the decoded bytes exceed ``max_bytes``;
-    the most recent entry always survives so one oversized version can still
-    be served.  A single cache may be shared across stores (the serving
-    registry hands every shard the same instance, making the budget global).
-    """
-
-    def __init__(self, max_bytes: int = DEFAULT_VERSION_CACHE_BYTES) -> None:
-        if max_bytes < 0:
-            raise StreamError("the version cache budget must be non-negative")
-        self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[tuple, tuple[StreamVersion, int]] = OrderedDict()
-        self._lock = threading.Lock()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: tuple) -> "StreamVersion | None":
-        """The cached version under ``key``, refreshed to most-recent, or None."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry[0]
-
-    def peek(self, key: tuple) -> "StreamVersion | None":
-        """The cached version under ``key`` or None, counting nothing."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return None if entry is None else entry[0]
-
-    def put(self, key: tuple, version: "StreamVersion", nbytes: int) -> None:
-        """Park a decoded version, evicting LRU entries past the byte budget."""
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._bytes -= previous[1]
-            self._entries[key] = (version, int(nbytes))
-            self._bytes += int(nbytes)
-            while self._bytes > self.max_bytes and len(self._entries) > 1:
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self._bytes -= evicted
-                self.evictions += 1
-
-    @property
-    def current_bytes(self) -> int:
-        """Decoded bytes currently parked in the cache."""
-        with self._lock:
-            return self._bytes
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters and the current footprint."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
 
 
 def _pid_alive(pid: int) -> bool:
@@ -262,42 +182,39 @@ class ReleaseStore:
         ``lineage.jsonl`` is *loaded*, which requires ``schema``.
     schema:
         The table schema used to decode persisted columns when loading.
-    version_cache:
-        The byte-bounded LRU that holds lazily decoded versions.  Defaults
-        to a private :class:`VersionCache` with
-        :data:`DEFAULT_VERSION_CACHE_BYTES`; pass a shared instance to bound
-        the decoded footprint across many stores (the serving registry does).
+
+    A disk-backed store keeps only its latest version resident; every older
+    version is decoded from its archive on each access.
     """
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        *,
-        schema: Schema | None = None,
-        version_cache: VersionCache | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path | None = None, *, schema: Schema | None = None) -> None:
         # In-memory stores keep every version resident.  A disk-backed store
         # keeps only its latest: older versions, and versions discovered on
         # disk, are lazy stubs (None here, their lineage payload in
-        # _payloads) that decode on demand through the version cache.
+        # _payloads) decoded on each access.
         self._versions: list[StreamVersion | None] = []
         self._payloads: list[dict[str, Any] | None] = []
         self._path = Path(path) if path is not None else None
         self._schema = schema
         self._owns_lock = False
-        self._cache = version_cache if version_cache is not None else VersionCache()
-        # Archive decodes run one at a time (see _resolve).
-        self._decode_lock = threading.Lock()
+        # Orders archive decodes against each other and against add's append
+        # and demotion (see _resolve).
+        self._mutex = threading.Lock()
         self.state: dict[str, Any] | None = None
         if self._path is not None:
             self._path.mkdir(parents=True, exist_ok=True)
             self._acquire_lock()
-            if (self._path / "lineage.jsonl").exists():
-                if schema is None:
-                    raise StreamError(
-                        f"loading the release store at {self._path} requires a schema"
-                    )
-                self._load()
+            try:
+                if (self._path / "lineage.jsonl").exists():
+                    if schema is None:
+                        raise StreamError(
+                            f"loading the release store at {self._path} requires a schema"
+                        )
+                    self._load()
+            except BaseException:
+                # A store that refuses to open must not keep the directory locked.
+                self.close()
+                raise
 
     @property
     def path(self) -> Path | None:
@@ -386,10 +303,11 @@ class ReleaseStore:
                 f"version {version.version} breaks the lineage; expected {len(self._versions)}"
             )
         payload = self._persist(version, state) if self._path is not None else None
-        self._payloads.append(payload)
-        self._versions.append(version)
-        if payload is not None and len(self._versions) > 1:
-            self._versions[-2] = None
+        with self._mutex:
+            self._payloads.append(payload)
+            self._versions.append(version)
+            if payload is not None and len(self._versions) > 1:
+                self._versions[-2] = None
         if state is not None:
             self.state = state
         return version
@@ -510,36 +428,25 @@ class ReleaseStore:
         self._payloads.append(payload)
 
     def _resolve(self, position: int) -> StreamVersion:
-        """The version at ``position``, decoding a lazy stub via the cache."""
+        """The version at ``position``, decoding a lazy stub from its archive."""
         version = self._versions[position]
         if version is not None:
             return version
-        version_path = self._version_file(position)
-        try:
-            stamp = os.stat(version_path)
-        except OSError:
-            raise StreamError(
-                f"corrupt release store: {version_path} is missing "
-                f"(version {position} is in the lineage)"
-            ) from None
-        # Keyed by path *and* file identity: a directory rebuilt in place
-        # never serves another run's decoded versions from a shared cache.
-        key = (str(version_path.resolve()), position, stamp.st_size, stamp.st_mtime_ns)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         # One decode at a time: numpy parses every .npy header with the ast
-        # module, which CPython 3.11 does not make thread-safe, and a reader
-        # that waited here finds the version the one before it decoded.
-        with self._decode_lock:
-            version = self._cache.peek(key)
+        # module, which CPython 3.11 does not make thread-safe.  A decoded
+        # latest is kept (a reopened store's latest stays resident), and add
+        # appends and demotes under the same lock, so exactly one version
+        # stays resident however readers and the writer interleave.
+        with self._mutex:
+            version = self._versions[position]
             if version is None:
-                version, nbytes = self._load_version(self._payloads[position])
-                self._cache.put(key, version, nbytes)
+                version = self._load_version(self._payloads[position])
+                if position == len(self._versions) - 1:
+                    self._versions[position] = version
         return version
 
-    def _load_version(self, payload: dict[str, Any]) -> tuple[StreamVersion, int]:
-        """Decode one persisted version; returns it with its decoded byte count.
+    def _load_version(self, payload: dict[str, Any]) -> StreamVersion:
+        """Decode one persisted version.
 
         Reads the v2 layout: ``codes_<name>`` int32 columns, memory-mapped
         straight out of the uncompressed archive.
@@ -560,7 +467,6 @@ class ReleaseStore:
             raise StreamError(
                 f"corrupt release store: {version_path} is unreadable ({error})"
             ) from None
-        nbytes = 0
         try:
             domains: dict[str, AttributeDomain] = {}
             # Big members are memory-mapped, only domains are read.
@@ -570,14 +476,12 @@ class ReleaseStore:
                 codes[name] = mmap_npz_member(version_path, f"codes_{name}.npy")
                 domain_values = read_npz_member(version_path, f"dom_{name}.npy")
                 domains[name] = AttributeDomain(attribute, domain_values.tolist())
-                nbytes += codes[name].nbytes + domain_values.nbytes
             table = MicrodataTable.from_codes(self._schema, codes, domains)
             groups_flat = mmap_npz_member(version_path, "groups.npy")
             group_sizes = read_npz_member(version_path, "group_sizes.npy")
             risks = (
                 mmap_npz_member(version_path, "risks.npy") if "risks.npy" in members else None
             )
-            nbytes += int(groups_flat.nbytes) + int(group_sizes.nbytes)
             boundaries = np.cumsum(group_sizes)[:-1]
             groups = [
                 np.asarray(group, dtype=np.int64)
@@ -600,17 +504,15 @@ class ReleaseStore:
                         f"{risks.shape} risks array but the lineage records "
                         f"{len(skyline)} adversaries over {table.n_rows} rows"
                     )
-                nbytes += int(risks.nbytes)
                 report = self._load_report(
                     payload["report"], risks, table.n_rows, groups
                 )
-            version = StreamVersion(
+            return StreamVersion(
                 version=number,
                 release=release,
                 report=report,
                 delta=StreamDelta.from_dict(payload["delta"]),
             )
-            return version, nbytes
         except (KeyError, TypeError, ValueError, DataError) as error:
             raise StreamError(
                 f"corrupt release store: version {number} cannot be decoded ({error})"
@@ -649,9 +551,10 @@ class ReleaseStore:
         return len(self._versions)
 
     def __iter__(self) -> Iterator[StreamVersion]:
-        # Iterate a snapshot of positions: the serving daemon reads lineages
-        # concurrently with the (append-only) writer thread.
-        return iter([self._resolve(position) for position in range(len(self._versions))])
+        # Iterate a snapshot of positions (the serving daemon reads lineages
+        # concurrently with the append-only writer thread), decoding each
+        # version only when it is reached.
+        return (self._resolve(position) for position in range(len(self._versions)))
 
     def __getitem__(self, version: int) -> StreamVersion:
         position = version if version >= 0 else len(self._versions) + version
@@ -664,11 +567,6 @@ class ReleaseStore:
         if not self._versions:
             raise StreamError("the stream has not published any version yet")
         return self._resolve(len(self._versions) - 1)
-
-    @property
-    def version_cache(self) -> VersionCache:
-        """The LRU holding this store's lazily decoded versions."""
-        return self._cache
 
     def summary(self, position: int) -> dict[str, Any]:
         """The JSON-able summary of the version at ``position``, never decoding.

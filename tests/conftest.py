@@ -53,3 +53,19 @@ def patients():
 def rng():
     """A seeded random generator for per-test randomness."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def decoded(monkeypatch):
+    """Version numbers of the archives a ``ReleaseStore`` decodes, in call order."""
+    from repro.stream.store import ReleaseStore
+
+    calls = []
+    load_version = ReleaseStore._load_version
+
+    def counting(self, payload):
+        calls.append(int(payload["version"]))
+        return load_version(self, payload)
+
+    monkeypatch.setattr(ReleaseStore, "_load_version", counting)
+    return calls

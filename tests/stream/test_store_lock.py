@@ -7,7 +7,9 @@ Contracts:
   :class:`~repro.exceptions.StreamError` naming the holder and the file;
 * a lock left behind by a dead process is detected as stale and stolen;
 * the same process may re-open its own store (resume paths do), and only
-  the owning opener's ``close()`` releases the lock.
+  the owning opener's ``close()`` releases the lock;
+* a store that refuses to open, and a refused ``IncrementalPublisher.resume``,
+  release the lock they took.
 """
 
 import os
@@ -108,6 +110,64 @@ def test_publisher_resume_respects_the_lock(tmp_path):
     )
     resumed.append(FULL.select(np.arange(240, 270)))
     resumed.close()
+    assert not (store_dir / LOCK_FILE).exists()
+
+
+def _empty(store_dir, state):
+    for path in store_dir.iterdir():
+        path.unlink()
+
+
+def _no_state(store_dir, state):
+    (store_dir / "state.json").unlink()
+
+
+def _undecodable_state(store_dir, state):
+    (store_dir / "state.json").write_text("{}\n")
+
+
+def _interrupted_mid_persist(store_dir, state):
+    # v1 is in the lineage, state.json is v0's.
+    (store_dir / "state.json").write_text(state)
+
+
+@pytest.mark.parametrize(
+    "break_store, model, message",
+    [
+        (_empty, BTPrivacy(0.3, 0.3), "no versions"),
+        (_no_state, BTPrivacy(0.3, 0.3), "no publisher state"),
+        (_undecodable_state, BTPrivacy(0.3, 0.3), "cannot be decoded"),
+        (None, BTPrivacy(0.2, 0.3), "model mismatch"),
+        (_interrupted_mid_persist, BTPrivacy(0.3, 0.3), "interrupted mid-persist"),
+    ],
+    ids=["empty", "no-state", "undecodable-state", "model-mismatch", "mid-persist"],
+)
+def test_a_refused_resume_releases_the_lock(tmp_path, break_store, model, message):
+    publisher = IncrementalPublisher(
+        FULL.select(np.arange(200)), BTPrivacy(0.3, 0.3), k=2,
+        store_path=tmp_path / "store",
+    )
+    publisher.publish()
+    seed_state = (tmp_path / "store" / "state.json").read_text()
+    publisher.append(FULL.select(np.arange(200, 240)))
+    publisher.close()
+    if break_store is not None:
+        break_store(tmp_path / "store", seed_state)
+    with pytest.raises(StreamError, match=message):
+        IncrementalPublisher.resume(tmp_path / "store", schema=adult_schema(), model=model)
+    # Another process may open the directory straight away.
+    assert not (tmp_path / "store" / LOCK_FILE).exists()
+
+
+@pytest.mark.parametrize("corrupt", ["schema", "lineage"])
+def test_a_store_that_refuses_to_open_releases_the_lock(tmp_path, corrupt):
+    store_dir = _store_dir(tmp_path)
+    schema = None if corrupt == "schema" else adult_schema()
+    if corrupt == "lineage":
+        lineage = store_dir / "lineage.jsonl"
+        lineage.write_text(lineage.read_text() + "{not json\n")
+    with pytest.raises(StreamError):
+        ReleaseStore(path=store_dir, schema=schema)
     assert not (store_dir / LOCK_FILE).exists()
 
 

@@ -2,7 +2,7 @@
 
 A disk-backed :class:`~repro.stream.ReleaseStore` keeps only its latest
 version resident; every older version is demoted to the lazy stub that a
-reopened store builds, and decodes on demand through the version cache.
+reopened store builds, and is decoded from its archive on each access.
 The contracts:
 
 * after any number of versions at most one entry is resident;
@@ -104,7 +104,7 @@ def test_history_reads_back_byte_identical(published):
             _assert_same_bytes(risks, entry.attack.risks)
 
 
-def test_lineage_is_unchanged_by_demotion_and_resume(published):
+def test_lineage_is_unchanged_by_demotion_and_resume(published, decoded):
     publisher, store_dir, versions, _, lineages, _ = published
 
     def as_json(rows):
@@ -123,22 +123,20 @@ def test_lineage_is_unchanged_by_demotion_and_resume(published):
     assert as_json(resident.lineage()) == final
     reopened = ReleaseStore(path=store_dir, schema=adult_schema())
     assert as_json(reopened.lineage()) == final
-    assert reopened.version_cache.misses == 0
+    assert decoded == []
     for position in range(len(versions)):
         assert reopened.summary(position) == publisher.store.summary(position)
 
 
-def test_summary_reads_decode_no_archive(published):
+def test_summary_reads_decode_no_archive(published, decoded):
     publisher, _, versions, _, _, _ = published
-    cache = publisher.store.version_cache
-    misses = cache.misses
     for position in (0, VERSIONS // 2, VERSIONS - 1):
         summary = publisher.store.summary(position)
         assert json.dumps(summary, sort_keys=True) == json.dumps(
             versions[position].as_dict(), sort_keys=True
         )
     assert publisher.store.report_delta(VERSIONS - 1) is not None
-    assert cache.misses == misses
+    assert decoded == []
 
 
 def test_in_memory_store_keeps_every_version_resident():
@@ -149,7 +147,6 @@ def test_in_memory_store_keeps_every_version_resident():
         for position, version in enumerate(versions)
     )
     assert all(payload is None for payload in publisher.store._payloads)
-    assert len(publisher.store.version_cache) == 0
 
 
 @pytest.mark.parametrize("failing", ["savez", "state"])
@@ -213,14 +210,24 @@ def test_a_demoted_stub_equals_a_resumed_one(tmp_path):
     publisher.close()
 
 
-def test_readers_always_find_a_demoted_version(tmp_path):
-    """Reader threads racing the demotion always see the object or its payload."""
+@pytest.mark.parametrize("reopened", [False, True], ids=["live", "reopened"])
+def test_readers_always_find_a_demoted_version(tmp_path, reopened):
+    """Reader threads racing the demotion always see the object or its payload.
+
+    On a reopened store the readers also decode the latest, which is kept,
+    while the writer adds and demotes: one version stays resident throughout.
+    """
     publisher, full = _publisher()
     template = [publisher.publish(), _append(publisher, full, 0)]
     versions = [dataclasses.replace(template[i % 2], version=i) for i in range(40)]
     expected = [json.dumps(version.as_dict(), sort_keys=True) for version in versions]
     store = ReleaseStore(path=tmp_path / "store", schema=adult_schema())
     store.add(versions[0])
+    if reopened:
+        store.add(versions[1])
+        store.close()
+        store = ReleaseStore(path=tmp_path / "store", schema=adult_schema())
+        assert store._versions == [None, None]
     done = threading.Event()
     errors = []
 
@@ -243,7 +250,7 @@ def test_readers_always_find_a_demoted_version(tmp_path):
     try:
         for reader in readers:
             reader.start()
-        for version in versions[1:]:
+        for version in versions[len(store):]:
             store.add(version)
     finally:
         done.set()
@@ -256,8 +263,10 @@ def test_readers_always_find_a_demoted_version(tmp_path):
     store.close()
 
 
-def test_concurrent_readers_of_a_demoted_version_decode_it_once(tmp_path, monkeypatch):
-    """Readers that miss the cache together wait for one decode and share it."""
+def test_concurrent_readers_of_a_demoted_version_decode_one_at_a_time(
+    tmp_path, monkeypatch
+):
+    """Readers of a demoted version each decode it, never two at once."""
     publisher, full = _publisher()
     template = [publisher.publish(), _append(publisher, full, 0)]
     store = ReleaseStore(path=tmp_path / "store", schema=adult_schema())
@@ -265,12 +274,22 @@ def test_concurrent_readers_of_a_demoted_version_decode_it_once(tmp_path, monkey
     store.add(dataclasses.replace(template[1], version=1))
     assert store._versions[0] is None
     loads = []
+    in_flight = [0]
+    overlaps = []
+    count_lock = threading.Lock()
     started = threading.Barrier(4)
     decode = ReleaseStore._load_version
 
     def counted(self, payload):
-        loads.append(int(payload["version"]))
-        return decode(self, payload)
+        with count_lock:
+            in_flight[0] += 1
+            overlaps.append(in_flight[0] > 1)
+            loads.append(int(payload["version"]))
+        try:
+            return decode(self, payload)
+        finally:
+            with count_lock:
+                in_flight[0] -= 1
 
     monkeypatch.setattr(ReleaseStore, "_load_version", counted)
     results = [None] * 4
@@ -289,7 +308,14 @@ def test_concurrent_readers_of_a_demoted_version_decode_it_once(tmp_path, monkey
         for reader in readers:
             reader.join(timeout=60)
         sys.setswitchinterval(interval)
-    assert loads == [0]
-    assert all(result is results[0] for result in results)
-    assert results[0].n_rows == template[0].n_rows
+    assert loads == [0, 0, 0, 0]  # nothing memoises a historical version
+    assert overlaps == [False] * 4
+    expected = json.dumps(template[0].as_dict(), sort_keys=True)
+    for result in results:
+        assert json.dumps(result.as_dict(), sort_keys=True) == expected
+        for name in adult_schema().names:
+            _assert_same_bytes(
+                template[0].release.table.codes(name), result.release.table.codes(name)
+            )
+    assert sum(version is not None for version in store._versions) == 1
     store.close()

@@ -373,7 +373,7 @@ def test_stream_full_lifecycle_with_store_and_resume(tmp_path, capsys):
     assert "v7: +40 rows" in out
 
 
-def test_stream_resume_decodes_only_the_latest_version(tmp_path, capsys, monkeypatch):
+def test_stream_resume_decodes_only_the_latest_version(tmp_path, capsys, decoded):
     """A resumed run counts consumed rows and breaches from the lineage alone."""
     from repro.data.adult import generate_adult
     from repro.data.io import write_csv
@@ -396,15 +396,8 @@ def test_stream_resume_decodes_only_the_latest_version(tmp_path, capsys, monkeyp
         "--store-dir", str(reference_dir), *common,
     ]) == 0
     capsys.readouterr()
+    assert decoded == []  # fresh streams decode nothing
 
-    decoded = []
-    load_version = ReleaseStore._load_version
-
-    def counting(self, payload):
-        decoded.append(payload["version"])
-        return load_version(self, payload)
-
-    monkeypatch.setattr(ReleaseStore, "_load_version", counting)
     assert main([
         "stream", "--input", str(tmp_path / "full.csv"), "--batches", "2",
         "--resume", "--store-dir", str(resumed_dir), "--fail-on-breach", *common,
@@ -414,7 +407,6 @@ def test_stream_resume_decodes_only_the_latest_version(tmp_path, capsys, monkeyp
     assert "resumed at v4: 460 rows" in out
     assert "v5: +40 rows" in out and "v6: +40 rows" in out
     assert decoded == [4]  # the latest, which the publisher audits against
-    monkeypatch.undo()
 
     # The resumed run appended rows 460-539, as the uninterrupted one did.
     resumed = ReleaseStore(path=resumed_dir, schema=adult_schema())
