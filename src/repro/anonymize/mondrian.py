@@ -168,9 +168,15 @@ class MondrianNode:
         return False
 
     def leaves(self) -> Iterator[MondrianLeaf]:
-        """Leaves in deterministic left-to-right order."""
-        yield from self.left.leaves()
-        yield from self.right.leaves()
+        """Leaves in deterministic left-to-right order (an explicit stack, any depth)."""
+        stack: list[MondrianNode | MondrianLeaf] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, MondrianNode):
+                stack.append(node.right)
+                stack.append(node.left)
+            else:
+                yield node
 
 
 class MondrianAnonymizer:

@@ -237,10 +237,11 @@ class SkylineAuditEngine:
         if len(priors) != len(self.adversaries):
             raise AuditError("priors must align one-to-one with the skyline points")
         expected = (table.n_rows, table.sensitive_domain().size)
-        for prior in priors:
-            if prior is not None and prior.matrix.shape != expected:
+        for prior in filter(None, priors):
+            shape = (prior.n_rows, prior.n_sensitive_values)
+            if shape != expected:
                 raise AuditError(
-                    f"a given prior has shape {prior.matrix.shape}, but this "
+                    f"a given prior has shape {shape}, but this "
                     f"table needs {expected} (n_rows, sensitive values)"
                 )
         if estimator is not None:
@@ -323,7 +324,7 @@ class SkylineAuditEngine:
         def attack(index: int, span: Span) -> AttackResult:
             adversary = self.adversaries[index]
             return attack_result(
-                self._priors[index].matrix, sensitive_codes, group_list, self.measure,
+                self._priors[index], sensitive_codes, group_list, self.measure,
                 adversary_b=adversary.scalar_b, threshold=adversary.t,
                 method=self.method,
             )
@@ -433,7 +434,7 @@ class SkylineAuditEngine:
                     [0] + [group.size for group in stale[:-1]], dtype=np.int64
                 )
                 risks[members] = member_risks(
-                    prior.matrix, sensitive_codes, members, offsets, self.measure,
+                    prior, sensitive_codes, members, offsets, self.measure,
                     method=self.method,
                 )
             span.annotate(recomputed_groups=len(stale))

@@ -132,7 +132,7 @@ def ablation_inference_method(
         omega_total = 0.0
         for _ in range(repeats):
             indices = rng.choice(table.n_rows, size=group_size, replace=False)
-            prior = priors.matrix[indices]
+            prior = priors.for_group(indices)
             counts = group_sensitive_counts(sensitive_codes[indices], m)
             start = time.perf_counter()
             exact_posterior(prior, counts)

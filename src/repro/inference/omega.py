@@ -103,31 +103,28 @@ def layout_groups(groups: list[np.ndarray], n_rows: int) -> tuple[np.ndarray, np
 
 
 class GroupPass:
-    """Every group's sensitive counts and member prior rows, taken in one pass.
+    """Every group's sensitive counts and prior column sums, taken in one pass.
 
-    Built by :func:`group_pass`: ``prior_rows`` holds the gathered member
-    rows, groups back to back, ``sizes`` each group's row count and
-    ``counts`` its ``(groups, m)`` sensitive counts.  For the Omega-estimate
-    ``column_sums`` holds each group's prior column sums (a sequential
-    ``np.add.reduceat``, so a group's sums never depend on the groups around
-    it); it is ``None`` for exact inference.
+    Built by :func:`group_pass`: ``rows`` holds the prior rows the members
+    draw on, ``row_of`` / ``group_of`` each member's row in it and its group
+    (groups back to back), ``sizes`` each group's member count and
+    ``counts`` its ``(groups, m)`` sensitive counts.  For the
+    Omega-estimate ``column_sums`` holds each
+    group's prior column sums (a sequential ``np.add.reduceat`` over the
+    members' rows, so a group's sums never depend on the groups around it);
+    for exact inference it is ``None`` and ``member_rows`` holds the
+    gathered member rows the count DP runs on.
     """
 
-    def __init__(self, prior_rows, sizes, counts, column_sums, group_of=None):
-        self.prior_rows = prior_rows
+    def __init__(self, rows, row_of, group_of, sizes, counts, column_sums, member_rows=None):
+        self.rows = rows
+        self.row_of = row_of
+        self.group_of = group_of
         self.sizes = sizes
         self.counts = counts
         self.column_sums = column_sums
+        self.member_rows = member_rows
         self.offsets = np.cumsum(sizes) - sizes
-        if group_of is None:
-            group_of = np.repeat(np.arange(sizes.size), sizes)
-        self.group_of = group_of
-
-    def select(self, keep: np.ndarray) -> "GroupPass":
-        """The groups marked in ``keep``, their rows compacted, sums reused."""
-        rows = np.repeat(keep, self.sizes)
-        column_sums = None if self.column_sums is None else self.column_sums[keep]
-        return GroupPass(self.prior_rows[rows], self.sizes[keep], self.counts[keep], column_sums)
 
     def weight_spread(self) -> np.ndarray:
         """Each group's Omega weight spread ``max_i w_i / min_i w_i``.
@@ -147,45 +144,71 @@ class GroupPass:
             spread = weights.max(axis=1) / np.where(present, weights, np.inf).min(axis=1)
         return np.where((present == live).all(axis=1), spread, np.inf)
 
-    def tiles(self):
-        """``(start, stop, prior_rows, posterior_rows)`` tiles; see :func:`posterior_tiles`."""
-        prior_rows, sizes, counts = self.prior_rows, self.sizes, self.counts
-        n_rows = prior_rows.shape[0]
+    def pairs(self, kept: np.ndarray | None = None):
+        """One representative per distinct (group, prior row) pair: ``(group, row, pair_of)``.
+
+        Members of one group that share a prior row (twins) share its Omega
+        posterior, so one of them stands for all.  ``kept`` marks the member
+        rows to cover (default: all); ``pair_of`` maps each of them, in
+        member order, to its representative.  Representatives ascend by
+        group, then by prior row.
+        """
+        group, row = self.group_of, self.row_of
+        if kept is not None:
+            group, row = group[kept], row[kept]
+        n_rows = self.rows.shape[0]
+        keys, pair_of = np.unique(group * n_rows + row, return_inverse=True)
+        return keys // n_rows, keys % n_rows, pair_of
+
+    def tiles(self, group=None, row=None):
+        """``(start, stop, prior_rows, posterior_rows)`` tiles; see :func:`posterior_tiles`.
+
+        The tiled rows are every member by default, or the rows given by
+        their ``group`` and prior ``row`` (Omega only: exact inference tiles
+        every member).  Each tile gathers its prior rows from ``rows``.
+        """
+        sizes, counts = self.sizes, self.counts
         if self.column_sums is None:
+            if group is not None:
+                raise InferenceError("exact inference tiles every member")
+            prior_rows = self.member_rows
             posterior = np.empty_like(prior_rows)
             for start, size, group_counts in zip(self.offsets, sizes, counts.astype(np.int64)):
                 stop = start + size
                 posterior[start:stop] = exact_posterior(prior_rows[start:stop], group_counts)
-            for start in range(0, n_rows, TILE_ROWS):
-                stop = min(start + TILE_ROWS, n_rows)
+            for start in range(0, prior_rows.shape[0], TILE_ROWS):
+                stop = min(start + TILE_ROWS, prior_rows.shape[0])
                 yield start, stop, prior_rows[start:stop], posterior[start:stop]
             return
 
+        if group is None:
+            group, row = self.group_of, self.row_of
         column_sums = self.column_sums
         zero_columns = (counts > 0.0) & (column_sums <= 0.0)
         any_zero_column = bool(zero_columns.any())
         safe_sums = np.where(column_sums > 0.0, column_sums, 1.0)
+        # ``sizes`` are the true member counts, whichever rows are tiled.
         float_sizes = sizes.astype(np.float64)
         uniform = 1.0 / float_sizes
-        for start in range(0, n_rows, TILE_ROWS):
-            stop = min(start + TILE_ROWS, n_rows)
-            rows = prior_rows[start:stop]
-            group = self.group_of[start:stop]
+        for start in range(0, group.shape[0], TILE_ROWS):
+            stop = min(start + TILE_ROWS, group.shape[0])
+            rows = np.take(self.rows, row[start:stop], axis=0)
+            tile_group = group[start:stop]
             # One buffer, in place.  Shares need no mask with nonnegative priors:
             # an absent value meets ``* 0`` below, and a zero column is all-zero
             # rows divided by 1, overwritten by the uniform fallback.
-            posterior = rows / np.take(safe_sums, group, axis=0)
+            posterior = rows / np.take(safe_sums, tile_group, axis=0)
             if any_zero_column:
                 # Nobody's prior allows a present value: each member takes 1/k of it.
-                np.copyto(posterior, uniform[group][:, None], where=zero_columns[group])
-            posterior *= np.take(counts, group, axis=0)
+                np.copyto(posterior, uniform[tile_group][:, None], where=zero_columns[tile_group])
+            posterior *= np.take(counts, tile_group, axis=0)
             row_sums = posterior.sum(axis=1)
             good = row_sums > 0.0
             posterior /= np.where(good, row_sums, 1.0)[:, None]
             if not good.all():
                 # The prior excludes every present value: fall back to n_i / k.
                 bad = ~good
-                posterior[bad] = counts[group[bad]] / float_sizes[group[bad], None]
+                posterior[bad] = counts[tile_group[bad]] / float_sizes[tile_group[bad], None]
             yield start, stop, rows, posterior
 
 
@@ -196,13 +219,20 @@ def group_pass(
     offsets: np.ndarray,
     *,
     method: str = "omega",
+    index: np.ndarray | None = None,
 ) -> GroupPass:
-    """The group pass of :func:`posterior_tiles` (same parameters), validated."""
+    """The group pass of :func:`posterior_tiles` (same parameters), validated.
+
+    With ``index``, ``prior_matrix`` holds distinct prior rows and table row
+    ``j``'s prior is ``prior_matrix[index[j]]``; without, it has one row per
+    table row.
+    """
     prior_matrix = np.asarray(prior_matrix, dtype=np.float64)
     sensitive_codes = np.asarray(sensitive_codes, dtype=np.int64)
     members = np.asarray(members, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    if prior_matrix.ndim != 2 or prior_matrix.shape[0] != sensitive_codes.shape[0]:
+    n_table = prior_matrix.shape[0] if index is None else np.shape(index)[0]
+    if prior_matrix.ndim != 2 or n_table != sensitive_codes.shape[0]:
         raise InferenceError("prior matrix and sensitive codes must cover the same tuples")
     if method not in {"omega", "exact"}:
         raise InferenceError(f"unknown inference method {method!r}; use 'omega' or 'exact'")
@@ -212,7 +242,8 @@ def group_pass(
         if n_rows:
             raise InferenceError("group offsets must be strictly increasing and start at 0")
         empty = np.empty((0, m), dtype=np.float64)
-        return GroupPass(empty, np.empty(0, dtype=np.int64), empty, empty)
+        nothing = np.empty(0, dtype=np.int64)
+        return GroupPass(prior_matrix, nothing, nothing, nothing, empty, empty)
     if offsets[0] != 0 or np.any(np.diff(offsets) <= 0) or offsets[-1] >= n_rows:
         raise InferenceError("group offsets must be strictly increasing and start at 0")
     code_rows = sensitive_codes[members]
@@ -222,10 +253,13 @@ def group_pass(
     group_of = np.repeat(np.arange(offsets.size), sizes)
     counts = np.bincount(group_of * m + code_rows, minlength=offsets.size * m)
     counts = counts.reshape(offsets.size, m).astype(np.float64)
+    row_of = members if index is None else np.take(index, members)
     # np.take: the same gather as fancy indexing, a good deal faster.
-    prior_rows = np.take(prior_matrix, members, axis=0)
-    column_sums = np.add.reduceat(prior_rows, offsets, axis=0) if method == "omega" else None
-    return GroupPass(prior_rows, sizes, counts, column_sums, group_of)
+    member_rows = np.take(prior_matrix, row_of, axis=0)
+    if method == "exact":
+        return GroupPass(prior_matrix, row_of, group_of, sizes, counts, None, member_rows)
+    column_sums = np.add.reduceat(member_rows, offsets, axis=0)
+    return GroupPass(prior_matrix, row_of, group_of, sizes, counts, column_sums)
 
 
 def posterior_tiles(
@@ -259,10 +293,10 @@ def posterior_tiles(
     prior column sums; each tile then forms its rows' Omega posteriors
     (Equation 5, with :func:`omega_posterior`'s two degenerate fallbacks), so
     a group may span tiles and every row's posterior is bitwise the same
-    whatever the tiling - or whichever other groups share the pass, which is
-    what lets a caller drop groups after the pass (:meth:`GroupPass.select`)
-    and tile only the rest.  ``method="exact"`` runs the count DP per group
-    and yields the result in the same tiles.
+    whatever the tiling - or whichever other rows share the tile, which is
+    what lets a caller tile only some groups' rows, or one row per
+    (group, prior row) pair (:meth:`GroupPass.pairs`).  ``method="exact"``
+    runs the count DP per group and yields the result in the same tiles.
     """
     yield from group_pass(
         prior_matrix, sensitive_codes, members, offsets, method=method

@@ -755,6 +755,7 @@ class FactoredPriorBackend:
         multiplier = max(1, self._n_combos)
         pair_key = self._solo_of_row * multiplier + self._slot_of_row
         self._pair_keys, self._query_inverse = np.unique(pair_key, return_inverse=True)
+        self._query_inverse.flags.writeable = False  # handed out with every prior
         self._query_solo = self._pair_keys // multiplier
         self._query_rest = self._pair_keys % multiplier
 
@@ -1608,8 +1609,8 @@ class FactoredPriorBackend:
             [lambda block=block: attached(block) for block in self._blocks], self._jobs
         )
 
-    def _factored_matrix(self, bandwidth: Bandwidth) -> np.ndarray:
-        """The per-row prior matrix of the fitted table under one bandwidth."""
+    def _factored_rows(self, bandwidth: Bandwidth) -> np.ndarray:
+        """The prior rows of the fitted table's distinct queries under one bandwidth."""
         m = self._table.sensitive_domain().size
         cache = self._contractions.get(bandwidth.items()) if self.incremental else None
         if cache is not None:
@@ -1663,7 +1664,7 @@ class FactoredPriorBackend:
                     "contracted_storage": contracted_storage,
                     "numerators": numerators,
                 }
-        return self._normalise(numerators)[self._query_inverse]
+        return self._normalise(numerators)
 
     def _normalise(self, numerators: np.ndarray) -> np.ndarray:
         """Row-normalise numerators; degenerate rows fall back to the overall."""
@@ -1675,23 +1676,31 @@ class FactoredPriorBackend:
         return result
 
     # -- estimation -------------------------------------------------------------------
-    def matrices(self, bandwidths: Sequence[float | Bandwidth]) -> list[np.ndarray]:
-        """Per-row prior matrices of the fitted table, one per bandwidth.
+    def prior_rows(
+        self, bandwidths: Sequence[float | Bandwidth]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(rows, index)`` of the fitted table's priors, one pair per bandwidth.
 
-        Identical bandwidths (common in skyline grids) are computed once and
-        share the returned array object.
+        ``rows`` holds one prior row per distinct query (QI combination) and
+        ``index`` maps every table row to its query, so table row ``j``'s
+        prior is ``rows[index[j]]``.  Identical bandwidths (common in
+        skyline grids) are computed once and share the returned arrays; the
+        index is shared by every bandwidth.
         """
         self._require_fitted()
-        resolved = [self.resolve_bandwidth(b) for b in bandwidths]
         computed: dict[tuple[tuple[str, float], ...], np.ndarray] = {}
-        results: list[np.ndarray] = []
-        for bandwidth in resolved:
+        results: list[tuple[np.ndarray, np.ndarray]] = []
+        for bandwidth in (self.resolve_bandwidth(b) for b in bandwidths):
             key = bandwidth.items()
-            matrix = computed.get(key)
-            if matrix is None:
-                matrix = computed[key] = self._factored_matrix(bandwidth)
-            results.append(matrix)
+            rows = computed.get(key)
+            if rows is None:
+                rows = computed[key] = self._factored_rows(bandwidth)
+            results.append((rows, self._query_inverse))
         return results
+
+    def matrices(self, bandwidths: Sequence[float | Bandwidth]) -> list[np.ndarray]:
+        """Per-row prior matrices of the fitted table: :meth:`prior_rows` expanded."""
+        return [np.take(rows, index, axis=0) for rows, index in self.prior_rows(bandwidths)]
 
     def matrix_for_codes(
         self, query_codes: np.ndarray, b: float | Bandwidth

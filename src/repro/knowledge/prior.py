@@ -55,64 +55,111 @@ from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.kernels import get_kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PriorBeliefs:
-    """Per-tuple prior beliefs of one adversary over one table.
+    """Prior beliefs of one adversary over one table, one row per QI combination.
+
+    The prior is a function of the quasi-identifier combination
+    (Section II-B), so tuples sharing a combination share a prior row: the
+    beliefs keep each distinct row once and map every tuple to its row.
 
     Attributes
     ----------
-    matrix:
-        ``(n_rows, m)`` row-stochastic matrix; row ``j`` is the adversary's
-        prior distribution over the sensitive domain for tuple ``t_j``.
+    rows:
+        ``(c, m)`` row-stochastic matrix of the distinct prior rows.
+    index:
+        ``(n_rows,)`` int64 array: tuple ``t_j``'s prior distribution over
+        the sensitive domain is ``rows[index[j]]``.
     sensitive_values:
         The sensitive domain ``D[S]`` in code order (length ``m``).
     description:
         Human-readable description of the adversary (e.g. ``"kernel b=0.3"``).
 
-    Validation also records ``nonnegative`` (no entry below zero, not even
-    within the ``-1e-12`` tolerance) and ``row_total_range``, the lowest
-    and highest row sum: the whole-group screen of the risk kernel
-    (:func:`~repro.privacy.disclosure.member_risks`) needs both.
+    Build it from a per-tuple ``matrix`` (one row per tuple: the identity
+    index) or from ``rows`` and their ``index``; :attr:`matrix` expands the
+    rows back to one per tuple.  Validation runs over ``rows`` only and
+    records ``nonnegative`` (no entry below zero, not even within the
+    ``-1e-12`` tolerance) and ``row_total_range``, the lowest and highest
+    row sum: the whole-group screen of the risk kernel
+    (:func:`~repro.privacy.disclosure.member_risks`) needs both.  Equality
+    is identity, so beliefs hash and compare like any other object.
     """
 
-    matrix: np.ndarray
-    sensitive_values: tuple = field(default_factory=tuple)
-    description: str = ""
-    nonnegative: bool = field(init=False, repr=False, compare=False)
-    row_total_range: tuple[float, float] = field(init=False, repr=False, compare=False)
+    rows: np.ndarray
+    index: np.ndarray
+    sensitive_values: tuple
+    description: str
+    nonnegative: bool = field(repr=False)
+    row_total_range: tuple[float, float] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
+    def __init__(
+        self,
+        matrix: np.ndarray | None = None,
+        sensitive_values: tuple = (),
+        description: str = "",
+        *,
+        rows: np.ndarray | None = None,
+        index: np.ndarray | None = None,
+    ) -> None:
+        if (matrix is None) == (rows is None):
+            raise KnowledgeError("give prior beliefs as a matrix or as rows, not both")
+        if matrix is not None and index is not None:
+            raise KnowledgeError("an index goes with distinct rows, not with a per-tuple matrix")
+        rows = np.asarray(rows if matrix is None else matrix, dtype=np.float64)
+        if rows.ndim != 2:
             raise KnowledgeError("prior belief matrix must be 2-dimensional")
-        smallest = float(matrix.min(initial=0.0))
+        if index is None:
+            index = np.arange(rows.shape[0], dtype=np.int64)
+        index = np.asarray(index, dtype=np.int64)
+        if index.ndim != 1:
+            raise KnowledgeError("the prior row index must be 1-dimensional")
+        if index.size and (index.min() < 0 or index.max() >= rows.shape[0]):
+            raise KnowledgeError("the prior row index points outside the prior rows")
+        smallest = float(rows.min(initial=0.0))
         if smallest < -1e-12:
             raise KnowledgeError("prior belief matrix must be non-negative")
-        row_sums = matrix.sum(axis=1)
+        row_sums = rows.sum(axis=1)
         if not np.allclose(row_sums, 1.0, atol=1e-8):
             raise KnowledgeError("every prior belief row must sum to 1")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "nonnegative", smallest >= 0.0)
         totals = (float(row_sums.min(initial=1.0)), float(row_sums.max(initial=1.0)))
-        object.__setattr__(self, "row_total_range", totals)
+        for name, value in (
+            ("rows", rows),
+            ("index", index),
+            ("sensitive_values", tuple(sensitive_values)),
+            ("description", description),
+            ("nonnegative", smallest >= 0.0),
+            ("row_total_range", totals),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The ``(n_rows, m)`` per-tuple matrix ``rows[index]`` (a fresh array)."""
+        return np.take(self.rows, self.index, axis=0)
 
     @property
     def n_rows(self) -> int:
         """Number of tuples covered by these beliefs."""
-        return int(self.matrix.shape[0])
+        return int(self.index.shape[0])
 
     @property
     def n_sensitive_values(self) -> int:
         """Size ``m`` of the sensitive domain."""
-        return int(self.matrix.shape[1])
+        return int(self.rows.shape[1])
 
     def for_tuple(self, index: int) -> np.ndarray:
         """Prior distribution of tuple ``index``."""
-        return self.matrix[index]
+        return self.rows[self.index[index]]
 
     def for_group(self, indices: np.ndarray) -> np.ndarray:
         """Prior distributions (rows) for a group of tuple indices."""
-        return self.matrix[np.asarray(indices, dtype=np.int64)]
+        return self.rows[self.index[np.asarray(indices, dtype=np.int64)]]
+
+    def differs(self, positions: np.ndarray, other: "PriorBeliefs", others: np.ndarray) -> np.ndarray:
+        """Whether tuple ``positions[i]``'s prior differs, bitwise, from ``other``'s tuple ``others[i]``."""
+        return (
+            self.rows[self.index[positions]] != other.rows[other.index[others]]
+        ).any(axis=1)
 
 
 class BatchedKernelPriorEstimator:
@@ -228,22 +275,23 @@ class BatchedKernelPriorEstimator:
         """Prior beliefs of every ``Adv(B_i)`` on the fitted table, one pass.
 
         Returns one :class:`PriorBeliefs` per entry of ``bandwidths``, in
-        order.  Identical bandwidths (common in ``|skyline| > 1`` grids) are
-        computed once and share one matrix object.
+        order, each holding one row per distinct QI combination of the
+        table.  Identical bandwidths (common in ``|skyline| > 1`` grids) are
+        computed once and share one rows array.
         """
         table = self._backend.table
         if table is None:
             raise KnowledgeError("estimator is not fitted; call fit(table) first")
         resolved = [self._backend.resolve_bandwidth(b) for b in bandwidths]
-        matrices = self._backend.matrices(resolved)
         sensitive_values = tuple(table.sensitive_domain().values.tolist())
         return [
             PriorBeliefs(
-                matrix=matrix,
+                rows=rows,
+                index=index,
                 sensitive_values=sensitive_values,
                 description=f"kernel={self.config.kernel}, {bandwidth.describe()}",
             )
-            for bandwidth, matrix in zip(resolved, matrices)
+            for bandwidth, (rows, index) in zip(resolved, self._backend.prior_rows(resolved))
         ]
 
 
@@ -312,9 +360,9 @@ def uniform_prior(table: MicrodataTable) -> PriorBeliefs:
     provided so that experiments can contrast it with consistent adversaries.
     """
     m = table.sensitive_domain().size
-    matrix = np.full((table.n_rows, m), 1.0 / m)
     return PriorBeliefs(
-        matrix=matrix,
+        rows=np.full((1, m), 1.0 / m),
+        index=np.zeros(table.n_rows, dtype=np.int64),
         sensitive_values=tuple(table.sensitive_domain().values.tolist()),
         description="uniform (ignorant adversary)",
     )
@@ -322,10 +370,9 @@ def uniform_prior(table: MicrodataTable) -> PriorBeliefs:
 
 def overall_prior(table: MicrodataTable) -> PriorBeliefs:
     """The t-closeness adversary: the overall sensitive distribution for every tuple."""
-    overall = table.sensitive_distribution()
-    matrix = np.tile(overall, (table.n_rows, 1))
     return PriorBeliefs(
-        matrix=matrix,
+        rows=table.sensitive_distribution()[None, :],
+        index=np.zeros(table.n_rows, dtype=np.int64),
         sensitive_values=tuple(table.sensitive_domain().values.tolist()),
         description="overall distribution (t-closeness adversary)",
     )
@@ -346,7 +393,8 @@ def mle_prior(table: MicrodataTable) -> PriorBeliefs:
     np.add.at(matrix, (inverse, sensitive_codes), 1.0)
     matrix /= matrix.sum(axis=1, keepdims=True)
     return PriorBeliefs(
-        matrix=matrix[inverse],
+        rows=matrix,
+        index=inverse,
         sensitive_values=tuple(table.sensitive_domain().values.tolist()),
         description="maximum-likelihood (exact QI conditioning)",
     )

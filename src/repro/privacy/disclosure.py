@@ -53,11 +53,19 @@ def member_risks(
     ``offsets`` each group's start (see
     :func:`~repro.inference.omega.posterior_tiles`).  One group pass
     (:func:`~repro.inference.omega.group_pass`) takes every group's
-    sensitive counts and prior column sums; the rows are then walked in
-    fixed tiles of :data:`~repro.inference.omega.TILE_ROWS`, each forming
-    its posteriors and calling ``measure.rowwise`` into one output vector,
-    so the working set stays bounded and every row goes through the same
-    operations whatever the tiling.  Every group-risk check - the (B,t)
+    sensitive counts and prior column sums, summed row by row in member
+    order.  Members of one group that share a prior row (twins: a
+    :class:`PriorBeliefs` keeps one row per QI combination) then share one
+    Omega posterior and one risk, so for Omega inference the kernel tiles
+    one representative per (group, prior row) pair
+    (:meth:`~repro.inference.omega.GroupPass.pairs`) and copies its risk to
+    the twins.  The representatives are walked in fixed tiles of
+    :data:`~repro.inference.omega.TILE_ROWS`, each forming its posteriors
+    and calling ``measure.rowwise`` into one output vector, so the working
+    set stays bounded and every row goes through the same operations
+    whatever the tiling: a representative's risk is bitwise each twin's.  A
+    bare matrix, or beliefs with a row per tuple, tile every member, as does
+    exact inference (its per-group DP).  Every group-risk check - the (B,t)
     model's Mondrian checks, full and incremental skyline audits,
     single-adversary attacks - runs through here.
 
@@ -69,16 +77,23 @@ def member_risks(
     a group whose ``measure.group_bound`` (the chord bound of JS and
     smoothed JS over the group's Omega weight spread) is at most ``t -``
     :data:`GROUP_SCREEN_MARGIN` is never tiled, and its rows get the bound.
-    The other groups are compacted (their column sums reused) and tiled,
-    each tile calling ``measure.rowwise_screened``.  The ``privacy.risks``
-    span records ``screened_rows`` (rows of groups decided by their bound),
-    ``exact_rows`` (rows that got the exact measure) and ``tiles``.
+    The other groups' representatives are tiled, each tile calling
+    ``measure.rowwise_screened``.  The ``privacy.risks`` span records
+    ``screened_rows`` (rows of groups decided by their bound), ``pairs``
+    (the representatives tiled), ``tiles`` and ``exact_rows`` (member rows
+    whose risk got the exact measure, a representative counting once per
+    twin).
     """
-    matrix = priors.matrix if isinstance(priors, PriorBeliefs) else priors
+    if isinstance(priors, PriorBeliefs):
+        rows, index = priors.rows, priors.index
+    else:
+        rows, index = priors, None
     risks = np.empty(np.shape(members)[0], dtype=np.float64)
     with current_tracer().span("privacy.risks", rows=int(risks.size)) as span:
-        groups = group_pass(matrix, sensitive_codes, members, offsets, method=method)
-        bound = None
+        groups = group_pass(
+            rows, sensitive_codes, members, offsets, method=method, index=index
+        )
+        kept = None
         if (
             screen is not None
             and method == "omega"
@@ -86,29 +101,46 @@ def member_risks(
             and priors.nonnegative
         ):
             bound = measure.group_bound(groups.weight_spread(), priors.row_total_range)
-        tiled = risks
-        if bound is not None:
-            screened = bound <= screen - GROUP_SCREEN_MARGIN
-            if screened.any():
-                rows = np.repeat(screened, groups.sizes)
-                risks[rows] = np.repeat(bound[screened], groups.sizes[screened])
-                groups = groups.select(~screened)
-                tiled = np.empty(groups.prior_rows.shape[0], dtype=np.float64)
-        tiles = exact_rows = 0
-        for start, stop, prior_rows, posterior_rows in groups.tiles():
+            if bound is not None:
+                screened = bound <= screen - GROUP_SCREEN_MARGIN
+                if screened.any():
+                    kept = np.repeat(~screened, groups.sizes)
+                    risks[~kept] = np.repeat(bound[screened], groups.sizes[screened])
+        n_kept = risks.size if kept is None else int(np.count_nonzero(kept))
+        group = row = pair_of = twins = None
+        if method == "omega":
+            if index is not None and groups.rows.shape[0] < index.shape[0]:
+                group, row, pair_of = groups.pairs(kept)
+                twins = np.bincount(pair_of, minlength=group.size)
+            elif kept is not None:
+                group, row = groups.group_of[kept], groups.row_of[kept]
+        n_pairs = n_kept if group is None else group.size
+        tiled = np.empty(n_pairs, dtype=np.float64)
+        tiles = 0
+        exact_rows = n_kept if screen is None else 0
+        for start, stop, prior_rows, posterior_rows in groups.tiles(group, row):
             if screen is None:
                 tiled[start:stop] = measure.rowwise(prior_rows, posterior_rows)
-                exact_rows += stop - start
             else:
                 tiled[start:stop], exact = measure.rowwise_screened(
                     prior_rows, posterior_rows, screen
                 )
-                exact_rows += int(np.count_nonzero(exact))
+                if twins is None:
+                    exact_rows += int(np.count_nonzero(exact))
+                else:
+                    exact_rows += int(twins[start:stop][exact].sum())
             tiles += 1
-        if tiled is not risks:
-            risks[~rows] = tiled
+        if pair_of is not None:
+            tiled = tiled[pair_of]
+        if kept is None:
+            risks = tiled
+        else:
+            risks[kept] = tiled
         span.annotate(
-            tiles=tiles, exact_rows=exact_rows, screened_rows=risks.size - tiled.size
+            pairs=n_pairs,
+            tiles=tiles,
+            exact_rows=exact_rows,
+            screened_rows=risks.size - n_kept,
         )
     return risks
 
@@ -126,8 +158,8 @@ def tuple_disclosure_risks(
     Parameters
     ----------
     priors:
-        The adversary's prior beliefs (a :class:`PriorBeliefs` or a raw
-        ``(n, m)`` matrix).
+        The adversary's prior beliefs (a :class:`PriorBeliefs`, whose twin
+        rows are tiled once per group, or a raw ``(n, m)`` matrix).
     sensitive_codes:
         Length-``n`` sensitive value codes of the original table.
     groups:
@@ -140,17 +172,21 @@ def tuple_disclosure_risks(
     Tuples outside every group keep their prior as posterior, so their risk
     is ``D[prior, prior]``.
     """
-    prior_matrix = priors.matrix if isinstance(priors, PriorBeliefs) else priors
-    prior_matrix = np.asarray(prior_matrix, dtype=np.float64)
-    members, offsets = layout_groups(groups, prior_matrix.shape[0])
-    risks = np.empty(prior_matrix.shape[0], dtype=np.float64)
+    if not isinstance(priors, PriorBeliefs):
+        priors = np.asarray(priors, dtype=np.float64)
+    n_rows = priors.n_rows if isinstance(priors, PriorBeliefs) else priors.shape[0]
+    members, offsets = layout_groups(groups, n_rows)
+    risks = np.empty(n_rows, dtype=np.float64)
     risks[members] = member_risks(
-        prior_matrix, sensitive_codes, members, offsets, measure, method=method
+        priors, sensitive_codes, members, offsets, measure, method=method
     )
     if members.size < risks.size:
         uncovered = np.ones(risks.size, dtype=bool)
         uncovered[members] = False
-        alone = prior_matrix[uncovered]
+        if isinstance(priors, PriorBeliefs):
+            alone = priors.for_group(np.flatnonzero(uncovered))
+        else:
+            alone = priors[uncovered]
         risks[uncovered] = measure.rowwise(alone, alone)
     return risks
 

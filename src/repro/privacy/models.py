@@ -396,7 +396,7 @@ class BTPrivacy(PrivacyModel):
         """
         new_codes = np.asarray(sensitive_codes, dtype=np.int64)
         previous_of = np.asarray(previous_of, dtype=np.int64)
-        n_new = priors.matrix.shape[0]
+        n_new = priors.n_rows
         if (
             self._priors is None
             or self._sensitive_codes is None
@@ -410,9 +410,9 @@ class BTPrivacy(PrivacyModel):
         dirty = previous_of < 0
         surviving = np.flatnonzero(~dirty)
         survivors_previous = previous_of[surviving]
-        dirty[surviving] = (
-            priors.matrix[surviving] != self._priors.matrix[survivors_previous]
-        ).any(axis=1) | (new_codes[surviving] != self._sensitive_codes[survivors_previous])
+        dirty[surviving] = priors.differs(surviving, self._priors, survivors_previous) | (
+            new_codes[surviving] != self._sensitive_codes[survivors_previous]
+        )
         # Remap still-valid memos into the new index space: a memo survives
         # when every member row survives clean (keys stay sorted because the
         # old -> new map is monotone on survivors).  One vectorised pass over

@@ -315,7 +315,7 @@ class IncrementalPublisher:
         self.tracer = tracer if tracer is not None else Tracer()
         self.store = ReleaseStore(path=store_path, schema=table.schema)
         self._tree: PartitionTree | None = None
-        self._audit_matrices: list[np.ndarray] = []
+        self._audit_priors: list[PriorBeliefs] = []
         self._drift_rows = 0
         # Set while a mutation is in flight and cleared when its version is
         # recorded: a raise mid-mutation (e.g. the documented
@@ -520,8 +520,8 @@ class IncrementalPublisher:
         # fresh fit on the current table (the maintained state it replaces
         # matches a from-scratch fit to round-off).
         prior_map = publisher._fit_priors(table, audit=True)
-        publisher._audit_matrices = [
-            prior_map[bandwidth.items()].matrix for bandwidth, _ in publisher._points
+        publisher._audit_priors = [
+            prior_map[bandwidth.items()] for bandwidth, _ in publisher._points
         ]
         return publisher
 
@@ -922,7 +922,7 @@ class IncrementalPublisher:
                         previous_of=previous_of,
                     )
                     audit_recomputed = list(report.delta["recomputed_groups"])
-                self._audit_matrices = [priors.matrix for priors in priors_list]
+                self._audit_priors = priors_list
                 span.annotate(recomputed_groups=audit_recomputed)
         return report, audit_recomputed, span.duration_s
 
@@ -942,11 +942,9 @@ class IncrementalPublisher:
             self._table.sensitive_codes()[surviving] != previous_codes[survivors_previous]
         )
         masks = []
-        for previous_matrix, priors in zip(self._audit_matrices, priors_list):
+        for previous_priors, priors in zip(self._audit_priors, priors_list):
             mask = np.ones(n_rows, dtype=bool)
-            mask[surviving] = (
-                priors.matrix[surviving] != previous_matrix[survivors_previous]
-            ).any(axis=1)
+            mask[surviving] = priors.differs(surviving, previous_priors, survivors_previous)
             masks.append(mask | code_changed)
         return masks
 

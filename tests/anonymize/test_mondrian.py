@@ -5,7 +5,9 @@ import pytest
 
 from repro.anonymize.mondrian import (
     MondrianAnonymizer,
+    MondrianLeaf,
     MondrianNode,
+    MondrianSplit,
     spilled_value_matrix,
 )
 from repro.anonymize.partition import AnonymizedRelease
@@ -302,3 +304,26 @@ def test_anonymize_spill_option_matches_resident_release(tiny_adult):
         np.array_equal(a, b)
         for a, b in zip(spilled.release.groups, resident.release.groups)
     )
+
+
+def _recursive_leaves(node):
+    """The left-to-right order of the recursive generator ``leaves`` replaced."""
+    if isinstance(node, MondrianLeaf):
+        return [node]
+    return _recursive_leaves(node.left) + _recursive_leaves(node.right)
+
+
+def test_leaves_keep_left_to_right_order(tiny_adult):
+    tree = MondrianAnonymizer(KAnonymity(3)).partition_tree(tiny_adult)
+    assert [id(leaf) for leaf in tree.leaves()] == [id(leaf) for leaf in _recursive_leaves(tree)]
+
+
+def test_leaves_walk_a_three_thousand_deep_chain():
+    split = MondrianSplit("age", 0.0)
+    node = MondrianLeaf(np.array([3000]))
+    chain = [node]
+    for depth in range(3000):
+        node = MondrianNode(split, left=MondrianLeaf(np.array([depth])), right=node)
+        chain.append(node)
+    leaves = list(node.leaves())
+    assert [int(leaf.indices[0]) for leaf in leaves] == list(range(2999, -1, -1)) + [3000]

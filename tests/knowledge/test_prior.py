@@ -48,6 +48,21 @@ def test_prior_beliefs_validation():
     assert beliefs.n_sensitive_values == 2
 
 
+def test_prior_beliefs_compare_by_identity():
+    rows = np.array([[0.25, 0.75], [1.0, 0.0]])
+    beliefs = PriorBeliefs(rows=rows, index=np.array([1, 0, 0, 1]))
+    twin = PriorBeliefs(rows=rows, index=np.array([1, 0, 0, 1]))
+    assert beliefs == beliefs and beliefs != twin
+    assert beliefs in [twin, beliefs] and twin not in [beliefs]
+    assert len({beliefs, twin, beliefs}) == 2
+    np.testing.assert_array_equal(beliefs.matrix, rows[[1, 0, 0, 1]])
+    assert beliefs.n_rows == 4 and beliefs.n_sensitive_values == 2
+    with pytest.raises(KnowledgeError, match="outside"):
+        PriorBeliefs(rows=rows, index=np.array([0, 2]))
+    with pytest.raises(KnowledgeError, match="not both"):
+        PriorBeliefs(rows, rows=rows)
+
+
 def test_rows_are_distributions(small_adult, small_adult_priors):
     matrix = small_adult_priors.matrix
     assert matrix.shape == (small_adult.n_rows, small_adult.sensitive_domain().size)

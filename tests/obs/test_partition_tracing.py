@@ -4,8 +4,9 @@ Every frontier round opens one ``mondrian.round`` span recording the
 round's ``entries``, ``rows``, ``proposals`` and ``rejected`` splits; every
 risk-kernel call opens a ``privacy.risks`` span recording its member
 ``rows``, ``screened_rows`` (rows of groups a screened verdict decided from
-the group's bound alone, never tiled), row ``tiles`` and ``exact_rows``
-(the rows that got the exact measure: all of them in audits, few in
+the group's bound alone, never tiled), ``pairs`` (the one representative
+per (group, prior row) pair it tiled), ``tiles`` and ``exact_rows`` (the
+member rows that got the exact measure: all of them in audits, few in
 screened Mondrian verdicts).  In a
 traced pipeline the rounds nest under ``anonymize`` and the (B,t) checks'
 kernel spans under their round; in a skyline audit each
@@ -91,10 +92,13 @@ def test_round_and_kernel_attributes_count_the_work(monkeypatch):
     kernels = [span for span in root.walk() if span.name == "privacy.risks"]
     assert kernels
     for span in kernels:
-        # Rows of groups decided by their whole-group bound are never tiled.
+        # Rows of groups decided by their whole-group bound are never tiled;
+        # the others tile one representative per (group, prior row) pair.
         tiled = span.attributes["rows"] - span.attributes["screened_rows"]
         assert 0 <= tiled <= span.attributes["rows"]
-        assert span.attributes["tiles"] == -(-tiled // 64)
+        assert 0 <= span.attributes["pairs"] <= tiled
+        assert (span.attributes["pairs"] == 0) == (tiled == 0)
+        assert span.attributes["tiles"] == -(-span.attributes["pairs"] // 64)
         assert 0 <= span.attributes["exact_rows"] <= tiled
     assert max(span.attributes["tiles"] for span in kernels) > 1
     # Verdicts are screened: only rows that could breach t get exact JS.
