@@ -85,6 +85,11 @@ WIDE_MAX_CELLS = int(
 BANDWIDTHS = (0.2, 0.3)
 
 
+def _expanded(backend: FactoredPriorBackend, bandwidths) -> list[np.ndarray]:
+    """Per-row prior matrices: each of the backend's ``prior_rows`` pairs expanded."""
+    return [np.take(rows, index, axis=0) for rows, index in backend.prior_rows(bandwidths)]
+
+
 def _wide_table(n_rows: int, seed: int = 2009) -> MicrodataTable:
     """A >= 12-attribute mixed schema with enough cardinality to defeat dedup."""
     rng = np.random.default_rng(seed)
@@ -203,15 +208,15 @@ def test_parallel_contraction_speedup():
     )
     assert threaded.jobs == JOBS
 
-    serial_seconds, serial_matrices = _best_of(lambda: serial.matrices(BANDWIDTHS))
-    parallel_seconds, parallel_matrices = _best_of(lambda: threaded.matrices(BANDWIDTHS))
+    serial_seconds, serial_matrices = _best_of(lambda: _expanded(serial, BANDWIDTHS))
+    parallel_seconds, parallel_matrices = _best_of(lambda: _expanded(threaded, BANDWIDTHS))
     support_serial = backend(1, "epanechnikov")
     support_threaded = backend(JOBS, "epanechnikov")
     support_serial_seconds, support_serial_matrices = _best_of(
-        lambda: support_serial.matrices(BANDWIDTHS)
+        lambda: _expanded(support_serial, BANDWIDTHS)
     )
     support_parallel_seconds, support_parallel_matrices = _best_of(
-        lambda: support_threaded.matrices(BANDWIDTHS)
+        lambda: _expanded(support_threaded, BANDWIDTHS)
     )
 
     # The whole point of the threaded path: not "close", *identical*.

@@ -165,7 +165,10 @@ class GroupPass:
 
         The tiled rows are every member by default, or the rows given by
         their ``group`` and prior ``row`` (Omega only: exact inference tiles
-        every member).  Each tile gathers its prior rows from ``rows``.
+        every member).  Each tile gathers its prior rows from ``rows``: the
+        pass drops its full member gather once the column sums are taken,
+        so the risk kernel, which tiles representatives, never holds an
+        ``(members, m)`` copy while it tiles.
         """
         sizes, counts = self.sizes, self.counts
         if self.column_sums is None:
@@ -231,7 +234,8 @@ def group_pass(
     sensitive_codes = np.asarray(sensitive_codes, dtype=np.int64)
     members = np.asarray(members, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    n_table = prior_matrix.shape[0] if index is None else np.shape(index)[0]
+    if prior_matrix.ndim == 2:
+        n_table = prior_matrix.shape[0] if index is None else np.shape(index)[0]
     if prior_matrix.ndim != 2 or n_table != sensitive_codes.shape[0]:
         raise InferenceError("prior matrix and sensitive codes must cover the same tuples")
     if method not in {"omega", "exact"}:

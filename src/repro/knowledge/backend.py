@@ -1698,10 +1698,6 @@ class FactoredPriorBackend:
             results.append((rows, self._query_inverse))
         return results
 
-    def matrices(self, bandwidths: Sequence[float | Bandwidth]) -> list[np.ndarray]:
-        """Per-row prior matrices of the fitted table: :meth:`prior_rows` expanded."""
-        return [np.take(rows, index, axis=0) for rows, index in self.prior_rows(bandwidths)]
-
     def matrix_for_codes(
         self, query_codes: np.ndarray, b: float | Bandwidth
     ) -> np.ndarray:

@@ -63,11 +63,12 @@ def member_risks(
     :data:`~repro.inference.omega.TILE_ROWS`, each forming its posteriors
     and calling ``measure.rowwise`` into one output vector, so the working
     set stays bounded and every row goes through the same operations
-    whatever the tiling: a representative's risk is bitwise each twin's.  A
-    bare matrix, or beliefs with a row per tuple, tile every member, as does
-    exact inference (its per-group DP).  Every group-risk check - the (B,t)
-    model's Mondrian checks, full and incremental skyline audits,
-    single-adversary attacks - runs through here.
+    whatever the tiling: a representative's risk is bitwise each twin's.
+    Priors with a row per tuple (a bare matrix) have no twins, so every
+    member is its own representative.  Exact inference (its per-group DP)
+    tiles every member.  Every group-risk check - the (B,t) model's
+    Mondrian checks, full and incremental skyline audits, single-adversary
+    attacks - runs through here.
 
     With ``screen=t`` the result only has to decide ``max <= t`` verdicts:
     a value above ``t`` is still bitwise the exact risk, a value at or below
@@ -107,15 +108,13 @@ def member_risks(
                     kept = np.repeat(~screened, groups.sizes)
                     risks[~kept] = np.repeat(bound[screened], groups.sizes[screened])
         n_kept = risks.size if kept is None else int(np.count_nonzero(kept))
-        group = row = pair_of = twins = None
         if method == "omega":
-            if index is not None and groups.rows.shape[0] < index.shape[0]:
-                group, row, pair_of = groups.pairs(kept)
-                twins = np.bincount(pair_of, minlength=group.size)
-            elif kept is not None:
-                group, row = groups.group_of[kept], groups.row_of[kept]
-        n_pairs = n_kept if group is None else group.size
-        tiled = np.empty(n_pairs, dtype=np.float64)
+            group, row, pair_of = groups.pairs(kept)
+            twins = np.bincount(pair_of, minlength=group.size)
+        else:
+            group = row = pair_of = None
+            twins = np.ones(n_kept, dtype=np.int64)
+        tiled = np.empty(twins.size, dtype=np.float64)
         tiles = 0
         exact_rows = n_kept if screen is None else 0
         for start, stop, prior_rows, posterior_rows in groups.tiles(group, row):
@@ -125,10 +124,7 @@ def member_risks(
                 tiled[start:stop], exact = measure.rowwise_screened(
                     prior_rows, posterior_rows, screen
                 )
-                if twins is None:
-                    exact_rows += int(np.count_nonzero(exact))
-                else:
-                    exact_rows += int(twins[start:stop][exact].sum())
+                exact_rows += int(twins[start:stop][exact].sum())
             tiles += 1
         if pair_of is not None:
             tiled = tiled[pair_of]
@@ -137,7 +133,7 @@ def member_risks(
         else:
             risks[kept] = tiled
         span.annotate(
-            pairs=n_pairs,
+            pairs=int(twins.size),
             tiles=tiles,
             exact_rows=exact_rows,
             screened_rows=risks.size - n_kept,

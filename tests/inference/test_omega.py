@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import InferenceError
 from repro.inference.exact import exact_posterior
-from repro.inference.omega import omega_posterior, posterior_for_groups
+from repro.inference.omega import group_pass, omega_posterior, posterior_for_groups
 
 
 def test_rows_are_distributions():
@@ -66,6 +66,12 @@ def test_zero_row_fallback():
 def test_validation_errors():
     with pytest.raises(InferenceError):
         omega_posterior(np.array([[0.5, 0.5]]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("index", [None, np.array([0])])
+def test_group_pass_refuses_a_scalar_prior(index):
+    with pytest.raises(InferenceError, match="cover the same tuples"):
+        group_pass(np.float64(0.5), np.array([0]), np.array([0]), np.array([0]), index=index)
 
 
 def test_paper_table_iii_value():

@@ -24,6 +24,11 @@ from repro.knowledge.prior import BatchedKernelPriorEstimator, flat_kernel_prior
 N_ATTRIBUTES = 12
 
 
+def _expanded(backend, bandwidths) -> list[np.ndarray]:
+    """The backend's per-row prior matrices: each ``prior_rows`` pair expanded."""
+    return [rows[index] for rows, index in backend.prior_rows(bandwidths)]
+
+
 def _wide_table(n_rows: int = 420, n_attributes: int = N_ATTRIBUTES, seed: int = 3):
     """A wide table: >= 12 mixed low-cardinality QI attributes, 5 sensitive values.
 
@@ -201,8 +206,8 @@ def test_count_tensor_memory_guard_drops_the_solo_split(
         wide_table.quasi_identifier_names
     )
     np.testing.assert_allclose(
-        guarded.matrices([per_attribute_bandwidth])[0],
-        blocked.matrices([per_attribute_bandwidth])[0],
+        _expanded(guarded, [per_attribute_bandwidth])[0],
+        _expanded(blocked, [per_attribute_bandwidth])[0],
         atol=1e-12,
         rtol=0,
     )
@@ -224,7 +229,7 @@ def test_fitted_solo_column_owns_its_memory(
     assert (backend.solo is None) == (layout == "no-solo")
     assert backend._solo_of_row.base is None
     assert backend._solo_of_row.flags.c_contiguous
-    owned = backend.matrices([per_attribute_bandwidth])[0]
+    owned = _expanded(backend, [per_attribute_bandwidth])[0]
 
     def solo_view(self, codes):
         if self._solo_index is None:
@@ -234,7 +239,7 @@ def test_fitted_solo_column_owns_its_memory(
     # The copy changes no bit of the priors a view gives.
     monkeypatch.setattr(FactoredPriorBackend, "_solo_codes", solo_view)
     viewed = FactoredPriorBackend(config).fit(wide_table)
-    assert np.array_equal(viewed.matrices([per_attribute_bandwidth])[0], owned)
+    assert np.array_equal(_expanded(viewed, [per_attribute_bandwidth])[0], owned)
 
 
 def test_append_growth_past_block_budget_reblocks():
@@ -256,14 +261,14 @@ def test_append_growth_past_block_budget_reblocks():
     backend.fit(table)
     assert backend.solo == "A"
     assert backend.blocks == (("B", "C"),)  # c=3, 3^2 <= 9: one block
-    backend.matrices([0.4])
+    backend.prior_rows([0.4])
     # The fourth combo (q, y) pushes the block to c=4 (16 > 9): refit re-blocks.
     grown = table.extend({"A": [3.0], "B": ["q"], "C": ["y"], "S": ["s1"]})
     assert backend.append_rows(grown) == "refit"
     assert backend.solo == "A"
     assert backend.blocks == (("B",), ("C",))
     np.testing.assert_allclose(
-        backend.matrices([0.4])[0], flat_kernel_prior(grown, 0.4), atol=1e-12, rtol=0
+        _expanded(backend, [0.4])[0], flat_kernel_prior(grown, 0.4), atol=1e-12, rtol=0
     )
 
 
@@ -279,7 +284,7 @@ def test_append_growth_past_count_guard_refits(monkeypatch):
     config = EstimatorConfig(max_cells=400)
     backend = FactoredPriorBackend(config, incremental=True).fit(seed_table)
     assert backend.solo is not None
-    backend.matrices([0.3])
+    backend.prior_rows([0.3])
     # The growth refits once into the no-solo layout; every later delta
     # stays incremental there.
     grown = full.select(np.arange(260))
@@ -302,16 +307,16 @@ def test_append_growth_past_count_guard_refits(monkeypatch):
     for step, table in steps:
         assert step() == "incremental"
         assert backend.solo is None
-        scratch = FactoredPriorBackend(config).fit(table).matrices([0.3])[0]
-        np.testing.assert_allclose(backend.matrices([0.3])[0], scratch, atol=1e-12, rtol=0)
+        scratch = _expanded(FactoredPriorBackend(config).fit(table), [0.3])[0]
+        np.testing.assert_allclose(_expanded(backend, [0.3])[0], scratch, atol=1e-12, rtol=0)
         np.testing.assert_allclose(
-            backend.matrices([0.3])[0], flat_kernel_prior(table, 0.3), atol=1e-12, rtol=0
+            _expanded(backend, [0.3])[0], flat_kernel_prior(table, 0.3), atol=1e-12, rtol=0
         )
 
 
 def test_backend_requires_fit():
     backend = FactoredPriorBackend()
     with pytest.raises(KnowledgeError, match="not fitted"):
-        backend.matrices([0.3])
+        backend.prior_rows([0.3])
     with pytest.raises(KnowledgeError, match="not fitted"):
         backend.append_rows(_wide_table(n_rows=20))

@@ -38,6 +38,11 @@ SEEDS = range(6)
 TOLERANCE = 1e-12
 
 
+def _expanded(backend, bandwidths) -> list[np.ndarray]:
+    """The backend's per-row prior matrices: each ``prior_rows`` pair expanded."""
+    return [rows[index] for rows, index in backend.prior_rows(bandwidths)]
+
+
 def _count_cells(table: MicrodataTable, solo: bool) -> int:
     """The count tensor's cells in one layout (what ``_fit`` guards)."""
     codes = table.qi_code_matrix()
@@ -110,7 +115,7 @@ def test_backend_matches_the_flat_reference(layout, seed, kernel, monkeypatch):
     backend = FactoredPriorBackend(config).fit(table)
     assert (backend.solo is None) == (layout == "no-solo")
     _assert_reference_layout(backend, table)
-    matrices = backend.matrices(bandwidths)
+    matrices = _expanded(backend, bandwidths)
     for b, matrix in zip(bandwidths, matrices):
         reference = flat_kernel_prior(table, b, kernel=kernel)
         np.testing.assert_allclose(matrix, reference, atol=TOLERANCE, rtol=0)
@@ -118,13 +123,13 @@ def test_backend_matches_the_flat_reference(layout, seed, kernel, monkeypatch):
     for jobs in (1, 4):
         threaded = EstimatorConfig(kernel=kernel, max_cells=budget, jobs=jobs)
         for ours, resident in zip(
-            FactoredPriorBackend(threaded).fit(table).matrices(bandwidths), matrices
+            _expanded(FactoredPriorBackend(threaded).fit(table), bandwidths), matrices
         ):
             assert ours.tobytes() == resident.tobytes()
     chunked = FactoredPriorBackend(config).fit(InMemoryTableSource(table, chunk_rows=7))
     assert chunked.solo == backend.solo
     _assert_reference_layout(chunked, table)
-    for ours, resident in zip(chunked.matrices(bandwidths), matrices):
+    for ours, resident in zip(_expanded(chunked, bandwidths), matrices):
         assert ours.tobytes() == resident.tobytes()
 
     rng = np.random.default_rng([seed, 7])
@@ -147,7 +152,7 @@ def test_lifecycle_matches_a_scratch_fit(layout, seed, kernel, monkeypatch):
     bandwidths = [0.3, per_attribute]
     backend = FactoredPriorBackend(config, incremental=True).fit(table.select(np.arange(100)))
     assert backend.solo is not None
-    backend.matrices(bandwidths)  # populate the contraction caches
+    backend.prior_rows(bandwidths)  # populate the contraction caches
 
     rng = np.random.default_rng([seed, 11])
     kept = np.setdiff1d(np.arange(160), rng.choice(160, 9, replace=False))
@@ -172,7 +177,7 @@ def test_lifecycle_matches_a_scratch_fit(layout, seed, kernel, monkeypatch):
         results.append(step())
         scratch = FactoredPriorBackend(config).fit(current)
         assert backend.solo == scratch.solo
-        for ours, reference in zip(backend.matrices(bandwidths), scratch.matrices(bandwidths)):
+        for ours, reference in zip(_expanded(backend, bandwidths), _expanded(scratch, bandwidths)):
             np.testing.assert_allclose(ours, reference, atol=TOLERANCE, rtol=0)
     if layout == "no-solo":
         assert results == ["refit", "incremental", "incremental", "incremental"]

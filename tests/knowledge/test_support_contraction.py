@@ -43,6 +43,11 @@ BANDWIDTHS = [0.2, 0.25, 0.5, PER_ATTRIBUTE]
 BUDGETS = [10**6, 4_000, 1_000, 300, 100, 64, 30, 10, 1]
 
 
+def _expanded(backend, bandwidths) -> list[np.ndarray]:
+    """The backend's per-row prior matrices: each ``prior_rows`` pair expanded."""
+    return [rows[index] for rows, index in backend.prior_rows(bandwidths)]
+
+
 def _random_table(n_rows: int, seed: int) -> MicrodataTable:
     rng = np.random.default_rng(seed)
     schema = Schema(
@@ -88,7 +93,7 @@ def case(request):
 
 
 def _matrices(table, bandwidths, **config) -> list[np.ndarray]:
-    return FactoredPriorBackend(EstimatorConfig(**config)).fit(table).matrices(bandwidths)
+    return _expanded(FactoredPriorBackend(EstimatorConfig(**config)).fit(table), bandwidths)
 
 
 def _weights(table, kernel, bandwidth: Bandwidth) -> dict[str, np.ndarray]:
@@ -149,9 +154,12 @@ def test_bitwise_across_jobs_and_chunked_fit(case, kernel, blocks):
     table, budgets = case
     serial = _matrices(table, BANDWIDTHS, kernel=kernel, max_cells=budgets[blocks], jobs=1)
     threaded = _matrices(table, BANDWIDTHS, kernel=kernel, max_cells=budgets[blocks], jobs=3)
-    chunked = FactoredPriorBackend(
-        EstimatorConfig(kernel=kernel, max_cells=budgets[blocks])
-    ).fit(InMemoryTableSource(table, chunk_rows=37)).matrices(BANDWIDTHS)
+    chunked = _expanded(
+        FactoredPriorBackend(EstimatorConfig(kernel=kernel, max_cells=budgets[blocks])).fit(
+            InMemoryTableSource(table, chunk_rows=37)
+        ),
+        BANDWIDTHS,
+    )
     for reference, ours, streamed in zip(serial, threaded, chunked):
         assert np.array_equal(ours, reference)
         assert np.array_equal(streamed, reference)
@@ -165,7 +173,7 @@ def test_single_term_supports_match_dense_oracle_bitwise(case, kernel, blocks):
         EstimatorConfig(kernel=kernel, max_cells=budgets[blocks])
     ).fit(table)
     single_seen = multi_seen = 0
-    for b, matrix in zip(BANDWIDTHS, backend.matrices(BANDWIDTHS)):
+    for b, matrix in zip(BANDWIDTHS, _expanded(backend, BANDWIDTHS)):
         numerators, sizes = _dense_oracle(backend, kernel, b)
         oracle = (numerators / numerators.sum(axis=1)[:, None])[backend._query_inverse]
         single = (sizes == 1)[backend._query_inverse]
@@ -204,15 +212,15 @@ def test_lifecycle_matches_scratch_and_keeps_untouched_bits(case, kernel, blocks
     base = table.select(np.arange(180))
     backend = FactoredPriorBackend(config, incremental=True).fit(base)
     bandwidths = [backend.resolve_bandwidth(b) for b in BANDWIDTHS]
-    before = backend.matrices(bandwidths)
+    before = _expanded(backend, bandwidths)
     rng = np.random.default_rng(blocks)
     untouched_seen = 0
 
     def check(current, result, kept_before, changed):
         nonlocal untouched_seen
         assert result == "incremental"
-        after = backend.matrices(bandwidths)
-        scratch = FactoredPriorBackend(config).fit(current).matrices(bandwidths)
+        after = _expanded(backend, bandwidths)
+        scratch = _expanded(FactoredPriorBackend(config).fit(current), bandwidths)
         for bandwidth, old, new, reference in zip(bandwidths, before, after, scratch):
             np.testing.assert_allclose(new, reference, atol=1e-12, rtol=0)
             rows = np.flatnonzero(kept_before >= 0)
@@ -298,7 +306,7 @@ def test_support_working_set_stays_within_the_cell_budget():
     assert one_block.n_blocks == 1
     np.testing.assert_allclose(
         backend._normalise(numerators)[backend._query_inverse],
-        one_block.matrices([0.1])[0],
+        _expanded(one_block, [0.1])[0],
         atol=1e-12,
         rtol=0,
     )

@@ -42,7 +42,7 @@ def _traced(backend, bandwidth):
     block builds may finish in any order)."""
     tracer = Tracer()
     with tracer.activate(), tracer.timed("run"):
-        backend.matrices([bandwidth])
+        backend.prior_rows([bandwidth])
     root = tracer.take_root()
     contract = root.find("backend.contract")
     blocks = {
